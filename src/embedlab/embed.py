@@ -2,10 +2,15 @@
 
 Eigenvalue branch bounds, enumeration of real candidate logarithms,
 three-valued verdicts with checkable witnesses, inverse-M power forms, and
-nonnegative root construction.  Branch candidates are independent pure
-computations; enumeration order is deterministic (principal branch first,
-then lexicographic over offsets sorted by absolute value), so the reported
-witness is always the most principal admissible one.
+nonnegative root construction.  Only real branch selections are built: with
+distinct eigenvalues a logarithm is real exactly when each real eigenvalue is
+positive and keeps offset 0 and each conjugate pair takes offsets (k, -k)
+(Culver 1966, On the existence and uniqueness of the real logarithm of a
+matrix), so the cost follows the number of real candidates rather than the
+raw product of per-eigenvalue windows.  Branch candidates are independent
+pure computations; enumeration order is deterministic (principal branch
+first, then lexicographic over offsets sorted by absolute value), so the
+reported witness is always the most principal admissible one.
 """
 
 import itertools
@@ -80,13 +85,19 @@ class BranchSelection:
 @dataclass
 class BranchBound:
     """Admissible imaginary-part window for candidate generator eigenvalues
-    and the branch-offset counts it induces per eigenvalue."""
+    and the branch-offset counts it induces per eigenvalue.
+
+    ``raw_tuple_count`` is the product of the per-eigenvalue counts;
+    ``candidate_count`` is the number of those tuples whose logarithm is
+    real (None when not computed).
+    """
 
     mode: str
     im_low: float
     im_high: float
     per_eigenvalue_counts: List[int]
     raw_tuple_count: int
+    candidate_count: Optional[int] = None
 
 
 @dataclass
@@ -144,7 +155,9 @@ def branch_bound(
 
     The spectral-radius position always gets exactly one offset (its
     logarithm must stay real).  ``raw_tuple_count`` is the product of the
-    per-eigenvalue counts before any reality filtering.
+    per-eigenvalue counts before any reality filtering; ``candidate_count``
+    counts the real selections among them (Culver 1966), so it is 0 when an
+    eigenvalue is negative real.
     """
     if mode not in BOUND_MODES:
         raise ValueError(f"unknown bound mode {mode!r}")
@@ -163,44 +176,76 @@ def branch_bound(
         radius = abs(lam_tilde * (n - 1) - log_det)
         lo, hi = -radius, radius
 
-    counts = []
-    for j, lam in enumerate(E.eigenvalues):
-        if j == 0:
-            counts.append(1)
-        else:
-            counts.append(max(0, len(_offset_window(float(np.angle(lam)), lo, hi))))
-    raw = int(np.prod(counts)) if counts else 0
+    windows = _offset_windows(E, lo, hi)
+    counts = [len(window) for window in windows]
     return BranchBound(
-        mode=mode, im_low=lo, im_high=hi, per_eigenvalue_counts=counts, raw_tuple_count=raw
+        mode=mode,
+        im_low=lo,
+        im_high=hi,
+        per_eigenvalue_counts=counts,
+        raw_tuple_count=math.prod(counts),
+        candidate_count=math.prod(len(block) for block in _real_blocks(E, windows)),
     )
 
 
-def _admissible_offsets(E: Eigendecomposition, bound: BranchBound) -> List[List[int]]:
-    lists: List[List[int]] = []
-    for j, lam in enumerate(E.eigenvalues):
-        if j == 0:
-            lists.append([0])
+def _offset_windows(E: Eigendecomposition, lo: float, hi: float) -> List[range]:
+    """Branch offsets per eigenvalue that keep Im log lam in [lo, hi]; the
+    spectral-radius position admits only 0 (its logarithm must stay real)."""
+    args = np.angle(E.eigenvalues).tolist()
+    return [range(1)] + [_offset_window(arg, lo, hi) for arg in args[1:]]
+
+
+def _in_runnenberg_cone(mu: np.ndarray, n: int, slack: float = 1e-9) -> np.ndarray:
+    """Which entries of ``mu`` lie in the angular cone admissible for the
+    eigenvalues of an n-state generator (Runnenberg 1962):
+    arg in [pi*(1/2 + 1/n), pi*(3/2 - 1/n)], zero admitted."""
+    phi = np.angle(mu)
+    phi = np.where(phi < 0, phi + _TWO_PI, phi)
+    lo = math.pi * (0.5 + 1.0 / n) - slack
+    hi = math.pi * (1.5 - 1.0 / n) + slack
+    return (np.abs(mu) <= slack) | ((lo <= phi) & (phi <= hi))
+
+
+def _real_blocks(
+    E: Eigendecomposition, windows: List[range], runnenberg: bool = False
+) -> List[List[Tuple[int, ...]]]:
+    """Offsets that keep the logarithm real, per real eigenvalue and per
+    conjugate pair in the canonical order.
+
+    With distinct eigenvalues every logarithm is primary, and it is real
+    exactly when each real eigenvalue is positive and keeps offset 0 and each
+    conjugate pair takes offsets (k, -k) (Culver 1966).  Each offset must lie
+    in its own eigenvalue's window and, with ``runnenberg``, put that
+    eigenvalue's logarithm inside the generator cone.  Pair offsets are
+    sorted principal first, so the product of the blocks runs in the
+    lexicographic order of the full offset tuples.
+    """
+    lam = E.eigenvalues.tolist()
+    if runnenberg:
+        js = [j for j, window in enumerate(windows) for _ in window]
+        ks = [k for window in windows for k in window]
+        mu = np.log(E.eigenvalues)[js] + 2j * np.pi * np.asarray(ks)
+        windows = [set() for _ in windows]
+        for j, k, inside in zip(js, ks, _in_runnenberg_cone(mu, len(lam)).tolist()):
+            if inside:
+                windows[j].add(k)
+
+    blocks: List[List[Tuple[int, ...]]] = []
+    j = 0
+    while j < len(lam):
+        z = lam[j]
+        if z.imag == 0:
+            blocks.append([(0,)] if z.real > 0 and 0 in windows[j] else [])
+            j += 1
+        elif j + 1 < len(lam) and lam[j + 1] == z.conjugate():
+            ks = [k for k in windows[j] if -k in windows[j + 1]]
+            blocks.append([(k, -k) for k in sorted(ks, key=lambda k: (abs(k), k))])
+            j += 2
         else:
-            ks = list(_offset_window(float(np.angle(lam)), bound.im_low, bound.im_high))
-            ks.sort(key=lambda k: (abs(k), k))
-            lists.append(ks)
-    return lists
-
-
-def _runnenberg_ok(mu: np.ndarray, n: int, slack: float = 1e-9) -> bool:
-    """Angular cone admissible for the eigenvalues of an n-state generator:
-    arg(z) in [pi*(1/2 + 1/n), pi*(3/2 - 1/n)], zero admitted."""
-    lo = math.pi * (0.5 + 1.0 / n)
-    hi = math.pi * (1.5 - 1.0 / n)
-    for z in mu:
-        if abs(z) <= slack:
-            continue
-        phi = float(np.angle(z))
-        if phi < 0:
-            phi += _TWO_PI
-        if not (lo - slack <= phi <= hi + slack):
-            return False
-    return True
+            # a spectrum not closed under conjugation has no real logarithm
+            blocks.append([])
+            j += 1
+    return blocks
 
 
 def _candidate_stream(
@@ -208,35 +253,27 @@ def _candidate_stream(
     bound: BranchBound,
     cfg: ToleranceConfig,
     runnenberg: bool = False,
-) -> Iterator[Tuple[BranchSelection, Optional[np.ndarray], str]]:
-    """Raw branch tuples with their assembled real candidate, or the pruning
-    reason when no real candidate exists."""
-    lam = E.eigenvalues
-    n = E.n
-    for combo in itertools.product(*_admissible_offsets(E, bound)):
-        sel = BranchSelection(offsets=tuple(combo))
-        if runnenberg:
-            mu = np.log(lam) + 2j * np.pi * np.asarray(combo)
-            if not _runnenberg_ok(mu, n):
-                yield sel, None, "runnenberg_cone"
-                continue
-        candidate = numkit.logm_branch(E, combo, cfg)
-        real = numkit.as_real(candidate, cfg)
-        if real is None:
-            yield sel, None, "complex_candidate"
-        else:
-            yield sel, real, ""
+) -> Iterator[Tuple[BranchSelection, Optional[np.ndarray]]]:
+    """Real branch selections in lexicographic order with their assembled
+    logarithm, or None when its imaginary residue is not negligible."""
+    blocks = _real_blocks(E, _offset_windows(E, bound.im_low, bound.im_high), runnenberg)
+    for picks in itertools.product(*blocks):
+        sel = BranchSelection(offsets=tuple(itertools.chain.from_iterable(picks)))
+        yield sel, numkit.as_real(numkit.logm_branch(E, sel, cfg), cfg)
 
 
 def enumerate_generators(
     E: Eigendecomposition, bound: BranchBound, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> Iterator[Tuple[BranchSelection, np.ndarray]]:
-    """Yield every admissible branch selection whose assembled logarithm is
-    real, principal branch first.
+    """Yield every branch selection within the bound whose assembled
+    logarithm is real, principal branch first.
 
-    Eigenvalues must be nonzero.  Repeated eigenvalues are an error except in
-    the diagonalizable all-real-positive case, where the principal branch is
-    the only real primary candidate and is yielded alone.
+    Only the selections that Culver's (1966) criterion makes real are built:
+    offset 0 on each positive real eigenvalue and (k, -k) on each conjugate
+    pair; a negative real eigenvalue leaves none.  Eigenvalues must be
+    nonzero.  Repeated eigenvalues are an error except in the diagonalizable
+    all-real-positive case, where the principal branch is the only real
+    primary candidate and is yielded alone.
     """
     lam = E.eigenvalues
     if np.any(np.abs(lam) <= cfg.entry_tol):
@@ -251,7 +288,7 @@ def enumerate_generators(
         raise RepeatedEigenvalues(
             "branch enumeration needs distinct eigenvalues (or a real positive spectrum)"
         )
-    for sel, real, _ in _candidate_stream(E, bound, cfg):
+    for sel, real in _candidate_stream(E, bound, cfg):
         if real is not None:
             yield sel, real
 
@@ -295,13 +332,17 @@ def _log_acceptor(target: np.ndarray, require_row_sums: bool, cfg: ToleranceConf
 
 
 def _branch_search(E, bound, accept, cfg, runnenberg):
-    """Scan the admissible branch tuples; return the first accepted log."""
+    """Scan the real branch selections; return the first accepted log."""
+    negative = [z.real for z in E.eigenvalues.tolist() if z.imag == 0 and z.real < 0]
+    if negative:
+        # a simple negative real eigenvalue admits no real logarithm (Culver 1966)
+        return None, 0, [{"reason": "negative_real_eigenvalue", "value": negative[0]}]
     examined = 0
     records: List[dict] = []
-    for sel, real, note in _candidate_stream(E, bound, cfg, runnenberg=runnenberg):
+    for sel, real in _candidate_stream(E, bound, cfg, runnenberg=runnenberg):
         examined += 1
         if real is None:
-            records.append({"branch": sel.offsets, "reason": note})
+            records.append({"branch": sel.offsets, "reason": "complex_candidate"})
             continue
         ok, failure = accept(real)
         if ok:
@@ -387,13 +428,15 @@ def check_embeddable(
     matrix.
 
     Pipeline: a positive determinant and the structural necessary conditions
-    are required outright; eigenvalue branches within the chosen bound are
-    then enumerated (pruned by the angular cone admissible for generator
-    spectra) and the first real candidate passing the intensity test is the
-    witness.  Exhausting every admissible branch proves non-embeddability
-    when eigenvalues are distinct.  Repeated eigenvalues are resolved through
-    the primary principal logarithm when possible; otherwise the verdict
-    after a perturbed exploration is Undetermined.
+    are required outright.  With distinct eigenvalues a simple negative real
+    eigenvalue rules out any real logarithm (Culver 1966); otherwise only the
+    real branch selections within the chosen bound are enumerated, each
+    eigenvalue pruned by the angular cone admissible for generator spectra,
+    and the first candidate passing the intensity test is the witness.
+    Exhausting them proves non-embeddability when eigenvalues are distinct.
+    Repeated eigenvalues are resolved through the primary principal logarithm
+    when possible; otherwise the verdict after a perturbed exploration is
+    Undetermined.
     """
     P = as_square_matrix(P)
     if not is_stochastic(P, cfg):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,119 @@ class TestEnumerateGenerators:
                     if abs(li.imag) > 1e-12:
                         j = int(np.argmin(np.abs(eigen.eigenvalues - np.conj(li))))
                         assert sel.offsets[i] == -sel.offsets[j]
+
+
+def brute_force_real_selections(eigen, bound, cone):
+    """Reference enumeration: walk the full product of per-eigenvalue offset
+    windows (spectral-radius position pinned at 0, each list sorted by
+    |k| then k), optionally drop tuples outside the Runnenberg cone, and keep
+    the tuples whose assembled logarithm is real."""
+    lam = eigen.eigenvalues
+    n = eigen.n
+    lists = [[0]]
+    for value in lam[1:]:
+        arg = float(np.angle(value))
+        kmin = int(np.ceil((bound.im_low - arg) / (2 * np.pi) - 1e-12))
+        kmax = int(np.floor((bound.im_high - arg) / (2 * np.pi) + 1e-12))
+        lists.append(sorted(range(kmin, kmax + 1), key=lambda k: (abs(k), k)))
+    cone_lo, cone_hi = np.pi * (0.5 + 1.0 / n), np.pi * (1.5 - 1.0 / n)
+    found = []
+    for combo in itertools.product(*lists):
+        if cone:
+            mu = np.log(lam) + 2j * np.pi * np.asarray(combo)
+            phi = np.mod(np.angle(mu), 2 * np.pi)
+            inside = (np.abs(mu) <= 1e-9) | ((phi >= cone_lo - 1e-9) & (phi <= cone_hi + 1e-9))
+            if not inside.all():
+                continue
+        real = numkit.as_real(numkit.logm_branch(eigen, combo, CFG), CFG)
+        if real is not None:
+            found.append((combo, real))
+    return found
+
+
+class TestRealSelectionEnumeration:
+    def inputs(self, seed, count):
+        rng = np.random.default_rng(seed)
+        done = 0
+        while done < count:
+            n = int(rng.integers(3, 7))
+            P = random_stochastic(rng, n) if done % 2 else numkit.expm(random_intensity(rng, n))
+            det = float(np.linalg.det(P))
+            if det <= 1e-12 or min_eig_gap(P) < CFG.distinct_tol:
+                continue
+            eigen = numkit.eig(P)
+            if embed.branch_bound(eigen, det, "israel_two_sided").raw_tuple_count > 5000:
+                continue
+            done += 1
+            yield eigen, det
+
+    def test_matches_brute_force_product(self):
+        for eigen, det in self.inputs(40, 60):
+            for mode in ("israel_two_sided", "paper_one_sided"):
+                bound = embed.branch_bound(eigen, det, mode)
+                reference = brute_force_real_selections(eigen, bound, cone=False)
+                assert bound.candidate_count == len(reference)
+                listed = list(embed.enumerate_generators(eigen, bound))
+                assert [s.offsets for s, _ in listed] == [c for c, _ in reference]
+                for (_, got), (_, want) in zip(listed, reference):
+                    assert np.array_equal(got, want)
+                pruned = [
+                    (s.offsets, real)
+                    for s, real in embed._candidate_stream(eigen, bound, CFG, runnenberg=True)
+                ]
+                reference = brute_force_real_selections(eigen, bound, cone=True)
+                assert [c for c, _ in pruned] == [c for c, _ in reference]
+                for (_, got), (_, want) in zip(pruned, reference):
+                    assert np.array_equal(got, want)
+
+    def test_true_generator_survives_pruning(self):
+        rng = np.random.default_rng(41)
+        done = 0
+        while done < 100:
+            n = int(rng.integers(3, 7))
+            R = random_intensity(rng, n)
+            P = numkit.expm(R)
+            det = float(np.linalg.det(P))
+            if det < 1e-6 or min_eig_gap(P) < CFG.distinct_tol:
+                continue
+            done += 1
+            eigen = numkit.eig(P)
+            bound = embed.branch_bound(eigen, det, "israel_two_sided")
+            candidates = [
+                real for _, real in embed._candidate_stream(eigen, bound, CFG, runnenberg=True)
+            ]
+            assert any(np.allclose(real, R, atol=1e-7) for real in candidates)
+            assert embed.check_embeddable(P).verdict == embed.EMBEDDABLE
+
+    def test_eight_states_examine_few_branches(self):
+        P = random_stochastic(np.random.default_rng(25), 8)
+        bound = embed.branch_bound(numkit.eig(P), float(np.linalg.det(P)), "israel_two_sided")
+        assert bound.raw_tuple_count == 32000
+        report = embed.check_embeddable(P)
+        assert report.verdict in (embed.EMBEDDABLE, embed.NOT_EMBEDDABLE)
+        assert report.bound_used.raw_tuple_count == 32000
+        assert report.branches_examined <= 10
+
+    @pytest.mark.parametrize("a, b", [(-0.2, -0.3), (-0.02, -0.03)])
+    def test_negative_real_eigenvalue_leaves_no_candidate(self, a, b):
+        # symmetric stochastic matrix with eigenvalues 1, a, b; at (a, b) =
+        # (-0.02, -0.03) |log det| exceeds pi, so the window itself is not empty
+        ones = np.ones(3) / np.sqrt(3)
+        u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
+        v = np.array([1.0, 1.0, -2.0]) / np.sqrt(6)
+        P = np.outer(ones, ones) + a * np.outer(u, u) + b * np.outer(v, v)
+        assert np.allclose(np.sort(np.linalg.eigvals(P).real), [b, a, 1.0])
+        bound = embed.branch_bound(numkit.eig(P), float(np.linalg.det(P)), "israel_two_sided")
+        assert bound.candidate_count == 0
+        assert bound.raw_tuple_count == (0 if a == -0.2 else 4)
+        report = embed.check_embeddable(P)
+        assert report.verdict == embed.NOT_EMBEDDABLE
+        assert report.branches_examined == 0
+        assert report.bound_used is not None
+        reasons = [r["reason"] for r in report.failed_conditions]
+        assert reasons == ["negative_real_eigenvalue", "all_branches_exhausted"]
+        # the canonical order puts the larger modulus first
+        assert report.failed_conditions[0]["value"] == pytest.approx(b)
 
 
 class TestCheckEmbeddable:
