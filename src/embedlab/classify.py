@@ -4,11 +4,9 @@ M, inverse-M, and irreducible matrices.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .errors import NotZMatrix
 from .numkit import DEFAULT_TOL, ToleranceConfig, as_square_matrix
@@ -77,17 +75,42 @@ def structural_pattern(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return np.abs(np.asarray(A)) > cfg.entry_tol
 
 
+def strong_components(pattern: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Strongly connected components of the digraph with an edge i -> j
+    wherever ``pattern[i, j]``, in topological order.
+
+    Dense: the reachability closure of ``pattern | I`` by ceil(log2(n - 1))
+    boolean squarings; mutually reachable states share a component.
+    ``labels[i]`` numbers state i's component by the component's smallest
+    state, from 0.  ``order`` lists the labels with every edge pointing
+    forward: each step takes, of the components no other remaining one
+    reaches, the one with the smallest state.
+    """
+    n = pattern.shape[0]
+    reach = pattern | np.eye(n, dtype=bool)
+    for _ in range(max(n - 2, 0).bit_length()):
+        reach = reach @ reach
+    first = (reach & reach.T).argmax(axis=1)  # smallest state of each state's component
+    roots = np.flatnonzero(first == np.arange(n))
+    labels = np.searchsorted(roots, first)
+    # blocked[c] counts the remaining components other than c that reach c
+    reaches = reach[roots][:, roots].astype(int)
+    np.fill_diagonal(reaches, 0)
+    blocked = reaches.sum(axis=0)
+    order = []
+    for _ in range(len(roots)):
+        c = int(blocked.argmin())
+        order.append(c)
+        blocked -= reaches[c]
+        blocked[c] = n  # taken: above every count, so never picked again
+    return labels, order
+
+
 def is_irreducible(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Strong connectivity of the zero-pattern digraph (exact, no slack beyond
     the structural-zero threshold).  1x1 matrices are irreducible."""
-    A = np.asarray(A)
-    if A.shape[0] == 1:
-        return True
-    graph = scipy.sparse.csr_matrix(structural_pattern(A, cfg))
-    ncomp, _ = scipy.sparse.csgraph.connected_components(
-        graph, directed=True, connection="strong"
-    )
-    return ncomp == 1
+    _, order = strong_components(structural_pattern(A, cfg))
+    return len(order) == 1
 
 
 @dataclass
@@ -119,8 +142,10 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
     The M-matrix test is the two-condition one: Z-pattern plus entrywise
     nonnegative inverse.  Inverse-M inverts ``A`` and tests the inverse for
     M-matrix membership.  Irreducibility is decided exactly on the zero
-    pattern.  Singular inputs get their inverse-dependent flags set False
-    with witness ``"singular"``.
+    pattern; its witness ``("strongly_connected_components", ncomp, labels)``
+    numbers components by their smallest state, from 0, so it is
+    deterministic.  Singular inputs get their inverse-dependent flags set
+    False with witness ``"singular"``.
     """
     A = as_square_matrix(A)
     n = A.shape[0]
@@ -208,13 +233,10 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
             i, j = np.unravel_index(int(np.argmax(masked)), Ainv.shape)
             wit["inverse_m_matrix"] = ("inverse_offdiag_positive", (int(i), int(j), float(Ainv[i, j])))
 
-    flags["irreducible"] = is_irreducible(A, cfg)
+    labels, order = strong_components(structural_pattern(A, cfg))
+    flags["irreducible"] = len(order) == 1
     if not flags["irreducible"]:
-        graph = scipy.sparse.csr_matrix(structural_pattern(A, cfg))
-        ncomp, labels = scipy.sparse.csgraph.connected_components(
-            graph, directed=True, connection="strong"
-        )
-        wit["irreducible"] = ("strongly_connected_components", int(ncomp), labels.tolist())
+        wit["irreducible"] = ("strongly_connected_components", len(order), labels.tolist())
 
     return ClassReport(flags=flags, witnesses=wit, det=det, spectral_radius=rho)
 

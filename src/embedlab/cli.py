@@ -147,7 +147,7 @@ def _run_command(args, M, cfg):
 
     if args.command == "structure":
         decomp = structure.frobenius_form(M, cfg)
-        conditions = structure.necessary_conditions(M, cfg)
+        conditions = structure.necessary_conditions(M, cfg, decomposition=decomp)
         code = EXIT_POSITIVE if conditions.passed else EXIT_NEGATIVE
         return {"decomposition": decomp, "necessary_conditions": conditions}, code
 

@@ -549,7 +549,8 @@ def check_strong_inf_divisible(
         failed.append({"reason": "determinant_not_positive", "value": det})
         return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
 
-    nc = structure.necessary_conditions(B, cfg)
+    decomp = structure.frobenius_form(B, cfg)
+    nc = structure.necessary_conditions(B, cfg, decomposition=decomp)
     if not nc.passed:
         for name, location in nc.violations:
             failed.append({"reason": "necessary_condition", "condition": name, "location": location})
@@ -647,7 +648,6 @@ def check_strong_inf_divisible(
 
     recursion: List[DivisibilityReport] = []
     if recurse_trailing:
-        decomp = structure.frobenius_form(B, cfg)
         for t in range(1, decomp.n_blocks):
             sub = structure.trailing_submatrix(decomp, t)
             recursion.append(

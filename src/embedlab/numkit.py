@@ -148,16 +148,11 @@ def eig(A, cfg: ToleranceConfig = DEFAULT_TOL, max_condition: float = 1e12) -> E
         raise IllConditioned(
             f"eigenbasis condition {cond:.3g}, reconstruction residual {resid:.3g}"
         )
-    if len(lam) == 1:
-        gap = np.inf
-    else:
-        diff = lam[:, None] - lam[None, :]
-        gap = float(np.min(np.abs(diff[~np.eye(len(lam), dtype=bool)])))
     return Eigendecomposition(
         eigenvalues=lam,
         right_eigenvectors=V,
         inverse_basis=Vinv,
-        min_pairwise_gap=gap,
+        min_pairwise_gap=_min_gap(lam),
         basis_condition=cond,
     )
 

@@ -3,18 +3,17 @@
 Frobenius block-upper-triangular form by strongly-connected-component
 condensation, trailing submatrices, zero-pattern invariance of candidate
 generators, positive-diagonal and transitivity checks, and monomial
-conjugation.  These serve as a cheap pre-filter for the decision core.
+conjugation.  These serve as a cheap pre-filter for the decision core.  The
+components come from :func:`embedlab.classify.strong_components`, the dense
+reachability-closure routine every irreducibility test shares.
 """
 
-import heapq
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
-from .classify import structural_pattern
+from .classify import strong_components, structural_pattern
 from .errors import NotAValidPair, NotMonomial, OutOfRange
 from .numkit import DEFAULT_TOL, ToleranceConfig, as_square_matrix, expm, relative_residual
 
@@ -74,42 +73,19 @@ def frobenius_form(B, cfg: ToleranceConfig = DEFAULT_TOL) -> StructureDecomposit
     and order them topologically so the permuted matrix is block upper
     triangular.
 
-    Incomparable components are ordered by ascending minimum original index
-    and indices inside a component stay ascending, so the decomposition is
-    deterministic.  A fully irreducible matrix yields a single block.
+    Both come from :func:`embedlab.classify.strong_components`: mutually
+    reachable states in the closure of the pattern plus I by repeated boolean
+    squaring.  Next goes the unplaced component with the smallest original
+    index that no other unplaced one reaches, and indices inside a component
+    stay ascending, so the decomposition is deterministic.  A fully
+    irreducible matrix yields a single block.
     """
     B = as_square_matrix(B)
-    n = B.shape[0]
-    pattern = structural_pattern(B, cfg)
-    graph = scipy.sparse.csr_matrix(pattern)
-    ncomp, labels = scipy.sparse.csgraph.connected_components(
-        graph, directed=True, connection="strong"
-    )
-    members = [np.flatnonzero(labels == c) for c in range(ncomp)]
-
-    # condensation DAG: an edge u -> v forces u's component left of v's
-    succ = [set() for _ in range(ncomp)]
-    indeg = [0] * ncomp
-    for i, j in np.argwhere(pattern):
-        ci, cj = labels[i], labels[j]
-        if ci != cj and cj not in succ[ci]:
-            succ[ci].add(cj)
-            indeg[cj] += 1
-
-    ready = [(int(members[c][0]), c) for c in range(ncomp) if indeg[c] == 0]
-    heapq.heapify(ready)
-    comp_order = []
-    while ready:
-        _, c = heapq.heappop(ready)
-        comp_order.append(c)
-        for d in succ[c]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                heapq.heappush(ready, (int(members[d][0]), d))
-
-    order = np.concatenate([members[c] for c in comp_order]).astype(int)
+    labels, comp_order = strong_components(structural_pattern(B, cfg))
+    rank = np.argsort(comp_order)  # position of each component in comp_order
+    order = np.argsort(rank[labels], kind="stable")
     U = B[np.ix_(order, order)]
-    block_sizes = [len(members[c]) for c in comp_order]
+    block_sizes = np.bincount(labels)[comp_order].tolist()
     blocks, offset = [], 0
     for size in block_sizes:
         blocks.append(U[offset : offset + size, offset : offset + size].copy())
@@ -172,7 +148,9 @@ class NecessaryConditionReport:
     conditions_checked: Tuple[str, ...] = CONDITION_NAMES
 
 
-def necessary_conditions(B, cfg: ToleranceConfig = DEFAULT_TOL) -> NecessaryConditionReport:
+def necessary_conditions(
+    B, cfg: ToleranceConfig = DEFAULT_TOL, decomposition: Optional[StructureDecomposition] = None
+) -> NecessaryConditionReport:
     """Logarithm-free necessary conditions for strong infinite divisibility.
 
     Checked, in order: strictly positive diagonal; irreducible implies
@@ -180,6 +158,8 @@ def necessary_conditions(B, cfg: ToleranceConfig = DEFAULT_TOL) -> NecessaryCond
     form; trailing submatrices nonsingular with positive determinant (and
     recursively satisfying the first three conditions); and zero-pattern
     transitivity (a length-2 path into an off-diagonal structural zero).
+    ``decomposition``, when given, must be ``frobenius_form(B, cfg)``; the
+    form is computed here otherwise.
     """
     B = as_square_matrix(B)
     n = B.shape[0]
@@ -190,7 +170,7 @@ def necessary_conditions(B, cfg: ToleranceConfig = DEFAULT_TOL) -> NecessaryCond
         violations.append(("positive_diagonal", (int(i), float(diag[i]))))
 
     pattern = structural_pattern(B, cfg)
-    decomp = frobenius_form(B, cfg)
+    decomp = frobenius_form(B, cfg) if decomposition is None else decomposition
     if decomp.n_blocks == 1 and n > 1:
         bad = np.argwhere(B <= cfg.entry_tol)
         if bad.size:

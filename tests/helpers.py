@@ -87,3 +87,17 @@ def random_permutation_matrix(rng, n):
 
 def random_monomial(rng, n):
     return random_permutation_matrix(rng, n) * rng.uniform(0.5, 2.0, (n, 1))
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test; each call appends its positional
+    arguments to the returned list."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls

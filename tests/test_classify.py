@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from embedlab import classify, numkit
 from embedlab.errors import NotZMatrix
@@ -105,6 +107,47 @@ class TestClassifyMatrix:
             direct = classify.classify_matrix(A).flags["irreducible"]
             conjugated = classify.classify_matrix(L @ A @ L.T).flags["irreducible"]
             assert direct == conjugated
+
+
+def scipy_components(A):
+    """Strong components of the zero pattern from scipy, relabelled by each
+    component's smallest state index."""
+    graph = scipy.sparse.csr_matrix(np.abs(A) > CFG.entry_tol)
+    ncomp, labels = scipy.sparse.csgraph.connected_components(
+        graph, directed=True, connection="strong"
+    )
+    first = [int(np.flatnonzero(labels == c)[0]) for c in range(ncomp)]
+    rank = {c: r for r, c in enumerate(sorted(range(ncomp), key=first.__getitem__))}
+    return ncomp, [rank[c] for c in labels]
+
+
+class TestStrongComponentsOracle:
+    def check(self, A):
+        ncomp, labels = scipy_components(A)
+        assert classify.is_irreducible(A, CFG) == (ncomp == 1)
+        report = classify.classify_matrix(A)
+        assert report.flags["irreducible"] == (ncomp == 1)
+        if ncomp > 1:
+            assert report.witnesses["irreducible"] == ("strongly_connected_components", ncomp, labels)
+
+    def test_random_patterns(self):
+        rng = np.random.default_rng(15)
+        for k in range(2400):
+            n = int(rng.integers(1, 9))
+            A = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.7))
+            if k % 3 == 0:
+                np.fill_diagonal(A, 1.0)
+            self.check(A)
+
+    def test_forty_states_twenty_components(self):
+        rng = np.random.default_rng(16)
+        A = np.zeros((40, 40))
+        for b in range(20):
+            A[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = rng.uniform(0.1, 1.0, (2, 2))
+        perm = rng.permutation(40)
+        A = A[np.ix_(perm, perm)] + np.eye(40)
+        self.check(A)
+        assert classify.classify_matrix(A).witnesses["irreducible"][1] == 20
 
 
 class TestNonnegEigvecOfZ:

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 
-from embedlab import cli, numkit
-from helpers import GEN_A, GEN_B
+from embedlab import cli, numkit, structure
+from helpers import GEN_A, GEN_B, count_calls
+
+GOLDEN_STRUCTURE = Path(__file__).parent / "data" / "cli_structure_golden.jsonl"
 
 TRANS_A = numkit.expm(GEN_A)
 TRANS_B = numkit.expm(GEN_B)
@@ -154,6 +157,20 @@ class TestReportContract:
         assert report["version"]
         assert report["duration_s"] >= 0
         assert report["tolerances"]["entry_tol"] == 1e-9
+
+    def test_structure_payload_matches_golden(self, tmp_path, capsys, monkeypatch):
+        # each line: exit code and report of `structure` on one input, the
+        # file path replaced by "<file>" and duration_s dropped
+        calls = count_calls(monkeypatch, structure, "frobenius_form")
+        for k, line in enumerate(GOLDEN_STRUCTURE.read_text().splitlines()):
+            golden = json.loads(line)
+            path = write_json(tmp_path / f"m{k}.json", np.array(golden["report"]["input"]["rows"]))
+            code, report = run(["structure", path], capsys)
+            del report["duration_s"]
+            report["command"][1] = "<file>"
+            assert code == golden["exit_code"]
+            assert json.dumps(report) == json.dumps(golden["report"])
+            assert len(calls) == k + 1
 
     def test_tol_flag_echoed(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", np.eye(2))

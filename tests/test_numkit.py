@@ -44,6 +44,11 @@ class TestEig:
         assert e.min_pairwise_gap == 0.0
         assert e.is_repeated(CFG)
 
+    def test_min_pairwise_gap(self):
+        assert numkit.eig(np.array([[2.0]])).min_pairwise_gap == np.inf
+        e = numkit.eig(np.diag([1.0, 0.5, 0.2]))
+        assert e.min_pairwise_gap == pytest.approx(0.3)
+
     def test_triangular_exponential_spectrum(self):
         e = numkit.eig(numkit.expm(GEN_A))
         assert np.allclose(e.eigenvalues, [1.0, np.exp(-1), np.exp(-2)], atol=1e-12)

@@ -1,11 +1,17 @@
+import heapq
+
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 
-from embedlab import classify, numkit, structure
+from embedlab import classify, embed, numkit, structure
 from embedlab.errors import NotAValidPair, NotMonomial, OutOfRange
 from helpers import (
+    DIVISIBLE_TRIANGLE,
     EXP_GEN_A,
     GEN_A,
+    count_calls,
     random_intensity,
     random_monomial,
     random_sparse_intensity,
@@ -49,6 +55,89 @@ class TestFrobeniusForm:
                 offset += size
             for block in d.diagonal_blocks:
                 assert block.shape[0] == 1 or classify.is_irreducible(block, CFG)
+
+
+def reference_frobenius(B):
+    """Permutation and block sizes from scipy's strong components and a
+    heap-ordered Kahn pass over the condensation (smallest minimum index of
+    the ready components first)."""
+    pattern = np.abs(B) > CFG.entry_tol
+    ncomp, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(pattern), directed=True, connection="strong"
+    )
+    members = [np.flatnonzero(labels == c) for c in range(ncomp)]
+    succ = [set() for _ in range(ncomp)]
+    indeg = [0] * ncomp
+    for i, j in np.argwhere(pattern):
+        ci, cj = labels[i], labels[j]
+        if ci != cj and cj not in succ[ci]:
+            succ[ci].add(cj)
+            indeg[cj] += 1
+    ready = [(int(members[c][0]), c) for c in range(ncomp) if indeg[c] == 0]
+    heapq.heapify(ready)
+    comp_order = []
+    while ready:
+        _, c = heapq.heappop(ready)
+        comp_order.append(c)
+        for d in succ[c]:
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                heapq.heappush(ready, (int(members[d][0]), d))
+    order = np.concatenate([members[c] for c in comp_order])
+    return order, [len(members[c]) for c in comp_order]
+
+
+class TestFrobeniusFormOracle:
+    def check(self, B):
+        d = structure.frobenius_form(B)
+        order, sizes = reference_frobenius(B)
+        assert np.array_equal(d.permutation, order)
+        assert d.block_sizes == sizes
+        assert np.array_equal(d.U, B[np.ix_(order, order)])
+
+    def test_random_patterns(self):
+        rng = np.random.default_rng(27)
+        for k in range(2400):
+            n = int(rng.integers(1, 9))
+            B = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.7))
+            if k % 3 == 0:
+                np.fill_diagonal(B, 1.0)
+            self.check(B)
+
+    def test_forty_states_twenty_components(self):
+        rng = np.random.default_rng(28)
+        B = np.zeros((40, 40))
+        for b in range(20):
+            B[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = rng.uniform(0.1, 1.0, (2, 2))
+        perm = rng.permutation(40)
+        B = B[np.ix_(perm, perm)]
+        self.check(B)
+        assert structure.frobenius_form(B).block_sizes == [2] * 20
+
+
+class TestFrobeniusFormCalls:
+    """The decisions compute the Frobenius form once and reuse it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return count_calls(monkeypatch, structure, "frobenius_form")
+
+    def test_irreducible_divisibility_input(self, calls):
+        B = numkit.expm(-(0.5 * np.eye(3) - random_intensity(np.random.default_rng(29), 3)))
+        assert embed.check_strong_inf_divisible(B).verdict == embed.STRONGLY_INF_DIVISIBLE
+        assert len(calls) == 1
+
+    def test_trailing_recursion_reuses_the_form(self, calls):
+        report = embed.check_strong_inf_divisible(DIVISIBLE_TRIANGLE)
+        assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
+        # every trailing submatrix has a positive determinant, so each
+        # sub-report reaches the prefilter once
+        assert len(report.recursion) == 2
+        assert len(calls) == 1 + len(report.recursion)
+
+    def test_embeddability(self, calls):
+        assert embed.check_embeddable(EXP_GEN_A).verdict == embed.EMBEDDABLE
+        assert len(calls) == 1
 
 
 class TestTrailingSubmatrix:
