@@ -1,16 +1,26 @@
 """Decision core for embeddability and strong infinite divisibility.
 
-Eigenvalue branch bounds, enumeration of real candidate logarithms,
-three-valued verdicts with checkable witnesses, inverse-M power forms, and
-nonnegative root construction.  Only real branch selections are built: with
-distinct eigenvalues a logarithm is real exactly when each real eigenvalue is
-positive and keeps offset 0 and each conjugate pair takes offsets (k, -k)
-(Culver 1966, On the existence and uniqueness of the real logarithm of a
-matrix), so the cost follows the number of real candidates rather than the
-raw product of per-eigenvalue windows.  Branch candidates are independent
-pure computations; enumeration order is deterministic (principal branch
-first, then lexicographic over offsets sorted by absolute value), so the
-reported witness is always the most principal admissible one.
+Both questions ask for a real logarithm L of the input with nonnegative
+off-diagonal entries: a stochastic P is embeddable when such an L also has
+zero row sums, and a nonnegative B is strongly infinitely divisible with the
+Z-matrix Q = -L.  So one pipeline, ``_decide``, answers both after each
+question's own determinant gate: the structural necessary conditions, the
+eigendecomposition, then either the branch search or, for a repeated or
+ill-conditioned spectrum, the principal primary logarithm and, if allowed,
+the same branch search on a perturbed copy.  A small ``_Problem`` record
+holds what differs: the row-sum test, the Runnenberg cone, the branch
+windows and the verdict names.
+
+Only real branch selections are built: with distinct eigenvalues a
+logarithm is real exactly when each real eigenvalue is positive and keeps
+offset 0 and each conjugate pair takes offsets (k, -k) (Culver 1966, On the
+existence and uniqueness of the real logarithm of a matrix), so the cost
+follows the number of real candidates rather than the raw product of
+per-eigenvalue windows.  Branch candidates are independent pure
+computations; enumeration order is deterministic (principal branch first,
+then lexicographic over offsets sorted by absolute value), so the reported
+witness is always the most principal admissible one.  Inverse-M power forms
+and nonnegative root construction complete the module.
 """
 
 import itertools
@@ -369,15 +379,100 @@ def _primary_log_is_only_real_log(A: np.ndarray, cfg: ToleranceConfig) -> bool:
     return True
 
 
-def _repeated_spectrum_verdict(A, accept, cfg, allow_perturb, search_after_perturb):
+@dataclass(frozen=True)
+class _Problem:
+    """What tells the two questions apart.  Embeddability requires zero row
+    sums, prunes with the Runnenberg cone and searches one Israel or paper
+    window; divisibility searches the theorem-4 window from the lam_tilde
+    estimate, widened by each ``widening`` factor in turn."""
+
+    positive: str
+    negative: str
+    row_sums: bool
+    runnenberg: bool
+    bound_mode: str
+    widening: Tuple[float, ...] = ()
+
+    def windows(self, A, eigen, det, cfg) -> Iterator[BranchBound]:
+        if not self.widening:
+            yield branch_bound(eigen, det, self.bound_mode)
+            return
+        # the bound needs an a-priori estimate of the candidate's leading
+        # eigenvalue; widen a bounded number of times on exhaustion
+        lam0 = _lam_tilde_estimate(A, eigen, cfg)
+        for factor in self.widening:
+            yield branch_bound(eigen, det, self.bound_mode, lam_tilde=lam0 * factor + (factor - 1.0))
+
+
+_DIVISIBILITY = _Problem(
+    STRONGLY_INF_DIVISIBLE,
+    NOT_STRONGLY_INF_DIVISIBLE,
+    row_sums=False,
+    runnenberg=False,
+    bound_mode="theorem4_general",
+    widening=(1.0, 2.0, 4.0),
+)
+
+
+@dataclass
+class _Decision:
+    """Verdict of the shared pipeline with what a report needs of it."""
+
+    verdict: str
+    witness: Optional[np.ndarray] = None
+    records: List[dict] = field(default_factory=list)
+    examined: int = 0
+    perturbed: bool = False
+    bound: Optional[BranchBound] = None
+
+
+def _lam_tilde_estimate(B: np.ndarray, eigen: Eigendecomposition, cfg) -> float:
+    """Upper estimate for the nonnegative-eigenvector eigenvalue of an
+    unknown candidate Z-matrix: the largest -log of a diagonal entry plus the
+    off-diagonal mass of the principal logarithm."""
+    diag = np.clip(np.diag(B), 1e-300, None)
+    est = max(0.0, float(np.max(-np.log(diag))))
+    off = np.abs(numkit.logm_branch(eigen, [0] * eigen.n, cfg))
+    np.fill_diagonal(off, 0.0)
+    return est + float(np.max(off.sum(axis=1)))
+
+
+def _search(A, det, problem, cfg, perturbed=False):
+    """Eigendecompose A and scan its real logarithms window by window,
+    stopping at the first accepted one or when a window adds no offset
+    tuple.
+
+    Returns (witness, examined, records, bound) of the last window searched,
+    or None when the spectrum is repeated or ill-conditioned.  A perturbed
+    copy is searched whatever its spectrum, and IllConditioned propagates.
+    """
+    try:
+        eigen = numkit.eig(A, cfg)
+    except IllConditioned:
+        if perturbed:
+            raise
+        return None
+    if not perturbed and eigen.is_repeated(cfg):
+        return None
+    accept = _log_acceptor(A, problem.row_sums, cfg)
+    witness, examined, records, bound = None, 0, [], None
+    for window in problem.windows(A, eigen, det, cfg):
+        if bound is not None and window.raw_tuple_count == bound.raw_tuple_count:
+            break
+        bound = window
+        witness, examined, records = _branch_search(eigen, bound, accept, cfg, problem.runnenberg)
+        if witness is not None:
+            break
+    return witness, examined, records, bound
+
+
+def _repeated_spectrum_verdict(A, problem, cfg, allow_perturb) -> _Decision:
     """Resolve the repeated-eigenvalue case.
 
-    Returns (status, witness_log, perturbed, records) with status one of
-    "positive", "negative", "undetermined".  A passing principal primary
-    logarithm certifies a positive verdict outright; a failing one is
-    conclusive only when it is the sole real-logarithm candidate; otherwise
-    exploration falls back to a perturbed copy and any outcome there is
-    reported undetermined.
+    A passing principal primary logarithm certifies a positive verdict
+    outright; a failing one is conclusive only when it is the sole
+    real-logarithm candidate; otherwise the search runs on a perturbed copy
+    and any outcome there is reported undetermined.
     """
     records: List[dict] = []
     principal = None
@@ -387,35 +482,58 @@ def _repeated_spectrum_verdict(A, accept, cfg, allow_perturb, search_after_pertu
         records.append({"reason": "principal_log_unavailable", "detail": str(exc)})
 
     if principal is not None:
-        ok, failure = accept(principal)
+        ok, failure = _log_acceptor(A, problem.row_sums, cfg)(principal)
         if ok:
-            return "positive", principal, False, records
+            return _Decision(problem.positive, principal, records)
         failure["branch"] = "principal_primary"
         records.append(failure)
         if _primary_log_is_only_real_log(A, cfg):
             records.append({"reason": "primary_log_is_only_candidate"})
-            return "negative", None, False, records
+            return _Decision(problem.negative, records=records)
 
     if not allow_perturb:
         records.append({"reason": "repeated_eigenvalues", "detail": "perturbation disabled"})
-        return "undetermined", None, False, records
+        return _Decision(UNDETERMINED, records=records)
 
     try:
         perturbed = numkit.perturb_distinct(A, cfg)
     except PerturbationFailed as exc:
         records.append({"reason": "perturbation_failed", "detail": str(exc)})
-        return "undetermined", None, False, records
+        return _Decision(UNDETERMINED, records=records)
     try:
-        witness, examined, sub_records = search_after_perturb(perturbed)
+        witness, examined, sub_records, _ = _search(
+            perturbed, float(np.linalg.det(perturbed)), problem, cfg, perturbed=True
+        )
     except (SingularMatrix, RepeatedEigenvalues, IllConditioned, SingularDeterminant) as exc:
         records.append({"reason": "perturbed_search_failed", "detail": str(exc)})
-        return "undetermined", None, True, records
+        return _Decision(UNDETERMINED, records=records, perturbed=True)
     records.extend(sub_records)
     if witness is not None:
         records.append({"reason": "witness_reconstructs_perturbed_input"})
-        return "undetermined", witness, True, records
+        return _Decision(UNDETERMINED, witness, records, perturbed=True)
     records.append({"reason": "perturbed_search_exhausted", "branches": examined})
-    return "undetermined", None, True, records
+    return _Decision(UNDETERMINED, records=records, perturbed=True)
+
+
+def _decide(A, det, problem, cfg, allow_perturb, decomposition=None) -> _Decision:
+    """The pipeline both questions share, after the determinant gate: the
+    structural necessary conditions, the eigendecomposition, then either the
+    branch search or the repeated-spectrum resolution."""
+    nc = structure.necessary_conditions(A, cfg, decomposition=decomposition)
+    if not nc.passed:
+        records = [
+            {"reason": "necessary_condition", "condition": name, "location": location}
+            for name, location in nc.violations
+        ]
+        return _Decision(problem.negative, records=records)
+    found = _search(A, det, problem, cfg)
+    if found is None:
+        return _repeated_spectrum_verdict(A, problem, cfg, allow_perturb)
+    witness, examined, records, bound = found
+    if witness is None:
+        records.append({"reason": "all_branches_exhausted", "branches": examined})
+    verdict = problem.negative if witness is None else problem.positive
+    return _Decision(verdict, witness, records, examined, bound=bound)
 
 
 def check_embeddable(
@@ -427,8 +545,8 @@ def check_embeddable(
     """Decide whether a stochastic matrix is the exponential of an intensity
     matrix.
 
-    Pipeline: a positive determinant and the structural necessary conditions
-    are required outright.  With distinct eigenvalues a simple negative real
+    A positive determinant and the structural necessary conditions are
+    required outright.  With distinct eigenvalues a simple negative real
     eigenvalue rules out any real logarithm (Culver 1966); otherwise only the
     real branch selections within the chosen bound are enumerated, each
     eigenvalue pruned by the angular cone admissible for generator spectra,
@@ -436,91 +554,32 @@ def check_embeddable(
     Exhausting them proves non-embeddability when eigenvalues are distinct.
     Repeated eigenvalues are resolved through the primary principal logarithm
     when possible; otherwise the verdict after a perturbed exploration is
-    Undetermined.
+    Undetermined, with any perturbed witness attached.
     """
     P = as_square_matrix(P)
     if not is_stochastic(P, cfg):
         raise NotStochastic("input is not row-stochastic within tolerance")
-    failed: List[dict] = []
 
     det = float(np.linalg.det(P))
     if abs(det) <= cfg.entry_tol:
-        failed.append({"reason": "determinant_near_singular", "value": det})
+        failed = [{"reason": "determinant_near_singular", "value": det}]
         return EmbeddabilityReport(verdict=UNDETERMINED, failed_conditions=failed)
     if det < 0:
-        failed.append({"reason": "determinant_negative", "value": det})
+        failed = [{"reason": "determinant_negative", "value": det}]
         return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
 
-    nc = structure.necessary_conditions(P, cfg)
-    if not nc.passed:
-        for name, location in nc.violations:
-            failed.append({"reason": "necessary_condition", "condition": name, "location": location})
-        return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
-
-    accept = _log_acceptor(P, require_row_sums=True, cfg=cfg)
-
-    try:
-        eigen = numkit.eig(P, cfg)
-    except IllConditioned:
-        eigen = None
-
-    if eigen is None or eigen.is_repeated(cfg):
-
-        def explore(perturbed_matrix):
-            e = numkit.eig(perturbed_matrix, cfg)
-            b = branch_bound(e, float(np.linalg.det(perturbed_matrix)), bound_mode)
-            acc = _log_acceptor(perturbed_matrix, require_row_sums=True, cfg=cfg)
-            return _branch_search(e, b, acc, cfg, runnenberg=True)
-
-        status, witness, perturbed, records = _repeated_spectrum_verdict(
-            P, accept, cfg, allow_perturb, explore
-        )
-        failed.extend(records)
-        verdict = {
-            "positive": EMBEDDABLE,
-            "negative": NOT_EMBEDDABLE,
-            "undetermined": UNDETERMINED,
-        }[status]
-        return EmbeddabilityReport(
-            verdict=verdict,
-            generator=witness,
-            failed_conditions=failed,
-            perturbed=perturbed,
-        )
-
-    bound = branch_bound(eigen, det, bound_mode)
-    witness, examined, records = _branch_search(eigen, bound, accept, cfg, runnenberg=True)
-    failed.extend(records)
-    if witness is not None:
-        return EmbeddabilityReport(
-            verdict=EMBEDDABLE,
-            generator=witness,
-            branches_examined=examined,
-            failed_conditions=failed,
-            bound_used=bound,
-        )
-    failed.append({"reason": "all_branches_exhausted", "branches": examined})
-    return EmbeddabilityReport(
-        verdict=NOT_EMBEDDABLE,
-        branches_examined=examined,
-        failed_conditions=failed,
-        bound_used=bound,
+    problem = _Problem(
+        EMBEDDABLE, NOT_EMBEDDABLE, row_sums=True, runnenberg=True, bound_mode=bound_mode
     )
-
-
-def _lam_tilde_estimate(B: np.ndarray, eigen: Optional[Eigendecomposition], cfg) -> float:
-    """Upper estimate for the nonnegative-eigenvector eigenvalue of an
-    unknown candidate Z-matrix: the largest -log of a diagonal entry plus the
-    off-diagonal mass of the principal logarithm."""
-    diag = np.clip(np.diag(B), 1e-300, None)
-    est = max(0.0, float(np.max(-np.log(diag))))
-    off_mass = 0.0
-    if eigen is not None and not eigen.is_repeated(cfg):
-        L0 = numkit.logm_branch(eigen, [0] * eigen.n, cfg)
-        off = np.abs(L0.copy())
-        np.fill_diagonal(off, 0.0)
-        off_mass = float(np.max(off.sum(axis=1)))
-    return est + off_mass
+    decision = _decide(P, det, problem, cfg, allow_perturb)
+    return EmbeddabilityReport(
+        verdict=decision.verdict,
+        generator=decision.witness,
+        branches_examined=decision.examined,
+        failed_conditions=decision.records,
+        perturbed=decision.perturbed,
+        bound_used=decision.bound,
+    )
 
 
 def check_strong_inf_divisible(
@@ -537,112 +596,42 @@ def check_strong_inf_divisible(
     exp(-Q) equal to the input; sample roots exp(-Q/n) are demonstrated for
     ``root_orders`` and, for reducible inputs, every trailing submatrix of
     the block triangular form is checked as well (those sub-reports do not
-    recurse further).
+    recurse further).  A witness found on a perturbed copy is not attached.
     """
     B = as_square_matrix(B)
     if not is_nonnegative(B, cfg):
         raise NotNonnegative("input has an entry below -entry_tol")
-    failed: List[dict] = []
 
     det = float(np.linalg.det(B))
     if det <= cfg.entry_tol:
-        failed.append({"reason": "determinant_not_positive", "value": det})
+        failed = [{"reason": "determinant_not_positive", "value": det}]
         return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
 
     decomp = structure.frobenius_form(B, cfg)
-    nc = structure.necessary_conditions(B, cfg, decomposition=decomp)
-    if not nc.passed:
-        for name, location in nc.violations:
-            failed.append({"reason": "necessary_condition", "condition": name, "location": location})
-        return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
-
-    # accepts a real log L when Q = -L is a Z-matrix and exp(L) reconstructs B
-    accept = _log_acceptor(B, require_row_sums=False, cfg=cfg)
-
-    try:
-        eigen = numkit.eig(B, cfg)
-    except IllConditioned:
-        eigen = None
-
-    perturbed_flag = False
-    bound_used = None
-    branches_examined = 0
-
-    if eigen is None or eigen.is_repeated(cfg):
-
-        def explore(perturbed_matrix):
-            e = numkit.eig(perturbed_matrix, cfg)
-            lam_t = _lam_tilde_estimate(perturbed_matrix, e, cfg)
-            b = branch_bound(e, float(np.linalg.det(perturbed_matrix)), "theorem4_general", lam_t)
-            acc = _log_acceptor(perturbed_matrix, require_row_sums=False, cfg=cfg)
-            return _branch_search(e, b, acc, cfg, runnenberg=False)
-
-        status, witness_log, perturbed_flag, records = _repeated_spectrum_verdict(
-            B, accept, cfg, allow_perturb, explore
+    decision = _decide(B, det, _DIVISIBILITY, cfg, allow_perturb, decomposition=decomp)
+    failed = decision.records
+    if decision.verdict != STRONGLY_INF_DIVISIBLE:
+        return DivisibilityReport(
+            verdict=decision.verdict,
+            branches_examined=decision.examined,
+            failed_conditions=failed,
+            perturbed=decision.perturbed,
+            bound_used=decision.bound,
         )
-        failed.extend(records)
-        if status == "negative":
-            return DivisibilityReport(
-                verdict=NOT_STRONGLY_INF_DIVISIBLE,
-                failed_conditions=failed,
-                perturbed=perturbed_flag,
-            )
-        if status == "undetermined" or witness_log is None:
-            return DivisibilityReport(
-                verdict=UNDETERMINED, failed_conditions=failed, perturbed=perturbed_flag
-            )
-        found_log = witness_log
-    else:
-        # the bound needs an a-priori estimate of the candidate's leading
-        # eigenvalue; widen a bounded number of times on exhaustion
-        lam0 = _lam_tilde_estimate(B, eigen, cfg)
-        found_log = None
-        records: List[dict] = []
-        previous_raw = -1
-        for factor in (1.0, 2.0, 4.0):
-            lam_t = lam0 * factor + (factor - 1.0)
-            bound = branch_bound(eigen, det, "theorem4_general", lam_tilde=lam_t)
-            if bound.raw_tuple_count == previous_raw:
-                break
-            previous_raw = bound.raw_tuple_count
-            bound_used = bound
-            found_log, branches_examined, records = _branch_search(
-                eigen, bound, accept, cfg, runnenberg=False
-            )
-            if found_log is not None:
-                break
-        failed.extend(records)
-        if found_log is None:
-            failed.append({"reason": "all_branches_exhausted", "branches": branches_examined})
-            return DivisibilityReport(
-                verdict=NOT_STRONGLY_INF_DIVISIBLE,
-                branches_examined=branches_examined,
-                failed_conditions=failed,
-                bound_used=bound_used,
-            )
 
-    Q = -found_log
+    Q = -decision.witness
     roots: List[Tuple[int, np.ndarray]] = []
     for order in root_orders:
         root = numkit.expm(-Q / order)
+        failure = None
         if np.min(root) < -cfg.entry_tol:
-            failed.append({"reason": "root_not_nonnegative", "order": order, "value": float(np.min(root))})
+            failure = {"reason": "root_not_nonnegative", "order": order, "value": float(np.min(root))}
+        elif numkit.relative_residual(np.linalg.matrix_power(root, order), B) > 10 * cfg.recon_tol:
+            failure = {"reason": "root_power_mismatch", "order": order}
+        if failure is not None:
+            failed.append(failure)
             return DivisibilityReport(
-                verdict=UNDETERMINED,
-                z_matrix=Q,
-                failed_conditions=failed,
-                perturbed=perturbed_flag,
-                bound_used=bound_used,
-            )
-        power = np.linalg.matrix_power(root, order)
-        if numkit.relative_residual(power, B) > 10 * cfg.recon_tol:
-            failed.append({"reason": "root_power_mismatch", "order": order})
-            return DivisibilityReport(
-                verdict=UNDETERMINED,
-                z_matrix=Q,
-                failed_conditions=failed,
-                perturbed=perturbed_flag,
-                bound_used=bound_used,
+                verdict=UNDETERMINED, z_matrix=Q, failed_conditions=failed, bound_used=decision.bound
             )
         roots.append((order, root))
 
@@ -657,26 +646,14 @@ def check_strong_inf_divisible(
                 )
             )
 
-    if perturbed_flag:
-        # a perturbed witness cannot certify the original input
-        return DivisibilityReport(
-            verdict=UNDETERMINED,
-            z_matrix=Q,
-            roots_demonstrated=roots,
-            recursion=recursion,
-            branches_examined=branches_examined,
-            failed_conditions=failed,
-            perturbed=True,
-            bound_used=bound_used,
-        )
     return DivisibilityReport(
         verdict=STRONGLY_INF_DIVISIBLE,
         z_matrix=Q,
         roots_demonstrated=roots,
         recursion=recursion,
-        branches_examined=branches_examined,
+        branches_examined=decision.examined,
         failed_conditions=failed,
-        bound_used=bound_used,
+        bound_used=decision.bound,
     )
 
 

@@ -272,13 +272,6 @@ def as_real(M, cfg: ToleranceConfig = DEFAULT_TOL):
     return None
 
 
-def _is_stochastic_within(A, cfg) -> bool:
-    n = A.shape[0]
-    if np.min(A) < -cfg.entry_tol:
-        return False
-    return bool(np.max(np.abs(A.sum(axis=1) - 1.0)) <= n * cfg.entry_tol)
-
-
 def _min_gap(values) -> float:
     if len(values) == 1:
         return np.inf
@@ -296,6 +289,8 @@ def perturb_distinct(A, cfg: ToleranceConfig = DEFAULT_TOL, rng=None, max_attemp
     compensated and their sums drift by at most the perturbation scale.
     Inputs that already have gap >= ``distinct_tol`` are returned unchanged.
     """
+    from .classify import is_stochastic  # local: classify imports numkit
+
     A = as_square_matrix(A)
     n = A.shape[0]
     if _min_gap(np.linalg.eigvals(A)) >= cfg.distinct_tol:
@@ -307,7 +302,7 @@ def perturb_distinct(A, cfg: ToleranceConfig = DEFAULT_TOL, rng=None, max_attemp
     nnz = int(pattern.sum())
     if nnz == 0:
         raise PerturbationFailed("zero matrix has no pattern entries to perturb")
-    stochastic = _is_stochastic_within(A, cfg)
+    stochastic = is_stochastic(A, cfg)
     budget = cfg.perturb_scale * (1.0 + _frob(A))
     # worst case ||delta||_F <= s * sqrt(nnz + sum_r nnz_r^2), compensation included
     row_nnz = pattern.sum(axis=1)

@@ -7,6 +7,7 @@ from embedlab import cli, numkit, structure
 from helpers import GEN_A, GEN_B, count_calls
 
 GOLDEN_STRUCTURE = Path(__file__).parent / "data" / "cli_structure_golden.jsonl"
+GOLDEN_DECISIONS = Path(__file__).parent / "data" / "cli_decision_golden.jsonl"
 
 TRANS_A = numkit.expm(GEN_A)
 TRANS_B = numkit.expm(GEN_B)
@@ -171,6 +172,20 @@ class TestReportContract:
             assert code == golden["exit_code"]
             assert json.dumps(report) == json.dumps(golden["report"])
             assert len(calls) == k + 1
+
+    def test_decision_reports_match_golden(self, tmp_path, capsys):
+        # each line: exit code and full report of one `embed` or `infdiv`
+        # run, one input per decision path, the file path replaced by
+        # "<file>" and duration_s dropped
+        for k, line in enumerate(GOLDEN_DECISIONS.read_text().splitlines()):
+            golden = json.loads(line)
+            path = write_json(tmp_path / f"m{k}.json", np.array(golden["report"]["input"]["rows"]))
+            argv = [path if arg == "<file>" else arg for arg in golden["report"]["command"]]
+            code, report = run(argv, capsys)
+            del report["duration_s"]
+            report["command"][1] = "<file>"
+            assert code == golden["exit_code"]
+            assert json.dumps(report) == json.dumps(golden["report"])
 
     def test_tol_flag_echoed(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", np.eye(2))

@@ -469,6 +469,34 @@ class TestCheckStrongInfDivisible:
             assert classify.is_z_matrix(report.z_matrix, CFG)
             assert numkit.relative_residual(numkit.expm(-report.z_matrix), B) <= CFG.recon_tol
 
+    def test_window_widens_until_the_witness_fits(self):
+        # the factor-1 theorem-4 window admits no offset tuple at all
+        Q = np.array([[-0.5414, -0.4968, 0], [0, -0.9704, -0.9357], [-1, -0.1438, -0.6479]])
+        report = embed.check_strong_inf_divisible(numkit.expm(-Q))
+        assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
+        assert report.bound_used.raw_tuple_count == 1
+        assert np.allclose(report.z_matrix, Q, atol=1e-10)
+
+    def test_exhaustion_after_all_three_windows(self):
+        C = np.array([[0.3, 0.6, 0.1], [0.1, 0.3, 0.6], [0.6, 0.1, 0.3]])
+        report = embed.check_strong_inf_divisible(C)
+        assert report.verdict == embed.NOT_STRONGLY_INF_DIVISIBLE
+        assert report.branches_examined == 10
+        assert report.bound_used.raw_tuple_count == 100
+        assert report.failed_conditions[-1]["reason"] == "all_branches_exhausted"
+
+    def test_repeated_spectrum_takes_the_perturbed_path(self):
+        bad = TRANS_B @ TRANS_A
+        B = np.block([[bad, np.zeros((3, 3))], [np.zeros((3, 3)), bad]])
+        report = embed.check_strong_inf_divisible(B)
+        assert report.verdict == embed.UNDETERMINED
+        assert report.perturbed
+        assert report.failed_conditions[-1]["reason"] == "perturbed_search_exhausted"
+        report = embed.check_strong_inf_divisible(B, allow_perturb=False)
+        assert report.verdict == embed.UNDETERMINED
+        assert not report.perturbed
+        assert "repeated_eigenvalues" in {r["reason"] for r in report.failed_conditions}
+
 
 class TestInverseMPowerForm:
     def test_fixture_first_power(self):
