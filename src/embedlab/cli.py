@@ -11,7 +11,9 @@ Exit codes: 0 positive verdict / success, 1 negative verdict,
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import os
 import sys
 import time
@@ -44,28 +46,69 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _ints(text):
+    """Comma-separated integers; blank parts are skipped."""
+    try:
+        return [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _positive_ints(text):
+    values = _ints(text)
+    if any(value < 1 for value in values):
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
+    return values
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive float, got {text!r}")
+    return value
+
+
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on first use: constructing it
+    costs more than deciding a small matrix, and parsing leaves it unchanged.
+    Its ``type=`` converters turn and check every option value."""
     parser = _Parser(prog="embedlab", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="matrix file (.json or .csv)")
-        p.add_argument("--tol", type=float, default=None, help="entrywise tolerance override")
+        p.add_argument("--tol", type=_positive_float, default=None, help="entrywise tolerance override")
         return p
 
     add("classify", "matrix class membership flags")
     add("structure", "block triangular form and necessary conditions")
     add("expm", "matrix exponential")
     p = add("logm", "real branch logarithm")
-    p.add_argument("--branch", default=None, help="comma-separated branch offsets")
+    p.add_argument("--branch", type=_ints, default=None, help="comma-separated branch offsets")
     p = add("root", "primary nth root")
-    p.add_argument("--n", type=int, required=True, help="root order")
+    p.add_argument("--n", type=_positive_int, required=True, help="root order")
     p = add("embed", "embeddability verdict")
     p.add_argument("--bound", choices=["israel", "paper"], default="israel")
     p.add_argument("--allow-perturb", action="store_true")
     p = add("infdiv", "strong infinite divisibility verdict")
-    p.add_argument("--roots", default="2,3,5", help="comma-separated root orders to demonstrate")
+    p.add_argument(
+        "--roots", type=_positive_ints, default="2,3,5", help="comma-separated root orders to demonstrate"
+    )
     p.add_argument("--allow-perturb", action="store_true")
     return parser
 
@@ -104,9 +147,9 @@ def _tolerances(args) -> ToleranceConfig:
     env = os.environ.get(TOL_ENV_VAR)
     if env is not None:
         try:
-            entry_tol = float(env)
-        except ValueError as exc:
-            raise _UsageError(f"{TOL_ENV_VAR} must be a float, got {env!r}") from exc
+            entry_tol = _positive_float(env)
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"{TOL_ENV_VAR}: {exc}") from None
     if getattr(args, "tol", None) is not None:
         entry_tol = args.tol
     return ToleranceConfig(entry_tol=entry_tol)
@@ -132,13 +175,6 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def _parse_int_list(text, expected_name):
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise _UsageError(f"bad {expected_name}: {text!r}") from exc
-
-
 def _run_command(args, M, cfg):
     """Returns (payload dict, exit code)."""
     if args.command == "classify":
@@ -156,9 +192,7 @@ def _run_command(args, M, cfg):
 
     if args.command == "logm":
         eigen = numkit.eig(M, cfg)
-        offsets = (
-            _parse_int_list(args.branch, "--branch") if args.branch else [0] * eigen.n
-        )
+        offsets = args.branch or [0] * eigen.n
         if len(offsets) != eigen.n:
             raise _UsageError(f"--branch needs {eigen.n} offsets")
         candidate = numkit.logm_branch(eigen, offsets, cfg)
@@ -188,9 +222,8 @@ def _run_command(args, M, cfg):
         return {"embeddability": report}, code
 
     if args.command == "infdiv":
-        orders = tuple(_parse_int_list(args.roots, "--roots"))
         report = embed.check_strong_inf_divisible(
-            M, cfg, allow_perturb=args.allow_perturb, root_orders=orders
+            M, cfg, allow_perturb=args.allow_perturb, root_orders=tuple(args.roots)
         )
         code = {
             embed.STRONGLY_INF_DIVISIBLE: EXIT_POSITIVE,

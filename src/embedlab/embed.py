@@ -556,6 +556,8 @@ def check_embeddable(
     when possible; otherwise the verdict after a perturbed exploration is
     Undetermined, with any perturbed witness attached.
     """
+    if bound_mode not in BOUND_MODES:
+        raise ValueError(f"unknown bound mode {bound_mode!r}")
     P = as_square_matrix(P)
     if not is_stochastic(P, cfg):
         raise NotStochastic("input is not row-stochastic within tolerance")
@@ -598,6 +600,8 @@ def check_strong_inf_divisible(
     the block triangular form is checked as well (those sub-reports do not
     recurse further).  A witness found on a perturbed copy is not attached.
     """
+    if not all(isinstance(order, (int, np.integer)) and order >= 1 for order in root_orders):
+        raise ValueError("root orders must be positive integers")
     B = as_square_matrix(B)
     if not is_nonnegative(B, cfg):
         raise NotNonnegative("input has an entry below -entry_tol")
@@ -631,7 +635,11 @@ def check_strong_inf_divisible(
         if failure is not None:
             failed.append(failure)
             return DivisibilityReport(
-                verdict=UNDETERMINED, z_matrix=Q, failed_conditions=failed, bound_used=decision.bound
+                verdict=UNDETERMINED,
+                z_matrix=Q,
+                branches_examined=decision.examined,
+                failed_conditions=failed,
+                bound_used=decision.bound,
             )
         roots.append((order, root))
 

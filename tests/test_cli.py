@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +9,7 @@ import numpy as np
 from embedlab import cli, numkit, structure
 from helpers import GEN_A, GEN_B, count_calls
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_STRUCTURE = Path(__file__).parent / "data" / "cli_structure_golden.jsonl"
 GOLDEN_DECISIONS = Path(__file__).parent / "data" / "cli_decision_golden.jsonl"
 
@@ -59,9 +63,50 @@ class TestExitCodes:
         assert report["result"]["error"] == "NegativeRealEigenvalue"
         assert report["result"]["verdict"] == "Undetermined"
 
-    def test_usage_error_is_64(self, capsys):
-        assert cli.run_cli(["no-such-command", "x.json"]) == 64
-        assert cli.run_cli([]) == 64
+    def test_usage_error_is_64(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "m.json", TRANS_A)
+        for argv in (
+            ["no-such-command", "x.json"],
+            [],
+            ["infdiv", path, "--roots", "0"],
+            ["infdiv", path, "--roots", "-2"],
+            ["root", path, "--n", "0"],
+            ["embed", path, "--tol", "0"],
+            ["embed", path, "--tol", "-1"],
+            ["embed", path, "--tol", "inf"],
+        ):
+            assert cli.run_cli(argv) == 64, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("usage error: ") and not captured.out, argv
+        monkeypatch.setenv(cli.TOL_ENV_VAR, "-1")
+        assert cli.run_cli(["embed", path]) == 64
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "m.json", TRANS_A)
+        builds = count_calls(monkeypatch, cli._Parser, "add_subparsers")
+        for _ in range(10):
+            assert cli.run_cli(["embed", path]) == 0
+        capsys.readouterr()
+        assert len(builds) <= 1
+
+    def test_module_entry_point_in_a_fresh_process(self, tmp_path):
+        # every other test shares this process and its parser; this one
+        # runs `python -m embedlab.cli` as a user would
+        path = write_json(tmp_path / "m.json", TRANS_A)
+        env = {k: v for k, v in os.environ.items() if k != cli.TOL_ENV_VAR}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+        def main(*args):
+            argv = [sys.executable, "-m", "embedlab.cli", *args]
+            return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+        done = main("embed", path)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["result"]["embeddability"]["verdict"] == "Embeddable"
+        done = main("infdiv", path, "--roots", "0")
+        assert done.returncode == 64
+        assert done.stderr.startswith("usage error: ") and not done.stdout
 
     def test_format_error_is_65(self, tmp_path, capsys):
         p = tmp_path / "broken.json"

@@ -17,6 +17,7 @@ from helpers import (
     GEN_B,
     NONCONVEX_2X2,
     SCALED_TRIANGLE,
+    count_calls,
     min_eig_gap,
     random_intensity,
     random_permutation_matrix,
@@ -301,6 +302,13 @@ class TestCheckEmbeddable:
         with pytest.raises(NotStochastic):
             embed.check_embeddable(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_unknown_bound_mode_is_rejected_up_front(self):
+        # neither input reaches branch_bound: the identity takes the
+        # repeated-spectrum path, the other fails zero_pattern_transitive
+        for P in (np.eye(3), np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])):
+            with pytest.raises(ValueError, match="unknown bound mode"):
+                embed.check_embeddable(P, bound_mode="bogus")
+
     def test_identity_embeddable_without_perturbation(self):
         report = embed.check_embeddable(np.eye(4))
         assert report.verdict == embed.EMBEDDABLE
@@ -441,6 +449,23 @@ class TestCheckStrongInfDivisible:
     def test_rejects_negative_entries(self):
         with pytest.raises(NotNonnegative):
             embed.check_strong_inf_divisible(np.array([[1.0, -1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("orders", [(0,), (-2,), (2, 2.5)])
+    def test_root_orders_must_be_positive_integers(self, orders, monkeypatch):
+        forms = count_calls(monkeypatch, embed.structure, "frobenius_form")
+        with pytest.raises(ValueError, match="root orders"):
+            embed.check_strong_inf_divisible(DIVISIBLE_TRIANGLE, root_orders=orders)
+        assert not forms
+
+    def test_root_failure_reports_count_the_branches_searched(self, monkeypatch):
+        expected = embed.check_strong_inf_divisible(TRANS_A)
+        # a power that never reconstructs the input forces root_power_mismatch
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda M, k: np.zeros_like(M))
+        report = embed.check_strong_inf_divisible(TRANS_A)
+        assert report.verdict == embed.UNDETERMINED
+        assert report.failed_conditions[-1] == {"reason": "root_power_mismatch", "order": 2}
+        assert report.branches_examined == expected.branches_examined >= 1
+        assert report.bound_used == expected.bound_used
 
     def test_embeddable_chains_are_divisible(self):
         rng = np.random.default_rng(34)
