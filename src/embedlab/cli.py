@@ -99,7 +99,12 @@ def _build_parser() -> _Parser:
     add("structure", "block triangular form and necessary conditions")
     add("expm", "matrix exponential")
     p = add("logm", "real branch logarithm")
-    p.add_argument("--branch", type=_ints, default=None, help="comma-separated branch offsets")
+    p.add_argument(
+        "--branch",
+        type=_ints,
+        default=None,
+        help="comma-separated branch offsets; write offsets that start with '-' as --branch=-1,1,0",
+    )
     p = add("root", "primary nth root")
     p.add_argument("--n", type=_positive_int, required=True, help="root order")
     p = add("embed", "embeddability verdict")

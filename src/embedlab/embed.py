@@ -8,8 +8,8 @@ question's own determinant gate: the structural necessary conditions, the
 eigendecomposition, then either the branch search or, for a repeated or
 ill-conditioned spectrum, the principal primary logarithm and, if allowed,
 the same branch search on a perturbed copy.  A small ``_Problem`` record
-holds what differs: the row-sum test, the Runnenberg cone, the branch
-windows and the verdict names.
+holds what differs: the intensity test (zero row sums and the Runnenberg
+cone), the branch window and the verdict names.
 
 Only real branch selections are built: with distinct eigenvalues a
 logarithm is real exactly when each real eigenvalue is positive and keeps
@@ -66,7 +66,7 @@ __all__ = [
     "im_root_approx",
 ]
 
-BOUND_MODES = ("israel_two_sided", "paper_one_sided", "theorem4_general")
+BOUND_MODES = ("israel_two_sided", "paper_one_sided", "perron_radius")
 
 EMBEDDABLE = "Embeddable"
 NOT_EMBEDDABLE = "NotEmbeddable"
@@ -154,14 +154,21 @@ def _offset_window(arg: float, lo: float, hi: float) -> range:
     return range(kmin, kmax + 1)
 
 
-def branch_bound(
-    E: Eigendecomposition, det: float, mode: str, lam_tilde: Optional[float] = None
-) -> BranchBound:
+def branch_bound(E: Eigendecomposition, det: float, mode: str) -> BranchBound:
     """Imaginary-part window for the eigenvalues of a candidate generator.
 
     israel_two_sided    |Im log lam| <= |log det|
     paper_one_sided     log det <= Im log lam <= 0
-    theorem4_general    |Im log lam| <= |lam_tilde*(n-1) - log det|
+    perron_radius       |Im log lam| <= n*r + t,  r = log rho, t = -log det
+
+    The Perron radius is complete for any real logarithm L with nonnegative
+    off-diagonal entries, so its exhaustion is a proof.  Such an L has a real
+    Perron root, its largest real part, so that root is r = log rho = log|lam_0|.
+    With s = max(-L_jj) the matrix L + sI is nonnegative with Perron root
+    s + r, so every L_jj <= r; as trace L = -t, s <= t + (n-1)r.  Every
+    eigenvalue -a + i*theta of L lies in the disk of radius s + r centred at
+    -s, so theta^2 <= (r+a)(2s + r - a) <= (s + r)^2 <= (n*r + t)^2.  For a
+    stochastic input r = 0 and the radius is Israel's |log det|.
 
     The spectral-radius position always gets exactly one offset (its
     logarithm must stay real).  ``raw_tuple_count`` is the product of the
@@ -173,7 +180,6 @@ def branch_bound(
         raise ValueError(f"unknown bound mode {mode!r}")
     if not det > 0:
         raise SingularDeterminant("branch bounds need det > 0")
-    n = E.n
     log_det = math.log(det)
     if mode == "israel_two_sided":
         radius = abs(log_det)
@@ -181,9 +187,7 @@ def branch_bound(
     elif mode == "paper_one_sided":
         lo, hi = min(log_det, 0.0), max(log_det, 0.0)
     else:
-        if lam_tilde is None:
-            raise ValueError("theorem4_general mode needs a lam_tilde estimate")
-        radius = abs(lam_tilde * (n - 1) - log_det)
+        radius = E.n * math.log(abs(E.eigenvalues[0])) - log_det
         lo, hi = -radius, radius
 
     windows = _offset_windows(E, lo, hi)
@@ -381,36 +385,21 @@ def _primary_log_is_only_real_log(A: np.ndarray, cfg: ToleranceConfig) -> bool:
 
 @dataclass(frozen=True)
 class _Problem:
-    """What tells the two questions apart.  Embeddability requires zero row
-    sums, prunes with the Runnenberg cone and searches one Israel or paper
-    window; divisibility searches the theorem-4 window from the lam_tilde
-    estimate, widened by each ``widening`` factor in turn."""
+    """What tells the two questions apart.  Embeddability asks for an
+    ``intensity`` matrix, so it requires zero row sums and prunes with the
+    Runnenberg cone; divisibility asks only for nonnegative off-diagonal
+    entries.  Each searches the one window of its ``bound_mode``:
+    embeddability the Israel or paper window, divisibility the Perron radius
+    from the spectrum, which is complete (see ``branch_bound``)."""
 
     positive: str
     negative: str
-    row_sums: bool
-    runnenberg: bool
+    intensity: bool
     bound_mode: str
-    widening: Tuple[float, ...] = ()
-
-    def windows(self, A, eigen, det, cfg) -> Iterator[BranchBound]:
-        if not self.widening:
-            yield branch_bound(eigen, det, self.bound_mode)
-            return
-        # the bound needs an a-priori estimate of the candidate's leading
-        # eigenvalue; widen a bounded number of times on exhaustion
-        lam0 = _lam_tilde_estimate(A, eigen, cfg)
-        for factor in self.widening:
-            yield branch_bound(eigen, det, self.bound_mode, lam_tilde=lam0 * factor + (factor - 1.0))
 
 
 _DIVISIBILITY = _Problem(
-    STRONGLY_INF_DIVISIBLE,
-    NOT_STRONGLY_INF_DIVISIBLE,
-    row_sums=False,
-    runnenberg=False,
-    bound_mode="theorem4_general",
-    widening=(1.0, 2.0, 4.0),
+    STRONGLY_INF_DIVISIBLE, NOT_STRONGLY_INF_DIVISIBLE, intensity=False, bound_mode="perron_radius"
 )
 
 
@@ -426,25 +415,13 @@ class _Decision:
     bound: Optional[BranchBound] = None
 
 
-def _lam_tilde_estimate(B: np.ndarray, eigen: Eigendecomposition, cfg) -> float:
-    """Upper estimate for the nonnegative-eigenvector eigenvalue of an
-    unknown candidate Z-matrix: the largest -log of a diagonal entry plus the
-    off-diagonal mass of the principal logarithm."""
-    diag = np.clip(np.diag(B), 1e-300, None)
-    est = max(0.0, float(np.max(-np.log(diag))))
-    off = np.abs(numkit.logm_branch(eigen, [0] * eigen.n, cfg))
-    np.fill_diagonal(off, 0.0)
-    return est + float(np.max(off.sum(axis=1)))
-
-
 def _search(A, det, problem, cfg, perturbed=False):
-    """Eigendecompose A and scan its real logarithms window by window,
-    stopping at the first accepted one or when a window adds no offset
-    tuple.
+    """Eigendecompose A and scan its real logarithms in the problem's window,
+    stopping at the first accepted one.
 
-    Returns (witness, examined, records, bound) of the last window searched,
-    or None when the spectrum is repeated or ill-conditioned.  A perturbed
-    copy is searched whatever its spectrum, and IllConditioned propagates.
+    Returns (witness, examined, records, bound), or None when the spectrum
+    is repeated or ill-conditioned.  A perturbed copy is searched whatever
+    its spectrum, and IllConditioned propagates.
     """
     try:
         eigen = numkit.eig(A, cfg)
@@ -454,16 +431,9 @@ def _search(A, det, problem, cfg, perturbed=False):
         return None
     if not perturbed and eigen.is_repeated(cfg):
         return None
-    accept = _log_acceptor(A, problem.row_sums, cfg)
-    witness, examined, records, bound = None, 0, [], None
-    for window in problem.windows(A, eigen, det, cfg):
-        if bound is not None and window.raw_tuple_count == bound.raw_tuple_count:
-            break
-        bound = window
-        witness, examined, records = _branch_search(eigen, bound, accept, cfg, problem.runnenberg)
-        if witness is not None:
-            break
-    return witness, examined, records, bound
+    bound = branch_bound(eigen, det, problem.bound_mode)
+    accept = _log_acceptor(A, problem.intensity, cfg)
+    return (*_branch_search(eigen, bound, accept, cfg, problem.intensity), bound)
 
 
 def _repeated_spectrum_verdict(A, problem, cfg, allow_perturb) -> _Decision:
@@ -482,7 +452,7 @@ def _repeated_spectrum_verdict(A, problem, cfg, allow_perturb) -> _Decision:
         records.append({"reason": "principal_log_unavailable", "detail": str(exc)})
 
     if principal is not None:
-        ok, failure = _log_acceptor(A, problem.row_sums, cfg)(principal)
+        ok, failure = _log_acceptor(A, problem.intensity, cfg)(principal)
         if ok:
             return _Decision(problem.positive, principal, records)
         failure["branch"] = "principal_primary"
@@ -570,9 +540,7 @@ def check_embeddable(
         failed = [{"reason": "determinant_negative", "value": det}]
         return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
 
-    problem = _Problem(
-        EMBEDDABLE, NOT_EMBEDDABLE, row_sums=True, runnenberg=True, bound_mode=bound_mode
-    )
+    problem = _Problem(EMBEDDABLE, NOT_EMBEDDABLE, intensity=True, bound_mode=bound_mode)
     decision = _decide(P, det, problem, cfg, allow_perturb)
     return EmbeddabilityReport(
         verdict=decision.verdict,

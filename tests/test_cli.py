@@ -151,6 +151,13 @@ class TestCommands:
         assert code == 1
         assert report["result"]["error"] == "ComplexCandidate"
 
+    def test_logm_negative_branch_offsets_after_equals(self, tmp_path, capsys):
+        R = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
+        path = write_json(tmp_path / "cyclic.json", numkit.expm(R))
+        code, report = run(["logm", path, "--branch=0,-1,1"], capsys)
+        assert code == 0
+        assert report["result"]["branch"] == [0, -1, 1]
+
     def test_logm_branch_length_checked(self, tmp_path, capsys):
         path = write_json(tmp_path / "trans.json", TRANS_A)
         assert cli.run_cli(["logm", path, "--branch", "0,1"]) == 64

@@ -23,6 +23,7 @@ from helpers import (
     random_permutation_matrix,
     random_shifted_z,
     random_stochastic,
+    random_z_matrix,
 )
 
 CFG = numkit.DEFAULT_TOL
@@ -71,12 +72,27 @@ class TestBranchBound:
         assert bound.im_low == -bound.im_high
         assert bound.im_high == pytest.approx(np.log(10.0))
 
-    def test_theorem4_needs_estimate(self):
-        eigen = numkit.eig(np.diag([1.0, 0.5]))
-        with pytest.raises(ValueError):
-            embed.branch_bound(eigen, 0.5, "theorem4_general")
-        bound = embed.branch_bound(eigen, 0.5, "theorem4_general", lam_tilde=1.0)
-        assert bound.raw_tuple_count >= 1
+    def test_perron_radius(self):
+        # n*log rho - log det: Israel's |log det| when rho = 1, else n*log rho more
+        bound = embed.branch_bound(numkit.eig(np.diag([1.0, 0.5])), 0.5, "perron_radius")
+        assert bound.im_low == -bound.im_high
+        assert bound.im_high == pytest.approx(np.log(2.0))
+        bound = embed.branch_bound(numkit.eig(np.diag([2.0, 0.5])), 1.0, "perron_radius")
+        assert bound.im_high == pytest.approx(2 * np.log(2.0))
+
+    def test_perron_radius_holds_every_z_matrix_spectrum(self):
+        # B = exp(-Q): every eigenvalue of Q must lie inside B's radius
+        rng = np.random.default_rng(36)
+        log_rhos = []
+        for k in range(300):
+            n = int(rng.integers(2, 9))
+            Q = random_z_matrix(rng, n) if k % 2 else random_shifted_z(rng, n)
+            B = numkit.expm(-Q)
+            eigen = numkit.eig(B)
+            bound = embed.branch_bound(eigen, float(np.linalg.det(B)), "perron_radius")
+            assert np.max(np.abs(np.linalg.eigvals(Q).imag)) <= bound.im_high + 1e-9
+            log_rhos.append(np.log(np.abs(eigen.eigenvalues[0])))
+        assert min(log_rhos) < 0 < max(log_rhos)
 
     def test_singular_determinant(self):
         eigen = numkit.eig(np.diag([1.0, 0.5]))
@@ -389,6 +405,16 @@ class TestCheckEmbeddable:
                 == embed.check_embeddable(P, bound_mode="israel_two_sided").verdict
             )
 
+    def test_perron_radius_mode_matches_israel_on_stochastic_inputs(self):
+        # rho = 1 for a stochastic input, so the two windows coincide
+        for P in (np.array([[0.9, 0.1], [0.2, 0.8]]), TRANS_A, TRANS_A @ TRANS_B, TRANS_B @ TRANS_A):
+            israel = embed.check_embeddable(P, bound_mode="israel_two_sided")
+            perron = embed.check_embeddable(P, bound_mode="perron_radius")
+            assert perron.verdict == israel.verdict
+            assert np.array_equal(perron.generator, israel.generator)
+            assert perron.branches_examined == israel.branches_examined
+            assert perron.bound_used.per_eigenvalue_counts == israel.bound_used.per_eigenvalue_counts
+
     def test_one_sided_mode_documented_discrepancy(self):
         # the one-sided window cuts away branches with positive imaginary
         # part, so a generator with such a spectrum is missed
@@ -495,20 +521,31 @@ class TestCheckStrongInfDivisible:
             assert numkit.relative_residual(numkit.expm(-report.z_matrix), B) <= CFG.recon_tol
 
     def test_window_widens_until_the_witness_fits(self):
-        # the factor-1 theorem-4 window admits no offset tuple at all
+        # its Perron radius 2.60 admits only the principal offset tuple
         Q = np.array([[-0.5414, -0.4968, 0], [0, -0.9704, -0.9357], [-1, -0.1438, -0.6479]])
         report = embed.check_strong_inf_divisible(numkit.expm(-Q))
         assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
         assert report.bound_used.raw_tuple_count == 1
         assert np.allclose(report.z_matrix, Q, atol=1e-10)
 
-    def test_exhaustion_after_all_three_windows(self):
+    def test_exhaustion_of_the_perron_radius(self):
+        # the radius 1.66 is below |arg lam| = 1.69 of the conjugate pair, so
+        # no real logarithm with nonnegative off-diagonal entries exists
         C = np.array([[0.3, 0.6, 0.1], [0.1, 0.3, 0.6], [0.6, 0.1, 0.3]])
         report = embed.check_strong_inf_divisible(C)
         assert report.verdict == embed.NOT_STRONGLY_INF_DIVISIBLE
-        assert report.branches_examined == 10
-        assert report.bound_used.raw_tuple_count == 100
+        assert report.branches_examined == 0
+        assert report.bound_used.raw_tuple_count == 0
+        assert report.bound_used.im_high == pytest.approx(1.6607, abs=1e-4)
         assert report.failed_conditions[-1]["reason"] == "all_branches_exhausted"
+
+    def test_principal_log_built_once_per_branch(self, monkeypatch):
+        # one logm_branch per examined branch, the trailing sub-reports included
+        calls = count_calls(monkeypatch, numkit, "logm_branch")
+        report = embed.check_strong_inf_divisible(TRANS_A)
+        examined = report.branches_examined + sum(r.branches_examined for r in report.recursion)
+        assert examined == 3
+        assert len(calls) == 3
 
     def test_repeated_spectrum_takes_the_perturbed_path(self):
         bad = TRANS_B @ TRANS_A
