@@ -9,7 +9,9 @@ eigendecomposition, then either the branch search or, for a repeated or
 ill-conditioned spectrum, the principal primary logarithm and, if allowed,
 the same branch search on a perturbed copy.  A small ``_Problem`` record
 holds what differs: the intensity test (zero row sums and the Runnenberg
-cone), the branch window and the verdict names.
+cone), the branch window and the verdict names.  The trailing blocks of a
+divisible reducible input are decided on slices of its Frobenius form, with
+no second validation, gate or form; their sub-reports carry no recursion.
 
 Only real branch selections are built: with distinct eigenvalues a
 logarithm is real exactly when each real eigenvalue is positive and keeps
@@ -552,21 +554,56 @@ def check_embeddable(
     )
 
 
+def _divisibility(B, det, decomp, cfg, allow_perturb, root_orders) -> DivisibilityReport:
+    """The divisibility decision after the checks on the input: the shared
+    pipeline on B with its Frobenius form ``decomp``, then, for a witness Q,
+    the sample roots exp(-Q/n).  A root that fails downgrades the verdict to
+    Undetermined and no root is reported."""
+    decision = _decide(B, det, _DIVISIBILITY, cfg, allow_perturb, decomposition=decomp)
+    report = DivisibilityReport(
+        verdict=decision.verdict,
+        branches_examined=decision.examined,
+        failed_conditions=decision.records,
+        perturbed=decision.perturbed,
+        bound_used=decision.bound,
+    )
+    if decision.verdict != STRONGLY_INF_DIVISIBLE:
+        return report
+
+    Q = report.z_matrix = -decision.witness
+    roots: List[Tuple[int, np.ndarray]] = []
+    for order in root_orders:
+        root = numkit.expm(-Q / order)
+        failure = None
+        if np.min(root) < -cfg.entry_tol:
+            failure = {"reason": "root_not_nonnegative", "order": order, "value": float(np.min(root))}
+        elif numkit.relative_residual(np.linalg.matrix_power(root, order), B) > 10 * cfg.recon_tol:
+            failure = {"reason": "root_power_mismatch", "order": order}
+        if failure is not None:
+            report.failed_conditions.append(failure)
+            report.verdict = UNDETERMINED
+            return report
+        roots.append((order, root))
+    report.roots_demonstrated = roots
+    return report
+
+
 def check_strong_inf_divisible(
     B,
     cfg: ToleranceConfig = DEFAULT_TOL,
     allow_perturb: bool = True,
     root_orders: Tuple[int, ...] = (2, 3, 5),
-    recurse_trailing: bool = True,
 ) -> DivisibilityReport:
     """Decide whether a nonnegative matrix has nonnegative roots of every
     order together with a positive determinant.
 
     A witness is a real matrix Q with nonpositive off-diagonal entries and
     exp(-Q) equal to the input; sample roots exp(-Q/n) are demonstrated for
-    ``root_orders`` and, for reducible inputs, every trailing submatrix of
-    the block triangular form is checked as well (those sub-reports do not
-    recurse further).  A witness found on a perturbed copy is not attached.
+    ``root_orders``.  With a witness, each trailing submatrix of a reducible
+    input's block triangular form is decided on its slice of that form: Q is
+    block upper triangular there, so each trailing block is exp(-Q_t) and
+    passed the input's checks already.  Those sub-reports carry no recursion.
+    A witness found on a perturbed copy is not attached.
     """
     if not all(isinstance(order, (int, np.integer)) and order >= 1 for order in root_orders):
         raise ValueError("root orders must be positive integers")
@@ -580,57 +617,14 @@ def check_strong_inf_divisible(
         return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
 
     decomp = structure.frobenius_form(B, cfg)
-    decision = _decide(B, det, _DIVISIBILITY, cfg, allow_perturb, decomposition=decomp)
-    failed = decision.records
-    if decision.verdict != STRONGLY_INF_DIVISIBLE:
-        return DivisibilityReport(
-            verdict=decision.verdict,
-            branches_examined=decision.examined,
-            failed_conditions=failed,
-            perturbed=decision.perturbed,
-            bound_used=decision.bound,
-        )
-
-    Q = -decision.witness
-    roots: List[Tuple[int, np.ndarray]] = []
-    for order in root_orders:
-        root = numkit.expm(-Q / order)
-        failure = None
-        if np.min(root) < -cfg.entry_tol:
-            failure = {"reason": "root_not_nonnegative", "order": order, "value": float(np.min(root))}
-        elif numkit.relative_residual(np.linalg.matrix_power(root, order), B) > 10 * cfg.recon_tol:
-            failure = {"reason": "root_power_mismatch", "order": order}
-        if failure is not None:
-            failed.append(failure)
-            return DivisibilityReport(
-                verdict=UNDETERMINED,
-                z_matrix=Q,
-                branches_examined=decision.examined,
-                failed_conditions=failed,
-                bound_used=decision.bound,
-            )
-        roots.append((order, root))
-
-    recursion: List[DivisibilityReport] = []
-    if recurse_trailing:
+    report = _divisibility(B, det, decomp, cfg, allow_perturb, root_orders)
+    if report.verdict == STRONGLY_INF_DIVISIBLE:
+        # the prefilter passed, so each trailing determinant exceeds entry_tol
         for t in range(1, decomp.n_blocks):
-            sub = structure.trailing_submatrix(decomp, t)
-            recursion.append(
-                check_strong_inf_divisible(
-                    sub, cfg, allow_perturb=allow_perturb, root_orders=root_orders,
-                    recurse_trailing=False,
-                )
-            )
-
-    return DivisibilityReport(
-        verdict=STRONGLY_INF_DIVISIBLE,
-        z_matrix=Q,
-        roots_demonstrated=roots,
-        recursion=recursion,
-        branches_examined=decision.examined,
-        failed_conditions=failed,
-        bound_used=decision.bound,
-    )
+            tail = decomp.trailing(t)
+            sub_det = float(np.linalg.det(tail.U))
+            report.recursion.append(_divisibility(tail.U, sub_det, tail, cfg, allow_perturb, root_orders))
+    return report
 
 
 def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optional[InverseMRoot]:

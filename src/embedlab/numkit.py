@@ -121,12 +121,15 @@ def _canonical_order(lam: np.ndarray):
     return sorted(range(len(lam)), key=lambda j: (-abs(lam[j]), -lam[j].real, lam[j].imag))
 
 
-def eig(A, cfg: ToleranceConfig = DEFAULT_TOL, max_condition: float = 1e12) -> Eigendecomposition:
+_MAX_CONDITION = 1e12  # eigenbasis condition number above which eig gives up
+
+
+def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
     """Eigendecomposition with the canonical ordering.
 
     Raises IllConditioned when the eigenvector basis cannot reproduce the
     input within ``recon_tol`` or its condition number exceeds
-    ``max_condition`` (defective and near-defective inputs).  Repeated but
+    ``_MAX_CONDITION`` (defective and near-defective inputs).  Repeated but
     diagonalizable eigenvalues are not an error; callers inspect
     ``min_pairwise_gap``.
     """
@@ -144,7 +147,7 @@ def eig(A, cfg: ToleranceConfig = DEFAULT_TOL, max_condition: float = 1e12) -> E
     cond = float(np.linalg.cond(V))
     recon = (V * lam) @ Vinv
     resid = relative_residual(recon, A)
-    if resid > cfg.recon_tol or cond > max_condition:
+    if resid > cfg.recon_tol or cond > _MAX_CONDITION:
         raise IllConditioned(
             f"eigenbasis condition {cond:.3g}, reconstruction residual {resid:.3g}"
         )

@@ -67,6 +67,16 @@ class StructureDecomposition:
         inverse[self.permutation] = np.arange(len(self.permutation))
         return self.U[np.ix_(inverse, inverse)]
 
+    def trailing(self, t: int) -> "StructureDecomposition":
+        """``frobenius_form`` of U without its first ``t`` blocks: the
+        components are blocks t, t+1, ..., and as later blocks never reach
+        earlier ones they stay in place, so the permutation is the identity."""
+        if not 0 <= t <= self.n_blocks:
+            raise OutOfRange(f"block index {t} outside [0, {self.n_blocks}]")
+        offset = int(sum(self.block_sizes[:t]))
+        U = self.U[offset:, offset:].copy()
+        return StructureDecomposition(np.arange(len(U)), self.block_sizes[t:], U, self.diagonal_blocks[t:])
+
 
 def frobenius_form(B, cfg: ToleranceConfig = DEFAULT_TOL) -> StructureDecomposition:
     """Condense the zero-pattern digraph into strongly connected components
@@ -98,10 +108,7 @@ def frobenius_form(B, cfg: ToleranceConfig = DEFAULT_TOL) -> StructureDecomposit
 def trailing_submatrix(D: StructureDecomposition, n: int) -> np.ndarray:
     """Square submatrix of U after deleting the first ``n`` diagonal blocks
     from the top rows and left columns.  ``n = 0`` returns U itself."""
-    if not 0 <= n <= D.n_blocks:
-        raise OutOfRange(f"block index {n} outside [0, {D.n_blocks}]")
-    offset = int(sum(D.block_sizes[:n]))
-    return D.U[offset:, offset:].copy()
+    return D.trailing(n).U
 
 
 def zero_pattern_invariance(
@@ -155,9 +162,10 @@ def necessary_conditions(
 
     Checked, in order: strictly positive diagonal; irreducible implies
     strictly positive; strictly positive diagonal blocks of the Frobenius
-    form; trailing submatrices nonsingular with positive determinant (and
-    recursively satisfying the first three conditions); and zero-pattern
-    transitivity (a length-2 path into an off-diagonal structural zero).
+    form; trailing submatrices with positive determinant; and zero-pattern
+    transitivity (a length-2 path into an off-diagonal structural zero).  A
+    trailing submatrix needs no other check: its diagonal and its diagonal
+    blocks are those of B, already checked.
     ``decomposition``, when given, must be ``frobenius_form(B, cfg)``; the
     form is computed here otherwise.
     """
@@ -188,15 +196,9 @@ def necessary_conditions(
             offset += block.shape[0]
 
     for t in range(1, decomp.n_blocks):
-        sub = trailing_submatrix(decomp, t)
-        sub_det = float(np.linalg.det(sub))
+        sub_det = float(np.linalg.det(trailing_submatrix(decomp, t)))
         if sub_det <= cfg.entry_tol:
             violations.append(("trailing_submatrices_recursive", (t, sub_det)))
-            continue
-        sub_diag = np.diag(sub)
-        if np.min(sub_diag) <= cfg.entry_tol:
-            i = int(np.argmin(sub_diag))
-            violations.append(("trailing_submatrices_recursive", (t, "diagonal", i)))
 
     two_step = (pattern.astype(np.int64) @ pattern.astype(np.int64)) > 0
     for i, j in np.argwhere(two_step & ~pattern & ~np.eye(n, dtype=bool)):

@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from embedlab import classify, embed, numkit
+from embedlab import classify, embed, numkit, structure
 from embedlab.errors import (
     NotNonnegative,
     NotStochastic,
@@ -29,6 +30,31 @@ from helpers import (
 CFG = numkit.DEFAULT_TOL
 TRANS_A = numkit.expm(GEN_A)
 TRANS_B = numkit.expm(GEN_B)
+
+
+def report_bits(x):
+    """A report as nested tuples, with arrays as dtype, shape and bytes and
+    floats as their hex form, so equal results are bitwise equal."""
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, report_bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, dict):
+        return tuple((k, report_bits(v)) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return tuple(report_bits(v) for v in x)
+    return x.hex() if isinstance(x, float) else x
+
+
+def block_triangular_z(rng, sizes):
+    """Z-matrix with dense diagonal blocks of the given sizes, block upper
+    triangular up to a random symmetric permutation."""
+    n = sum(sizes)
+    ids = np.repeat(np.arange(len(sizes)), sizes)
+    Q = -rng.uniform(0.1, 1.0, (n, n)) * (ids[:, None] <= ids[None, :])
+    np.fill_diagonal(Q, rng.uniform(0.5, 2.0, n))
+    L = random_permutation_matrix(rng, n)
+    return L @ Q @ L.T
 
 
 def make_symmetric_stochastic_with_det(rng, n, det):
@@ -465,6 +491,20 @@ class TestCheckStrongInfDivisible:
         assert len(report.recursion) == 2
         assert all(r.verdict == embed.STRONGLY_INF_DIVISIBLE for r in report.recursion)
         assert all(not r.recursion for r in report.recursion)
+
+    def test_trailing_sub_reports_match_standalone_decisions(self):
+        rng = np.random.default_rng(39)
+        draws = [numkit.expm(-block_triangular_z(rng, sizes)) for sizes in ((1, 3), (2, 2, 1), (3, 1, 2))]
+        for B in [DIVISIBLE_TRIANGLE, TRANS_A] + draws:
+            report = embed.check_strong_inf_divisible(B)
+            assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
+            decomp = structure.frobenius_form(B)
+            assert len(report.recursion) == decomp.n_blocks - 1 >= 1
+            for t, sub in enumerate(report.recursion, start=1):
+                alone = embed.check_strong_inf_divisible(structure.trailing_submatrix(decomp, t))
+                assert not sub.recursion
+                alone.recursion = []
+                assert report_bits(sub) == report_bits(alone)
 
     def test_determinant_must_be_positive(self):
         report = embed.check_strong_inf_divisible(np.array([[0.0, 1.0], [1.0, 0.0]]))

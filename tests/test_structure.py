@@ -87,6 +87,18 @@ def reference_frobenius(B):
     return order, [len(members[c]) for c in comp_order]
 
 
+def assert_trailing_forms_are_fresh_forms(d):
+    """``d.trailing(t)`` equals the form computed from scratch on the
+    trailing submatrix, field by field and bit for bit."""
+    for t in range(d.n_blocks):
+        tail = d.trailing(t)
+        fresh = structure.frobenius_form(structure.trailing_submatrix(d, t))
+        assert tail.block_sizes == fresh.block_sizes
+        pairs = [(tail.permutation, fresh.permutation), (tail.U, fresh.U)]
+        for a, b in pairs + list(zip(tail.diagonal_blocks, fresh.diagonal_blocks, strict=True)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestFrobeniusFormOracle:
     def check(self, B):
         d = structure.frobenius_form(B)
@@ -94,6 +106,7 @@ class TestFrobeniusFormOracle:
         assert np.array_equal(d.permutation, order)
         assert d.block_sizes == sizes
         assert np.array_equal(d.U, B[np.ix_(order, order)])
+        assert_trailing_forms_are_fresh_forms(d)
 
     def test_random_patterns(self):
         rng = np.random.default_rng(27)
@@ -130,10 +143,9 @@ class TestFrobeniusFormCalls:
     def test_trailing_recursion_reuses_the_form(self, calls):
         report = embed.check_strong_inf_divisible(DIVISIBLE_TRIANGLE)
         assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
-        # every trailing submatrix has a positive determinant, so each
-        # sub-report reaches the prefilter once
+        # the trailing blocks are decided on slices of the input's form
         assert len(report.recursion) == 2
-        assert len(calls) == 1 + len(report.recursion)
+        assert len(calls) == 1
 
     def test_embeddability(self, calls):
         assert embed.check_embeddable(EXP_GEN_A).verdict == embed.EMBEDDABLE
@@ -156,6 +168,11 @@ class TestTrailingSubmatrix:
         e1 = np.exp(-1.0)
         assert np.allclose(sub, [[e1, 1 - e1], [0.0, 1.0]], atol=1e-12)
         assert np.allclose(sub, [[0.368, 0.632], [0.0, 1.0]], atol=5e-4)
+
+    def test_trailing_form_of_fixture(self):
+        d = structure.frobenius_form(EXP_GEN_A)
+        assert d.trailing(1).block_sizes == [1, 1]
+        assert_trailing_forms_are_fresh_forms(d)
 
     def test_out_of_range(self):
         d = structure.frobenius_form(EXP_GEN_A)
@@ -227,6 +244,17 @@ class TestNecessaryConditions:
         assert not report.passed
         reasons = [name for name, _ in report.violations]
         assert "trailing_submatrices_recursive" in reasons
+
+    def test_trailing_block_diagonal_is_not_recorded_twice(self):
+        B = np.zeros((4, 4))
+        B[0] = [1.0, 0.5, 0.5, 0.5]
+        B[1:, 1:] = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        assert np.linalg.det(B[1:, 1:]) == pytest.approx(2.0)
+        report = structure.necessary_conditions(B)
+        assert {name for name, _ in report.violations} == {
+            "positive_diagonal",
+            "diagonal_blocks_positive",
+        }
 
     def test_sound_on_embeddable_family(self):
         rng = np.random.default_rng(23)
