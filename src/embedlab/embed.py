@@ -4,14 +4,18 @@ Both questions ask for a real logarithm L of the input with nonnegative
 off-diagonal entries: a stochastic P is embeddable when such an L also has
 zero row sums, and a nonnegative B is strongly infinitely divisible with the
 Z-matrix Q = -L.  So one pipeline, ``_decide``, answers both after each
-question's own determinant gate: the structural necessary conditions, the
+public entry's determinant gate and structural necessary conditions: the
 eigendecomposition, then either the branch search or, for a repeated or
-ill-conditioned spectrum, the principal primary logarithm and, if allowed,
-the same branch search on a perturbed copy.  A small ``_Problem`` record
-holds what differs: the intensity test (zero row sums and the Runnenberg
-cone), the branch window and the verdict names.  The trailing blocks of a
-divisible reducible input are decided on slices of its Frobenius form, with
-no second validation, gate or form; their sub-reports carry no recursion.
+ill-conditioned spectrum, the principal logarithm and, if allowed, the same
+branch search on a perturbed copy.  A diagonalizable repeated spectrum is
+resolved from the eigenbasis the search already holds, V Log(Lambda) V^-1,
+and a positive found that way passes the acceptance test of every search
+hit; negatives on that path still rest on scipy's principal logarithm.  A
+small ``_Problem`` record holds what differs: the intensity test (zero row
+sums and the Runnenberg cone), the branch window and the verdict names.
+The trailing blocks of a divisible reducible input are decided on slices of
+its Frobenius form, with no second validation, gate, form or necessary
+conditions; their sub-reports carry no recursion.
 
 Only real branch selections are built: with distinct eigenvalues a
 logarithm is real exactly when each real eigenvalue is positive and keeps
@@ -417,35 +421,50 @@ class _Decision:
     bound: Optional[BranchBound] = None
 
 
-def _search(A, det, problem, cfg, perturbed=False):
-    """Eigendecompose A and scan its real logarithms in the problem's window,
-    stopping at the first accepted one.
+def _search(A, eigen, det, problem, cfg):
+    """Scan the real logarithms of A, from its eigendecomposition, in the
+    problem's window, stopping at the first accepted one.
 
-    Returns (witness, examined, records, bound), or None when the spectrum
-    is repeated or ill-conditioned.  A perturbed copy is searched whatever
-    its spectrum, and IllConditioned propagates.
+    Returns (witness, examined, records, bound).
     """
-    try:
-        eigen = numkit.eig(A, cfg)
-    except IllConditioned:
-        if perturbed:
-            raise
-        return None
-    if not perturbed and eigen.is_repeated(cfg):
-        return None
     bound = branch_bound(eigen, det, problem.bound_mode)
     accept = _log_acceptor(A, problem.intensity, cfg)
     return (*_branch_search(eigen, bound, accept, cfg, problem.intensity), bound)
 
 
-def _repeated_spectrum_verdict(A, problem, cfg, allow_perturb) -> _Decision:
-    """Resolve the repeated-eigenvalue case.
+def _eigenbasis_principal_log(eigen, cfg) -> Optional[np.ndarray]:
+    """The real principal logarithm V Log(Lambda) V^-1 of ``eigen``; None
+    without an eigenbasis, with an eigenvalue zero or on the closed negative
+    real axis, or with an imaginary residue that is not negligible."""
+    if eigen is None:
+        return None
+    try:
+        numkit._check_log_preconditions(eigen.eigenvalues, cfg)
+    except (SingularMatrix, NegativeRealEigenvalue):
+        return None
+    return numkit.as_real(numkit.logm_branch(eigen, BranchSelection.principal(eigen.n), cfg), cfg)
 
-    A passing principal primary logarithm certifies a positive verdict
-    outright; a failing one is conclusive only when it is the sole
+
+def _repeated_spectrum_verdict(A, eigen, problem, cfg, allow_perturb) -> _Decision:
+    """Resolve a repeated or ill-conditioned spectrum; ``eigen`` is A's
+    eigendecomposition, None when eig found the input defective.
+
+    A diagonalizable repeated spectrum is first resolved from that eigenbasis:
+    the principal logarithm is a primary function, so any eigenbasis gives it
+    (Higham, Functions of Matrices, 2008, Def. 1.2).  If the acceptor takes
+    it, it is the witness, with the same certificate as any search hit (real,
+    an intensity or Z-matrix, and expm reconstructs A within recon_tol).
+    Otherwise scipy's principal primary logarithm decides, so every failure
+    record and every negative rests on it: a passing one certifies a positive
+    verdict outright; a failing one is conclusive only when it is the sole
     real-logarithm candidate; otherwise the search runs on a perturbed copy
     and any outcome there is reported undetermined.
     """
+    accept = _log_acceptor(A, problem.intensity, cfg)
+    witness = _eigenbasis_principal_log(eigen, cfg)
+    if witness is not None and accept(witness)[0]:
+        return _Decision(problem.positive, witness)
+
     records: List[dict] = []
     principal = None
     try:
@@ -454,7 +473,7 @@ def _repeated_spectrum_verdict(A, problem, cfg, allow_perturb) -> _Decision:
         records.append({"reason": "principal_log_unavailable", "detail": str(exc)})
 
     if principal is not None:
-        ok, failure = _log_acceptor(A, problem.intensity, cfg)(principal)
+        ok, failure = accept(principal)
         if ok:
             return _Decision(problem.positive, principal, records)
         failure["branch"] = "principal_primary"
@@ -473,8 +492,9 @@ def _repeated_spectrum_verdict(A, problem, cfg, allow_perturb) -> _Decision:
         records.append({"reason": "perturbation_failed", "detail": str(exc)})
         return _Decision(UNDETERMINED, records=records)
     try:
+        # the perturbed copy is searched whatever its spectrum
         witness, examined, sub_records, _ = _search(
-            perturbed, float(np.linalg.det(perturbed)), problem, cfg, perturbed=True
+            perturbed, numkit.eig(perturbed, cfg), float(np.linalg.det(perturbed)), problem, cfg
         )
     except (SingularMatrix, RepeatedEigenvalues, IllConditioned, SingularDeterminant) as exc:
         records.append({"reason": "perturbed_search_failed", "detail": str(exc)})
@@ -487,21 +507,27 @@ def _repeated_spectrum_verdict(A, problem, cfg, allow_perturb) -> _Decision:
     return _Decision(UNDETERMINED, records=records, perturbed=True)
 
 
-def _decide(A, det, problem, cfg, allow_perturb, decomposition=None) -> _Decision:
-    """The pipeline both questions share, after the determinant gate: the
-    structural necessary conditions, the eigendecomposition, then either the
-    branch search or the repeated-spectrum resolution."""
+def _failed_necessary_conditions(A, cfg, decomposition=None) -> List[dict]:
+    """One record per violated structural necessary condition, none when
+    they all hold; ``decomposition`` as in ``structure.necessary_conditions``."""
     nc = structure.necessary_conditions(A, cfg, decomposition=decomposition)
-    if not nc.passed:
-        records = [
-            {"reason": "necessary_condition", "condition": name, "location": location}
-            for name, location in nc.violations
-        ]
-        return _Decision(problem.negative, records=records)
-    found = _search(A, det, problem, cfg)
-    if found is None:
-        return _repeated_spectrum_verdict(A, problem, cfg, allow_perturb)
-    witness, examined, records, bound = found
+    return [
+        {"reason": "necessary_condition", "condition": name, "location": location}
+        for name, location in nc.violations
+    ]
+
+
+def _decide(A, det, problem, cfg, allow_perturb) -> _Decision:
+    """The pipeline both questions share, after the determinant gate and the
+    structural necessary conditions: the eigendecomposition, then either the
+    branch search or the repeated-spectrum resolution."""
+    try:
+        eigen = numkit.eig(A, cfg)
+    except IllConditioned:
+        eigen = None
+    if eigen is None or eigen.is_repeated(cfg):
+        return _repeated_spectrum_verdict(A, eigen, problem, cfg, allow_perturb)
+    witness, examined, records, bound = _search(A, eigen, det, problem, cfg)
     if witness is None:
         records.append({"reason": "all_branches_exhausted", "branches": examined})
     verdict = problem.negative if witness is None else problem.positive
@@ -524,8 +550,9 @@ def check_embeddable(
     eigenvalue pruned by the angular cone admissible for generator spectra,
     and the first candidate passing the intensity test is the witness.
     Exhausting them proves non-embeddability when eigenvalues are distinct.
-    Repeated eigenvalues are resolved through the primary principal logarithm
-    when possible; otherwise the verdict after a perturbed exploration is
+    Repeated eigenvalues are resolved through the principal logarithm, taken
+    from the search's eigenbasis when the spectrum is diagonalizable, when
+    possible; otherwise the verdict after a perturbed exploration is
     Undetermined, with any perturbed witness attached.
     """
     if bound_mode not in BOUND_MODES:
@@ -542,6 +569,10 @@ def check_embeddable(
         failed = [{"reason": "determinant_negative", "value": det}]
         return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
 
+    failed = _failed_necessary_conditions(P, cfg)
+    if failed:
+        return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
+
     problem = _Problem(EMBEDDABLE, NOT_EMBEDDABLE, intensity=True, bound_mode=bound_mode)
     decision = _decide(P, det, problem, cfg, allow_perturb)
     return EmbeddabilityReport(
@@ -554,12 +585,12 @@ def check_embeddable(
     )
 
 
-def _divisibility(B, det, decomp, cfg, allow_perturb, root_orders) -> DivisibilityReport:
+def _divisibility(B, det, cfg, allow_perturb, root_orders) -> DivisibilityReport:
     """The divisibility decision after the checks on the input: the shared
-    pipeline on B with its Frobenius form ``decomp``, then, for a witness Q,
-    the sample roots exp(-Q/n).  A root that fails downgrades the verdict to
-    Undetermined and no root is reported."""
-    decision = _decide(B, det, _DIVISIBILITY, cfg, allow_perturb, decomposition=decomp)
+    pipeline on B, then, for a witness Q, the sample roots exp(-Q/n).  A root
+    that fails downgrades the verdict to Undetermined and no root is
+    reported."""
+    decision = _decide(B, det, _DIVISIBILITY, cfg, allow_perturb)
     report = DivisibilityReport(
         verdict=decision.verdict,
         branches_examined=decision.examined,
@@ -617,13 +648,18 @@ def check_strong_inf_divisible(
         return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
 
     decomp = structure.frobenius_form(B, cfg)
-    report = _divisibility(B, det, decomp, cfg, allow_perturb, root_orders)
+    failed = _failed_necessary_conditions(B, cfg, decomp)
+    if failed:
+        return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
+
+    report = _divisibility(B, det, cfg, allow_perturb, root_orders)
     if report.verdict == STRONGLY_INF_DIVISIBLE:
-        # the prefilter passed, so each trailing determinant exceeds entry_tol
+        # a trailing block passes every check B passed: its diagonal, its
+        # diagonal blocks, its trailing determinants (each > entry_tol) and
+        # its two-step paths are B's
         for t in range(1, decomp.n_blocks):
-            tail = decomp.trailing(t)
-            sub_det = float(np.linalg.det(tail.U))
-            report.recursion.append(_divisibility(tail.U, sub_det, tail, cfg, allow_perturb, root_orders))
+            sub = decomp.trailing(t).U
+            report.recursion.append(_divisibility(sub, float(np.linalg.det(sub)), cfg, allow_perturb, root_orders))
     return report
 
 

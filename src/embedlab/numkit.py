@@ -213,8 +213,9 @@ def logm_branch(E: Eigendecomposition, selection, cfg: ToleranceConfig = DEFAULT
     return (E.right_eigenvectors * logs) @ E.inverse_basis
 
 
-def _check_log_preconditions(A, cfg):
-    lam = np.linalg.eigvals(A)
+def _check_log_preconditions(lam, cfg):
+    """Raise unless the eigenvalues ``lam`` admit a real primary logarithm:
+    none may be zero or lie on the closed negative real axis."""
     if np.any(np.abs(lam) <= cfg.entry_tol):
         raise SingularMatrix("zero eigenvalue: no primary logarithm or root")
     on_negative_axis = (lam.real < 0) & (np.abs(lam.imag) <= cfg.entry_tol * (1 + np.abs(lam)))
@@ -228,7 +229,7 @@ def principal_log(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Primary principal logarithm of a real matrix with no eigenvalue on the
     closed negative real axis.  Valid for repeated eigenvalues as well."""
     A = as_square_matrix(A)
-    _check_log_preconditions(A, cfg)
+    _check_log_preconditions(np.linalg.eigvals(A), cfg)
     with warnings.catch_warnings():
         # accuracy is re-verified by every caller through reconstruction
         warnings.filterwarnings("ignore", message="logm result may be inaccurate")
@@ -251,7 +252,7 @@ def primary_root(A, n: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError("root order n must be a positive integer")
     if n == 1:
-        _check_log_preconditions(A, cfg)
+        _check_log_preconditions(np.linalg.eigvals(A), cfg)
         return A.copy()
     R = expm(principal_log(A, cfg) / n)
     return R

@@ -1,5 +1,7 @@
 """Shared fixtures and random matrix generators for the test suite."""
 
+import math
+
 import numpy as np
 
 # Two upper triangular intensity matrices whose exponentials are the standing
@@ -65,6 +67,22 @@ def random_shifted_z(rng, n, shift_hi=2.0):
     """Z-matrix of the form s*I minus an intensity matrix (s >= 0), so the
     eigenvalue paired with the all-ones nonnegative eigenvector equals s."""
     return rng.uniform(0.0, shift_hi) * np.eye(n) - random_intensity(rng, n)
+
+
+def equal_input(rng, n):
+    """exp(c (1 pi^T - I)): an eigenvalue exp(-c) repeated n-1 times."""
+    pi = rng.dirichlet(np.ones(n))
+    c = rng.uniform(0.2, 2.0)
+    return np.exp(-c) * np.eye(n) + (1.0 - np.exp(-c)) * np.outer(np.ones(n), pi)
+
+
+def wrapped_circulant(rng, n):
+    """Circulant generator whose conjugate pair sits at +-i pi, so its
+    exponential has a repeated negative eigenvalue and no principal log."""
+    rate = {3: 2 * math.pi / math.sqrt(3), 4: math.pi}[n]
+    C = np.roll(np.eye(n), 1, axis=1)
+    mix = rng.uniform(0.1, 1.0)
+    return rate * (C - np.eye(n)) + mix * (np.full((n, n), 1.0 / n) - np.eye(n))
 
 
 def random_m_matrix(rng, n, margin=0.1):

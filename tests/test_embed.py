@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from embedlab import classify, embed, numkit, structure
 from embedlab.errors import (
@@ -19,12 +20,14 @@ from helpers import (
     NONCONVEX_2X2,
     SCALED_TRIANGLE,
     count_calls,
+    equal_input,
     min_eig_gap,
     random_intensity,
     random_permutation_matrix,
     random_shifted_z,
     random_stochastic,
     random_z_matrix,
+    wrapped_circulant,
 )
 
 CFG = numkit.DEFAULT_TOL
@@ -355,7 +358,7 @@ class TestCheckEmbeddable:
         report = embed.check_embeddable(np.eye(4))
         assert report.verdict == embed.EMBEDDABLE
         assert not report.perturbed
-        assert np.allclose(report.generator, 0.0)
+        assert np.array_equal(report.generator, np.zeros((4, 4)))
 
     def test_jordan_block_fixture_not_embeddable(self):
         # repeated eigenvalue confined to one Jordan block: the principal
@@ -373,12 +376,17 @@ class TestCheckEmbeddable:
         assert report.verdict == embed.EMBEDDABLE
         assert classify.is_intensity_matrix(report.generator, CFG)
 
-    def test_derogatory_failure_is_undetermined(self):
+    def test_derogatory_failure_is_undetermined(self, monkeypatch):
+        # the eigenbasis log fails, so scipy's principal log decides, once
+        calls = count_calls(monkeypatch, numkit, "principal_log")
         bad = TRANS_B @ TRANS_A
         blocked = np.block([[bad, np.zeros((3, 3))], [np.zeros((3, 3)), bad]])
         report = embed.check_embeddable(blocked)
         assert report.verdict == embed.UNDETERMINED
         assert report.perturbed
+        assert len(calls) == 1
+        records = [(r["reason"], r.get("branch")) for r in report.failed_conditions]
+        assert records == [("off_diagonal_negative", "principal_primary"), ("perturbed_search_exhausted", None)]
 
     def test_perturbation_can_be_disabled(self):
         bad = TRANS_B @ TRANS_A
@@ -473,7 +481,7 @@ class TestCheckStrongInfDivisible:
     def test_identity(self):
         report = embed.check_strong_inf_divisible(np.eye(3))
         assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
-        assert np.allclose(report.z_matrix, 0.0)
+        assert np.array_equal(report.z_matrix, np.zeros((3, 3)))
 
     def test_witness_roots_validated(self):
         report = embed.check_strong_inf_divisible(TRANS_A, root_orders=(2, 3, 5))
@@ -505,6 +513,13 @@ class TestCheckStrongInfDivisible:
                 assert not sub.recursion
                 alone.recursion = []
                 assert report_bits(sub) == report_bits(alone)
+
+    def test_necessary_conditions_run_once_per_decision(self, monkeypatch):
+        # a trailing block passes every condition its parent passed
+        calls = count_calls(monkeypatch, structure, "necessary_conditions")
+        report = embed.check_strong_inf_divisible(DIVISIBLE_TRIANGLE)
+        assert len(report.recursion) == 2
+        assert len(calls) == 1
 
     def test_determinant_must_be_positive(self):
         report = embed.check_strong_inf_divisible(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -587,17 +602,65 @@ class TestCheckStrongInfDivisible:
         assert examined == 3
         assert len(calls) == 3
 
-    def test_repeated_spectrum_takes_the_perturbed_path(self):
+    def test_repeated_spectrum_takes_the_perturbed_path(self, monkeypatch):
+        calls = count_calls(monkeypatch, numkit, "principal_log")
         bad = TRANS_B @ TRANS_A
         B = np.block([[bad, np.zeros((3, 3))], [np.zeros((3, 3)), bad]])
         report = embed.check_strong_inf_divisible(B)
         assert report.verdict == embed.UNDETERMINED
         assert report.perturbed
+        assert report.failed_conditions[0]["branch"] == "principal_primary"
         assert report.failed_conditions[-1]["reason"] == "perturbed_search_exhausted"
         report = embed.check_strong_inf_divisible(B, allow_perturb=False)
         assert report.verdict == embed.UNDETERMINED
         assert not report.perturbed
         assert "repeated_eigenvalues" in {r["reason"] for r in report.failed_conditions}
+        assert len(calls) == 2
+
+
+def scipy_accepts(P, L, intensity):
+    """The acceptance test without the library: nonnegative off-diagonal
+    entries, zero row sums for an intensity matrix, and scipy's expm
+    reconstructing P within recon_tol."""
+    n = len(L)
+    if np.min(L[~np.eye(n, dtype=bool)]) < -CFG.entry_tol:
+        return False
+    if intensity and np.max(np.abs(L.sum(axis=1))) > n * CFG.entry_tol:
+        return False
+    return np.linalg.norm(scipy.linalg.expm(L) - P) <= CFG.recon_tol * np.linalg.norm(P)
+
+
+class TestRepeatedSpectrum:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_equal_input_is_resolved_from_the_search_eigenbasis(self, n, monkeypatch):
+        # exp(-c) repeated n-1 times on a diagonalizable spectrum: the
+        # principal log of eig's basis is the witness, scipy's logm never runs
+        calls = count_calls(monkeypatch, numkit, "principal_log")
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            P = equal_input(rng, n)
+            assert min_eig_gap(P) < CFG.distinct_tol
+            gen = embed.check_embeddable(P)
+            div = embed.check_strong_inf_divisible(P)
+            assert gen.verdict == embed.EMBEDDABLE
+            assert div.verdict == embed.STRONGLY_INF_DIVISIBLE
+            for report, L, intensity in ((gen, gen.generator, True), (div, -div.z_matrix, False)):
+                assert report.bound_used is None
+                assert report.failed_conditions == []
+                assert not report.perturbed
+                assert scipy_accepts(P, L, intensity)
+        assert calls == []
+
+    @pytest.mark.parametrize("check", [embed.check_embeddable, embed.check_strong_inf_divisible])
+    def test_wrapped_circulant_has_no_principal_log(self, check):
+        # eig returns the double eigenvalue near -0.003 as a conjugate pair
+        # with imaginary parts near 1e-16.  Offsets 0 on that pair give a
+        # real logarithm, which the acceptor can take for this draw, but it is
+        # not a principal one: the negative-axis guard keeps it out
+        P = scipy.linalg.expm(wrapped_circulant(np.random.default_rng(42), 3))
+        report = check(P)
+        assert report.verdict == embed.UNDETERMINED
+        assert report.failed_conditions[0]["reason"] == "principal_log_unavailable"
 
 
 class TestInverseMPowerForm:
