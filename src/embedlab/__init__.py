@@ -50,7 +50,6 @@ from .errors import (
     OffDiagonalZeros,
     OutOfRange,
     Overflow,
-    PerturbationFailed,
     RepeatedEigenvalues,
     SearchExhausted,
     SingularDeterminant,
@@ -65,7 +64,6 @@ from .numkit import (
     eig,
     expm,
     logm_branch,
-    perturb_distinct,
     primary_root,
     principal_log,
 )

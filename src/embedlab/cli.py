@@ -109,12 +109,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=_positive_int, required=True, help="root order")
     p = add("embed", "embeddability verdict")
     p.add_argument("--bound", choices=["israel", "paper"], default="israel")
-    p.add_argument("--allow-perturb", action="store_true")
     p = add("infdiv", "strong infinite divisibility verdict")
     p.add_argument(
         "--roots", type=_positive_ints, default="2,3,5", help="comma-separated root orders to demonstrate"
     )
-    p.add_argument("--allow-perturb", action="store_true")
     return parser
 
 
@@ -216,9 +214,7 @@ def _run_command(args, M, cfg):
 
     if args.command == "embed":
         mode = "israel_two_sided" if args.bound == "israel" else "paper_one_sided"
-        report = embed.check_embeddable(
-            M, cfg, bound_mode=mode, allow_perturb=args.allow_perturb
-        )
+        report = embed.check_embeddable(M, cfg, bound_mode=mode)
         code = {
             embed.EMBEDDABLE: EXIT_POSITIVE,
             embed.NOT_EMBEDDABLE: EXIT_NEGATIVE,
@@ -227,9 +223,7 @@ def _run_command(args, M, cfg):
         return {"embeddability": report}, code
 
     if args.command == "infdiv":
-        report = embed.check_strong_inf_divisible(
-            M, cfg, allow_perturb=args.allow_perturb, root_orders=tuple(args.roots)
-        )
+        report = embed.check_strong_inf_divisible(M, cfg, root_orders=tuple(args.roots))
         code = {
             embed.STRONGLY_INF_DIVISIBLE: EXIT_POSITIVE,
             embed.NOT_STRONGLY_INF_DIVISIBLE: EXIT_NEGATIVE,

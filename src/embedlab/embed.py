@@ -6,13 +6,13 @@ zero row sums, and a nonnegative B is strongly infinitely divisible with the
 Z-matrix Q = -L.  So one pipeline, ``_decide``, answers both after each
 public entry's determinant gate and structural necessary conditions: the
 eigendecomposition, then either the branch search or, for a repeated or
-ill-conditioned spectrum, the principal logarithm and, if allowed, the same
-branch search on a perturbed copy.  A diagonalizable repeated spectrum is
-resolved from the eigenbasis the search already holds, V Log(Lambda) V^-1,
-and a positive found that way passes the acceptance test of every search
-hit; negatives on that path still rest on scipy's principal logarithm.  A
-small ``_Problem`` record holds what differs: the intensity test (zero row
-sums and the Runnenberg cone), the branch window and the verdict names.
+ill-conditioned spectrum, the principal logarithm alone.  A diagonalizable
+repeated spectrum is resolved from the eigenbasis the search already holds,
+V Log(Lambda) V^-1, and a positive found that way passes the acceptance test
+of every search hit; negatives on that path still rest on scipy's principal
+logarithm, and what it leaves open is Undetermined.  A small ``_Problem``
+record holds what differs: the intensity test (zero row sums and the
+Runnenberg cone), the branch window and the verdict names.
 The trailing blocks of a divisible reducible input are decided on slices of
 its Frobenius form, with no second validation, gate, form or necessary
 conditions; their sub-reports carry no recursion.
@@ -44,7 +44,6 @@ from .errors import (
     NotNonnegative,
     NotStochastic,
     OffDiagonalZeros,
-    PerturbationFailed,
     RepeatedEigenvalues,
     SearchExhausted,
     SingularDeterminant,
@@ -122,7 +121,6 @@ class EmbeddabilityReport:
     generator: Optional[np.ndarray] = None
     branches_examined: int = 0
     failed_conditions: List[dict] = field(default_factory=list)
-    perturbed: bool = False
     bound_used: Optional[BranchBound] = None
 
 
@@ -134,7 +132,6 @@ class DivisibilityReport:
     recursion: List["DivisibilityReport"] = field(default_factory=list)
     branches_examined: int = 0
     failed_conditions: List[dict] = field(default_factory=list)
-    perturbed: bool = False
     bound_used: Optional[BranchBound] = None
 
 
@@ -417,19 +414,7 @@ class _Decision:
     witness: Optional[np.ndarray] = None
     records: List[dict] = field(default_factory=list)
     examined: int = 0
-    perturbed: bool = False
     bound: Optional[BranchBound] = None
-
-
-def _search(A, eigen, det, problem, cfg):
-    """Scan the real logarithms of A, from its eigendecomposition, in the
-    problem's window, stopping at the first accepted one.
-
-    Returns (witness, examined, records, bound).
-    """
-    bound = branch_bound(eigen, det, problem.bound_mode)
-    accept = _log_acceptor(A, problem.intensity, cfg)
-    return (*_branch_search(eigen, bound, accept, cfg, problem.intensity), bound)
 
 
 def _eigenbasis_principal_log(eigen, cfg) -> Optional[np.ndarray]:
@@ -445,9 +430,10 @@ def _eigenbasis_principal_log(eigen, cfg) -> Optional[np.ndarray]:
     return numkit.as_real(numkit.logm_branch(eigen, BranchSelection.principal(eigen.n), cfg), cfg)
 
 
-def _repeated_spectrum_verdict(A, eigen, problem, cfg, allow_perturb) -> _Decision:
+def _repeated_spectrum_verdict(A, eigen, accept, problem, cfg) -> _Decision:
     """Resolve a repeated or ill-conditioned spectrum; ``eigen`` is A's
-    eigendecomposition, None when eig found the input defective.
+    eigendecomposition, None when eig found the input defective, and
+    ``accept`` the problem's acceptance test.
 
     A diagonalizable repeated spectrum is first resolved from that eigenbasis:
     the principal logarithm is a primary function, so any eigenbasis gives it
@@ -457,10 +443,9 @@ def _repeated_spectrum_verdict(A, eigen, problem, cfg, allow_perturb) -> _Decisi
     Otherwise scipy's principal primary logarithm decides, so every failure
     record and every negative rests on it: a passing one certifies a positive
     verdict outright; a failing one is conclusive only when it is the sole
-    real-logarithm candidate; otherwise the search runs on a perturbed copy
-    and any outcome there is reported undetermined.
+    real-logarithm candidate.  The other real logarithms of a repeated
+    spectrum are not enumerated, so anything else is Undetermined.
     """
-    accept = _log_acceptor(A, problem.intensity, cfg)
     witness = _eigenbasis_principal_log(eigen, cfg)
     if witness is not None and accept(witness)[0]:
         return _Decision(problem.positive, witness)
@@ -482,29 +467,9 @@ def _repeated_spectrum_verdict(A, eigen, problem, cfg, allow_perturb) -> _Decisi
             records.append({"reason": "primary_log_is_only_candidate"})
             return _Decision(problem.negative, records=records)
 
-    if not allow_perturb:
-        records.append({"reason": "repeated_eigenvalues", "detail": "perturbation disabled"})
-        return _Decision(UNDETERMINED, records=records)
-
-    try:
-        perturbed = numkit.perturb_distinct(A, cfg)
-    except PerturbationFailed as exc:
-        records.append({"reason": "perturbation_failed", "detail": str(exc)})
-        return _Decision(UNDETERMINED, records=records)
-    try:
-        # the perturbed copy is searched whatever its spectrum
-        witness, examined, sub_records, _ = _search(
-            perturbed, numkit.eig(perturbed, cfg), float(np.linalg.det(perturbed)), problem, cfg
-        )
-    except (SingularMatrix, RepeatedEigenvalues, IllConditioned, SingularDeterminant) as exc:
-        records.append({"reason": "perturbed_search_failed", "detail": str(exc)})
-        return _Decision(UNDETERMINED, records=records, perturbed=True)
-    records.extend(sub_records)
-    if witness is not None:
-        records.append({"reason": "witness_reconstructs_perturbed_input"})
-        return _Decision(UNDETERMINED, witness, records, perturbed=True)
-    records.append({"reason": "perturbed_search_exhausted", "branches": examined})
-    return _Decision(UNDETERMINED, records=records, perturbed=True)
+    detail = "non-principal real logarithms of a repeated spectrum are not enumerated"
+    records.append({"reason": "repeated_eigenvalues", "detail": detail})
+    return _Decision(UNDETERMINED, records=records)
 
 
 def _failed_necessary_conditions(A, cfg, decomposition=None) -> List[dict]:
@@ -517,7 +482,7 @@ def _failed_necessary_conditions(A, cfg, decomposition=None) -> List[dict]:
     ]
 
 
-def _decide(A, det, problem, cfg, allow_perturb) -> _Decision:
+def _decide(A, det, problem, cfg) -> _Decision:
     """The pipeline both questions share, after the determinant gate and the
     structural necessary conditions: the eigendecomposition, then either the
     branch search or the repeated-spectrum resolution."""
@@ -525,9 +490,11 @@ def _decide(A, det, problem, cfg, allow_perturb) -> _Decision:
         eigen = numkit.eig(A, cfg)
     except IllConditioned:
         eigen = None
+    accept = _log_acceptor(A, problem.intensity, cfg)
     if eigen is None or eigen.is_repeated(cfg):
-        return _repeated_spectrum_verdict(A, eigen, problem, cfg, allow_perturb)
-    witness, examined, records, bound = _search(A, eigen, det, problem, cfg)
+        return _repeated_spectrum_verdict(A, eigen, accept, problem, cfg)
+    bound = branch_bound(eigen, det, problem.bound_mode)
+    witness, examined, records = _branch_search(eigen, bound, accept, cfg, problem.intensity)
     if witness is None:
         records.append({"reason": "all_branches_exhausted", "branches": examined})
     verdict = problem.negative if witness is None else problem.positive
@@ -538,7 +505,6 @@ def check_embeddable(
     P,
     cfg: ToleranceConfig = DEFAULT_TOL,
     bound_mode: str = "israel_two_sided",
-    allow_perturb: bool = True,
 ) -> EmbeddabilityReport:
     """Decide whether a stochastic matrix is the exponential of an intensity
     matrix.
@@ -551,9 +517,10 @@ def check_embeddable(
     and the first candidate passing the intensity test is the witness.
     Exhausting them proves non-embeddability when eigenvalues are distinct.
     Repeated eigenvalues are resolved through the principal logarithm, taken
-    from the search's eigenbasis when the spectrum is diagonalizable, when
-    possible; otherwise the verdict after a perturbed exploration is
-    Undetermined, with any perturbed witness attached.
+    from the search's eigenbasis when the spectrum is diagonalizable: it is
+    the witness when it passes, a failing one proves non-embeddability only
+    when it is the sole real logarithm, and otherwise the verdict is
+    Undetermined.
     """
     if bound_mode not in BOUND_MODES:
         raise ValueError(f"unknown bound mode {bound_mode!r}")
@@ -574,28 +541,26 @@ def check_embeddable(
         return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
 
     problem = _Problem(EMBEDDABLE, NOT_EMBEDDABLE, intensity=True, bound_mode=bound_mode)
-    decision = _decide(P, det, problem, cfg, allow_perturb)
+    decision = _decide(P, det, problem, cfg)
     return EmbeddabilityReport(
         verdict=decision.verdict,
         generator=decision.witness,
         branches_examined=decision.examined,
         failed_conditions=decision.records,
-        perturbed=decision.perturbed,
         bound_used=decision.bound,
     )
 
 
-def _divisibility(B, det, cfg, allow_perturb, root_orders) -> DivisibilityReport:
+def _divisibility(B, det, cfg, root_orders) -> DivisibilityReport:
     """The divisibility decision after the checks on the input: the shared
     pipeline on B, then, for a witness Q, the sample roots exp(-Q/n).  A root
     that fails downgrades the verdict to Undetermined and no root is
     reported."""
-    decision = _decide(B, det, _DIVISIBILITY, cfg, allow_perturb)
+    decision = _decide(B, det, _DIVISIBILITY, cfg)
     report = DivisibilityReport(
         verdict=decision.verdict,
         branches_examined=decision.examined,
         failed_conditions=decision.records,
-        perturbed=decision.perturbed,
         bound_used=decision.bound,
     )
     if decision.verdict != STRONGLY_INF_DIVISIBLE:
@@ -622,7 +587,6 @@ def _divisibility(B, det, cfg, allow_perturb, root_orders) -> DivisibilityReport
 def check_strong_inf_divisible(
     B,
     cfg: ToleranceConfig = DEFAULT_TOL,
-    allow_perturb: bool = True,
     root_orders: Tuple[int, ...] = (2, 3, 5),
 ) -> DivisibilityReport:
     """Decide whether a nonnegative matrix has nonnegative roots of every
@@ -634,7 +598,8 @@ def check_strong_inf_divisible(
     input's block triangular form is decided on its slice of that form: Q is
     block upper triangular there, so each trailing block is exp(-Q_t) and
     passed the input's checks already.  Those sub-reports carry no recursion.
-    A witness found on a perturbed copy is not attached.
+    A repeated spectrum is resolved through the principal logarithm alone,
+    as in ``check_embeddable``.
     """
     if not all(isinstance(order, (int, np.integer)) and order >= 1 for order in root_orders):
         raise ValueError("root orders must be positive integers")
@@ -652,14 +617,14 @@ def check_strong_inf_divisible(
     if failed:
         return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
 
-    report = _divisibility(B, det, cfg, allow_perturb, root_orders)
+    report = _divisibility(B, det, cfg, root_orders)
     if report.verdict == STRONGLY_INF_DIVISIBLE:
         # a trailing block passes every check B passed: its diagonal, its
         # diagonal blocks, its trailing determinants (each > entry_tol) and
         # its two-step paths are B's
         for t in range(1, decomp.n_blocks):
             sub = decomp.trailing(t).U
-            report.recursion.append(_divisibility(sub, float(np.linalg.det(sub)), cfg, allow_perturb, root_orders))
+            report.recursion.append(_divisibility(sub, float(np.linalg.det(sub)), cfg, root_orders))
     return report
 
 

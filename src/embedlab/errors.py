@@ -26,10 +26,6 @@ class Overflow(EmbedlabError):
     """Result entries exceed the floating-point range."""
 
 
-class PerturbationFailed(EmbedlabError):
-    """Could not reach distinct eigenvalues within the perturbation budget."""
-
-
 class NotZMatrix(EmbedlabError):
     """Input has an off-diagonal entry above the tolerance."""
 

@@ -1,9 +1,8 @@
 """Dense numerical kernels.
 
 Eigendecomposition with a canonical eigenvalue ordering, matrix exponential,
-branch-parameterized matrix logarithms, primary roots, and pattern-preserving
-perturbation to distinct eigenvalues.  Everything here is a pure function of
-its inputs and safe to call concurrently.
+branch-parameterized matrix logarithms and primary roots.  Everything here is
+a pure function of its inputs and safe to call concurrently.
 """
 
 import warnings
@@ -16,7 +15,6 @@ from .errors import (
     IllConditioned,
     NegativeRealEigenvalue,
     Overflow,
-    PerturbationFailed,
     RepeatedEigenvalues,
     SingularMatrix,
 )
@@ -32,7 +30,6 @@ __all__ = [
     "logm_branch",
     "principal_log",
     "primary_root",
-    "perturb_distinct",
     "as_real",
     "imag_truncation_threshold",
 ]
@@ -45,16 +42,14 @@ class ToleranceConfig:
     entry_tol      entrywise nonnegativity / structural-zero slack
     recon_tol      relative reconstruction tolerance for exp/log round trips
     distinct_tol   eigenvalue-gap floor below which eigenvalues count as repeated
-    perturb_scale  relative size of the perturbation used to split eigenvalues
     """
 
     entry_tol: float = 1e-9
     recon_tol: float = 1e-8
     distinct_tol: float = 1e-7
-    perturb_scale: float = 1e-6
 
     def __post_init__(self):
-        for name in ("entry_tol", "recon_tol", "distinct_tol", "perturb_scale"):
+        for name in ("entry_tol", "recon_tol", "distinct_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
 
@@ -281,60 +276,3 @@ def _min_gap(values) -> float:
         return np.inf
     diff = values[:, None] - values[None, :]
     return float(np.min(np.abs(diff[~np.eye(len(values), dtype=bool)])))
-
-
-def perturb_distinct(A, cfg: ToleranceConfig = DEFAULT_TOL, rng=None, max_attempts: int = 64) -> np.ndarray:
-    """Perturb ``A`` inside its nonzero pattern until eigenvalues are distinct.
-
-    The zero pattern is preserved exactly and the total change is bounded by
-    ``perturb_scale * (1 + ||A||_F)``.  For stochastic inputs each row sum is
-    compensated on the diagonal entry (or the row's largest entry when the
-    diagonal is a structural zero); rows with a single pattern entry cannot be
-    compensated and their sums drift by at most the perturbation scale.
-    Inputs that already have gap >= ``distinct_tol`` are returned unchanged.
-    """
-    from .classify import is_stochastic  # local: classify imports numkit
-
-    A = as_square_matrix(A)
-    n = A.shape[0]
-    if _min_gap(np.linalg.eigvals(A)) >= cfg.distinct_tol:
-        return A.copy()
-    if rng is None:
-        rng = np.random.default_rng(20150806)
-
-    pattern = np.abs(A) > cfg.entry_tol
-    nnz = int(pattern.sum())
-    if nnz == 0:
-        raise PerturbationFailed("zero matrix has no pattern entries to perturb")
-    stochastic = is_stochastic(A, cfg)
-    budget = cfg.perturb_scale * (1.0 + _frob(A))
-    # worst case ||delta||_F <= s * sqrt(nnz + sum_r nnz_r^2), compensation included
-    row_nnz = pattern.sum(axis=1)
-    scale = 0.5 * budget / np.sqrt(nnz + float(np.sum(row_nnz.astype(float) ** 2)))
-
-    # compensation target per row: diagonal if in the pattern, else the row max
-    targets = np.empty(n, dtype=int)
-    for i in range(n):
-        targets[i] = i if pattern[i, i] else int(np.argmax(np.abs(A[i])))
-
-    for _ in range(max_attempts):
-        delta = rng.uniform(-1.0, 1.0, size=(n, n)) * scale
-        delta[~pattern] = 0.0
-        # nonzero entries must stay nonzero: no single step may cross zero
-        np.clip(delta, -np.abs(A) / 2, np.abs(A) / 2, out=delta)
-        if stochastic:
-            for i in range(n):
-                # single-entry rows cannot be compensated without cancelling
-                # the perturbation; their sums drift by at most `scale`
-                if row_nnz[i] > 1:
-                    delta[i, targets[i]] -= delta[i].sum()
-        trial = A + delta
-        if _frob(delta) > budget:
-            continue
-        if not np.array_equal(np.abs(trial) > cfg.entry_tol, pattern):
-            continue
-        if _min_gap(np.linalg.eigvals(trial)) >= cfg.distinct_tol:
-            return trial
-    raise PerturbationFailed(
-        f"no distinct-eigenvalue perturbation found in {max_attempts} attempts"
-    )

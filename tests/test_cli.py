@@ -74,6 +74,8 @@ class TestExitCodes:
             ["embed", path, "--tol", "0"],
             ["embed", path, "--tol", "-1"],
             ["embed", path, "--tol", "inf"],
+            ["embed", path, "--allow-perturb"],
+            ["infdiv", path, "--allow-perturb"],
         ):
             assert cli.run_cli(argv) == 64, argv
             captured = capsys.readouterr()
@@ -197,7 +199,7 @@ class TestReportContract:
 
     def test_round_trip_reproduces_verdict(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", TRANS_A @ TRANS_B)
-        code1, report1 = run(["embed", path, "--allow-perturb"], capsys)
+        code1, report1 = run(["embed", path], capsys)
         code2, report2 = run(list(report1["command"]), capsys)
         assert code1 == code2
         assert report1["result"] == report2["result"]

@@ -357,7 +357,6 @@ class TestCheckEmbeddable:
     def test_identity_embeddable_without_perturbation(self):
         report = embed.check_embeddable(np.eye(4))
         assert report.verdict == embed.EMBEDDABLE
-        assert not report.perturbed
         assert np.array_equal(report.generator, np.zeros((4, 4)))
 
     def test_jordan_block_fixture_not_embeddable(self):
@@ -366,7 +365,6 @@ class TestCheckEmbeddable:
         P = np.array([[0.5, 0.4, 0.1], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
         report = embed.check_embeddable(P)
         assert report.verdict == embed.NOT_EMBEDDABLE
-        assert not report.perturbed
         reasons = {r.get("reason") for r in report.failed_conditions}
         assert "primary_log_is_only_candidate" in reasons
 
@@ -383,17 +381,18 @@ class TestCheckEmbeddable:
         blocked = np.block([[bad, np.zeros((3, 3))], [np.zeros((3, 3)), bad]])
         report = embed.check_embeddable(blocked)
         assert report.verdict == embed.UNDETERMINED
-        assert report.perturbed
         assert len(calls) == 1
         records = [(r["reason"], r.get("branch")) for r in report.failed_conditions]
-        assert records == [("off_diagonal_negative", "principal_primary"), ("perturbed_search_exhausted", None)]
+        assert records == [("off_diagonal_negative", "principal_primary"), ("repeated_eigenvalues", None)]
 
-    def test_perturbation_can_be_disabled(self):
+    def test_repeated_spectrum_spectral_passes(self, monkeypatch):
+        # _decide's eig, then the eigenvalues of principal_log's precondition
+        # and of _primary_log_is_only_real_log, and one rank of a cluster
         bad = TRANS_B @ TRANS_A
         blocked = np.block([[bad, np.zeros((3, 3))], [np.zeros((3, 3)), bad]])
-        report = embed.check_embeddable(blocked, allow_perturb=False)
-        assert report.verdict == embed.UNDETERMINED
-        assert not report.perturbed
+        counts = {name: count_calls(monkeypatch, np.linalg, name) for name in ("eig", "eigvals", "matrix_rank")}
+        embed.check_embeddable(blocked)
+        assert {name: len(calls) for name, calls in counts.items()} == {"eig": 1, "eigvals": 2, "matrix_rank": 1}
 
     def test_two_state_grid_matches_determinant_criterion(self):
         for i in range(1, 20, 3):
@@ -469,7 +468,6 @@ class TestCheckStrongInfDivisible:
         )
         report = embed.check_strong_inf_divisible(SCALED_TRIANGLE)
         assert report.verdict == embed.NOT_STRONGLY_INF_DIVISIBLE
-        assert not report.perturbed
 
     def test_nonconvex_two_state_pair(self):
         for A in (NONCONVEX_2X2, NONCONVEX_2X2.T):
@@ -602,20 +600,15 @@ class TestCheckStrongInfDivisible:
         assert examined == 3
         assert len(calls) == 3
 
-    def test_repeated_spectrum_takes_the_perturbed_path(self, monkeypatch):
+    def test_repeated_spectrum_ends_at_the_principal_log(self, monkeypatch):
         calls = count_calls(monkeypatch, numkit, "principal_log")
         bad = TRANS_B @ TRANS_A
         B = np.block([[bad, np.zeros((3, 3))], [np.zeros((3, 3)), bad]])
         report = embed.check_strong_inf_divisible(B)
         assert report.verdict == embed.UNDETERMINED
-        assert report.perturbed
-        assert report.failed_conditions[0]["branch"] == "principal_primary"
-        assert report.failed_conditions[-1]["reason"] == "perturbed_search_exhausted"
-        report = embed.check_strong_inf_divisible(B, allow_perturb=False)
-        assert report.verdict == embed.UNDETERMINED
-        assert not report.perturbed
-        assert "repeated_eigenvalues" in {r["reason"] for r in report.failed_conditions}
-        assert len(calls) == 2
+        records = [(r["reason"], r.get("branch")) for r in report.failed_conditions]
+        assert records == [("off_diagonal_negative", "principal_primary"), ("repeated_eigenvalues", None)]
+        assert len(calls) == 1
 
 
 def scipy_accepts(P, L, intensity):
@@ -647,7 +640,6 @@ class TestRepeatedSpectrum:
             for report, L, intensity in ((gen, gen.generator, True), (div, -div.z_matrix, False)):
                 assert report.bound_used is None
                 assert report.failed_conditions == []
-                assert not report.perturbed
                 assert scipy_accepts(P, L, intensity)
         assert calls == []
 

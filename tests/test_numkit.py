@@ -6,7 +6,6 @@ from embedlab.errors import (
     IllConditioned,
     NegativeRealEigenvalue,
     Overflow,
-    PerturbationFailed,
     RepeatedEigenvalues,
     SingularMatrix,
 )
@@ -14,7 +13,6 @@ from helpers import (
     EXP_GEN_A,
     GEN_A,
     GEN_B,
-    SCALED_TRIANGLE,
     min_eig_gap,
     random_intensity,
     random_inverse_m,
@@ -29,9 +27,8 @@ class TestToleranceConfig:
         assert CFG.entry_tol == 1e-9
         assert CFG.recon_tol == 1e-8
         assert CFG.distinct_tol == 1e-7
-        assert CFG.perturb_scale == 1e-6
 
-    @pytest.mark.parametrize("name", ["entry_tol", "recon_tol", "distinct_tol", "perturb_scale"])
+    @pytest.mark.parametrize("name", ["entry_tol", "recon_tol", "distinct_tol"])
     def test_positivity_enforced(self, name):
         with pytest.raises(ValueError):
             numkit.ToleranceConfig(**{name: 0.0})
@@ -207,38 +204,6 @@ class TestPrimaryRoot:
             order = (2, 3, 5, 7)[k % 4]
             R = numkit.primary_root(B, order)
             assert numkit.relative_residual(np.linalg.matrix_power(R, order), B) <= 1e-7
-
-
-class TestPerturbDistinct:
-    def test_distinct_input_unchanged(self):
-        A = np.diag([1.0, 2.0, 3.0])
-        assert np.array_equal(numkit.perturb_distinct(A), A)
-
-    def test_identity_two_by_two(self):
-        A = numkit.perturb_distinct(np.eye(2))
-        assert np.max(np.abs(A - np.eye(2))) <= 1e-6
-        assert min_eig_gap(A) >= CFG.distinct_tol
-
-    def test_triangular_fixture_pattern_preserved(self):
-        A = numkit.perturb_distinct(SCALED_TRIANGLE)
-        assert np.array_equal(
-            np.abs(A) > CFG.entry_tol, np.abs(SCALED_TRIANGLE) > CFG.entry_tol
-        )
-        assert len(set(np.round(np.diag(A), 12))) == 3
-        assert min_eig_gap(A) >= CFG.distinct_tol
-
-    def test_stochastic_rows_compensated(self):
-        # repeated eigenvalues, every row with at least two pattern entries
-        P = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
-        assert min_eig_gap(P) < CFG.distinct_tol
-        A = numkit.perturb_distinct(P)
-        assert np.max(np.abs(A.sum(axis=1) - 1.0)) <= 3 * CFG.entry_tol
-        assert min_eig_gap(A) >= CFG.distinct_tol
-        assert np.max(np.abs(A - P)) <= 1e-6 * (1 + np.linalg.norm(P))
-
-    def test_zero_matrix_fails(self):
-        with pytest.raises(PerturbationFailed):
-            numkit.perturb_distinct(np.zeros((2, 2)))
 
 
 class TestAsReal:
