@@ -107,8 +107,7 @@ def _build_parser() -> _Parser:
     )
     p = add("root", "primary nth root")
     p.add_argument("--n", type=_positive_int, required=True, help="root order")
-    p = add("embed", "embeddability verdict")
-    p.add_argument("--bound", choices=["israel", "paper"], default="israel")
+    add("embed", "embeddability verdict")
     p = add("infdiv", "strong infinite divisibility verdict")
     p.add_argument(
         "--roots", type=_positive_ints, default="2,3,5", help="comma-separated root orders to demonstrate"
@@ -213,8 +212,7 @@ def _run_command(args, M, cfg):
         return {"matrix": numkit.primary_root(M, args.n, cfg)}, EXIT_POSITIVE
 
     if args.command == "embed":
-        mode = "israel_two_sided" if args.bound == "israel" else "paper_one_sided"
-        report = embed.check_embeddable(M, cfg, bound_mode=mode)
+        report = embed.check_embeddable(M, cfg)
         code = {
             embed.EMBEDDABLE: EXIT_POSITIVE,
             embed.NOT_EMBEDDABLE: EXIT_NEGATIVE,

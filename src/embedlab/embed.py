@@ -10,9 +10,9 @@ ill-conditioned spectrum, the principal logarithm alone.  A diagonalizable
 repeated spectrum is resolved from the eigenbasis the search already holds,
 V Log(Lambda) V^-1, and a positive found that way passes the acceptance test
 of every search hit; negatives on that path still rest on scipy's principal
-logarithm, and what it leaves open is Undetermined.  A small ``_Problem``
-record holds what differs: the intensity test (zero row sums and the
-Runnenberg cone), the branch window and the verdict names.
+logarithm, and what it leaves open is Undetermined.  A ``_Problem``
+constant per question holds what differs: the intensity test (zero row
+sums, Runnenberg cone), the one complete window and the verdict names.
 The trailing blocks of a divisible reducible input are decided on slices of
 its Frobenius form, with no second validation, gate, form or necessary
 conditions; their sub-reports carry no recursion.
@@ -160,9 +160,15 @@ def _offset_window(arg: float, lo: float, hi: float) -> range:
 def branch_bound(E: Eigendecomposition, det: float, mode: str) -> BranchBound:
     """Imaginary-part window for the eigenvalues of a candidate generator.
 
-    israel_two_sided    |Im log lam| <= |log det|
-    paper_one_sided     log det <= Im log lam <= 0
+    israel_two_sided    |Im log lam| <= |log det|  (Israel, Rosenthal & Wei 2001)
+    paper_one_sided     log det <= Im log lam <= 0  (the paper's window)
     perron_radius       |Im log lam| <= n*r + t,  r = log rho, t = -log det
+
+    Israel's window is complete for intensity matrices; embeddability searches
+    it.  The one-sided window is not: a conjugate pair takes offsets (k, -k),
+    whose logarithms cannot both lie in it, so it misses every generator with
+    a complex eigenvalue.  No decision searches it; it is kept only for the
+    raw tuple count of acceptance criterion 3.
 
     The Perron radius is complete for any real logarithm L with nonnegative
     off-diagonal entries, so its exhaustion is a proof.  Such an L has a real
@@ -391,9 +397,9 @@ class _Problem:
     """What tells the two questions apart.  Embeddability asks for an
     ``intensity`` matrix, so it requires zero row sums and prunes with the
     Runnenberg cone; divisibility asks only for nonnegative off-diagonal
-    entries.  Each searches the one window of its ``bound_mode``:
-    embeddability the Israel or paper window, divisibility the Perron radius
-    from the spectrum, which is complete (see ``branch_bound``)."""
+    entries.  Each searches one complete window, so an exhausted search is a
+    proof (see ``branch_bound``): embeddability Israel's, divisibility the
+    Perron radius from the spectrum."""
 
     positive: str
     negative: str
@@ -401,6 +407,7 @@ class _Problem:
     bound_mode: str
 
 
+_EMBEDDABILITY = _Problem(EMBEDDABLE, NOT_EMBEDDABLE, intensity=True, bound_mode="israel_two_sided")
 _DIVISIBILITY = _Problem(
     STRONGLY_INF_DIVISIBLE, NOT_STRONGLY_INF_DIVISIBLE, intensity=False, bound_mode="perron_radius"
 )
@@ -501,18 +508,14 @@ def _decide(A, det, problem, cfg) -> _Decision:
     return _Decision(verdict, witness, records, examined, bound=bound)
 
 
-def check_embeddable(
-    P,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-    bound_mode: str = "israel_two_sided",
-) -> EmbeddabilityReport:
+def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityReport:
     """Decide whether a stochastic matrix is the exponential of an intensity
     matrix.
 
     A positive determinant and the structural necessary conditions are
     required outright.  With distinct eigenvalues a simple negative real
     eigenvalue rules out any real logarithm (Culver 1966); otherwise only the
-    real branch selections within the chosen bound are enumerated, each
+    real branch selections within Israel's window are enumerated, each
     eigenvalue pruned by the angular cone admissible for generator spectra,
     and the first candidate passing the intensity test is the witness.
     Exhausting them proves non-embeddability when eigenvalues are distinct.
@@ -522,8 +525,6 @@ def check_embeddable(
     when it is the sole real logarithm, and otherwise the verdict is
     Undetermined.
     """
-    if bound_mode not in BOUND_MODES:
-        raise ValueError(f"unknown bound mode {bound_mode!r}")
     P = as_square_matrix(P)
     if not is_stochastic(P, cfg):
         raise NotStochastic("input is not row-stochastic within tolerance")
@@ -540,8 +541,7 @@ def check_embeddable(
     if failed:
         return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
 
-    problem = _Problem(EMBEDDABLE, NOT_EMBEDDABLE, intensity=True, bound_mode=bound_mode)
-    decision = _decide(P, det, problem, cfg)
+    decision = _decide(P, det, _EMBEDDABILITY, cfg)
     return EmbeddabilityReport(
         verdict=decision.verdict,
         generator=decision.witness,

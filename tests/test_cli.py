@@ -76,6 +76,8 @@ class TestExitCodes:
             ["embed", path, "--tol", "inf"],
             ["embed", path, "--allow-perturb"],
             ["infdiv", path, "--allow-perturb"],
+            ["embed", path, "--bound", "paper"],
+            ["embed", path, "--bound", "israel"],
         ):
             assert cli.run_cli(argv) == 64, argv
             captured = capsys.readouterr()
@@ -179,12 +181,6 @@ class TestCommands:
         assert report["result"]["divisibility"]["verdict"] == "StronglyInfDivisible"
         code, report = run(["infdiv", bad, "--roots", "2,3"], capsys)
         assert code == 1
-
-    def test_embed_bound_flag(self, tmp_path, capsys):
-        path = write_json(tmp_path / "p.json", np.array([[0.9, 0.1], [0.2, 0.8]]))
-        code, report = run(["embed", path, "--bound", "paper"], capsys)
-        assert code == 0
-        assert report["result"]["embeddability"]["bound_used"]["mode"] == "paper_one_sided"
 
 
 class TestReportContract:

@@ -348,11 +348,12 @@ class TestCheckEmbeddable:
             embed.check_embeddable(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_unknown_bound_mode_is_rejected_up_front(self):
-        # neither input reaches branch_bound: the identity takes the
-        # repeated-spectrum path, the other fails zero_pattern_transitive
-        for P in (np.eye(3), np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])):
+        # the mode is checked before the determinant, so a singular one
+        # does not mask the error
+        eigen = numkit.eig(TRANS_A)
+        for det in (float(np.linalg.det(TRANS_A)), 0.0):
             with pytest.raises(ValueError, match="unknown bound mode"):
-                embed.check_embeddable(P, bound_mode="bogus")
+                embed.branch_bound(eigen, det, "bogus")
 
     def test_identity_embeddable_without_perturbation(self):
         report = embed.check_embeddable(np.eye(4))
@@ -431,33 +432,26 @@ class TestCheckEmbeddable:
                 == embed.check_embeddable(L @ P @ L.T).verdict
             )
 
-    def test_one_sided_mode_agrees_on_real_spectra(self):
-        for P in (TRANS_B @ TRANS_A, TRANS_A @ TRANS_B, np.array([[0.9, 0.1], [0.2, 0.8]])):
-            assert (
-                embed.check_embeddable(P, bound_mode="paper_one_sided").verdict
-                == embed.check_embeddable(P, bound_mode="israel_two_sided").verdict
-            )
-
     def test_perron_radius_mode_matches_israel_on_stochastic_inputs(self):
         # rho = 1 for a stochastic input, so the two windows coincide
         for P in (np.array([[0.9, 0.1], [0.2, 0.8]]), TRANS_A, TRANS_A @ TRANS_B, TRANS_B @ TRANS_A):
-            israel = embed.check_embeddable(P, bound_mode="israel_two_sided")
-            perron = embed.check_embeddable(P, bound_mode="perron_radius")
-            assert perron.verdict == israel.verdict
-            assert np.array_equal(perron.generator, israel.generator)
-            assert perron.branches_examined == israel.branches_examined
-            assert perron.bound_used.per_eigenvalue_counts == israel.bound_used.per_eigenvalue_counts
+            eigen, det = numkit.eig(P), float(np.linalg.det(P))
+            israel = embed.branch_bound(eigen, det, "israel_two_sided")
+            perron = embed.branch_bound(eigen, det, "perron_radius")
+            assert perron.im_high == pytest.approx(israel.im_high, rel=1e-12)
+            assert perron.per_eigenvalue_counts == israel.per_eigenvalue_counts
 
     def test_one_sided_mode_documented_discrepancy(self):
-        # the one-sided window cuts away branches with positive imaginary
-        # part, so a generator with such a spectrum is missed
+        # a conjugate pair takes offsets (k, -k), so its two logarithms never
+        # both lie in the one-sided window: it holds no candidate for this
+        # circulant, which is why no decision searches it
         R = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
         P = numkit.expm(R)
-        assert embed.check_embeddable(P, bound_mode="israel_two_sided").verdict == embed.EMBEDDABLE
-        assert (
-            embed.check_embeddable(P, bound_mode="paper_one_sided").verdict
-            == embed.NOT_EMBEDDABLE
-        )
+        report = embed.check_embeddable(P)
+        assert report.verdict == embed.EMBEDDABLE
+        assert numkit.relative_residual(numkit.expm(report.generator), P) <= CFG.recon_tol
+        det = float(np.linalg.det(P))
+        assert embed.branch_bound(numkit.eig(P), det, "paper_one_sided").candidate_count == 0
 
 
 class TestCheckStrongInfDivisible:
