@@ -13,9 +13,9 @@ of every search hit; negatives on that path still rest on scipy's principal
 logarithm, and what it leaves open is Undetermined.  A ``_Problem``
 constant per question holds what differs: the intensity test (zero row
 sums, Runnenberg cone), the one complete window and the verdict names.
-The trailing blocks of a divisible reducible input are decided on slices of
-its Frobenius form, with no second validation, gate, form or necessary
-conditions; their sub-reports carry no recursion.
+Trailing blocks of a divisible reducible input are not decided again: their
+sub-reports are slices of the parent's witness and roots, one reconstruction
+check each, with ``bound_used`` None and ``branches_examined`` 0.
 
 Only real branch selections are built: with distinct eigenvalues a
 logarithm is real exactly when each real eigenvalue is positive and keeps
@@ -551,11 +551,42 @@ def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityRepo
     )
 
 
-def _divisibility(B, det, cfg, root_orders) -> DivisibilityReport:
-    """The divisibility decision after the checks on the input: the shared
-    pipeline on B, then, for a witness Q, the sample roots exp(-Q/n).  A root
-    that fails downgrades the verdict to Undetermined and no root is
-    reported."""
+def check_strong_inf_divisible(
+    B,
+    cfg: ToleranceConfig = DEFAULT_TOL,
+    root_orders: Tuple[int, ...] = (2, 3, 5),
+) -> DivisibilityReport:
+    """Decide whether a nonnegative matrix has nonnegative roots of every
+    order together with a positive determinant.
+
+    A witness is a real matrix Q with nonpositive off-diagonal entries and
+    exp(-Q) equal to the input; sample roots exp(-Q/n) are demonstrated for
+    ``root_orders``, and a failing root makes the verdict Undetermined.  A
+    repeated spectrum is resolved through the principal logarithm alone, as
+    in ``check_embeddable``.  With a witness, -Q's pattern lies inside the
+    input's, so Q and its roots are block upper triangular in the input's
+    Frobenius form and each trailing block is exp(-Q_t) of its slice.  Its
+    sub-report holds Q_t and the sliced roots once one reconstruction check
+    passes, and is Undetermined with that check's record otherwise; no
+    search runs for it, so ``bound_used`` is None and ``branches_examined``
+    0, and it carries no recursion.
+    """
+    if not all(isinstance(order, (int, np.integer)) and order >= 1 for order in root_orders):
+        raise ValueError("root orders must be positive integers")
+    B = as_square_matrix(B)
+    if not is_nonnegative(B, cfg):
+        raise NotNonnegative("input has an entry below -entry_tol")
+
+    det = float(np.linalg.det(B))
+    if det <= cfg.entry_tol:
+        failed = [{"reason": "determinant_not_positive", "value": det}]
+        return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
+
+    decomp = structure.frobenius_form(B, cfg)
+    failed = _failed_necessary_conditions(B, cfg, decomp)
+    if failed:
+        return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
+
     decision = _decide(B, det, _DIVISIBILITY, cfg)
     report = DivisibilityReport(
         verdict=decision.verdict,
@@ -581,50 +612,16 @@ def _divisibility(B, det, cfg, root_orders) -> DivisibilityReport:
             return report
         roots.append((order, root))
     report.roots_demonstrated = roots
-    return report
 
-
-def check_strong_inf_divisible(
-    B,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-    root_orders: Tuple[int, ...] = (2, 3, 5),
-) -> DivisibilityReport:
-    """Decide whether a nonnegative matrix has nonnegative roots of every
-    order together with a positive determinant.
-
-    A witness is a real matrix Q with nonpositive off-diagonal entries and
-    exp(-Q) equal to the input; sample roots exp(-Q/n) are demonstrated for
-    ``root_orders``.  With a witness, each trailing submatrix of a reducible
-    input's block triangular form is decided on its slice of that form: Q is
-    block upper triangular there, so each trailing block is exp(-Q_t) and
-    passed the input's checks already.  Those sub-reports carry no recursion.
-    A repeated spectrum is resolved through the principal logarithm alone,
-    as in ``check_embeddable``.
-    """
-    if not all(isinstance(order, (int, np.integer)) and order >= 1 for order in root_orders):
-        raise ValueError("root orders must be positive integers")
-    B = as_square_matrix(B)
-    if not is_nonnegative(B, cfg):
-        raise NotNonnegative("input has an entry below -entry_tol")
-
-    det = float(np.linalg.det(B))
-    if det <= cfg.entry_tol:
-        failed = [{"reason": "determinant_not_positive", "value": det}]
-        return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
-
-    decomp = structure.frobenius_form(B, cfg)
-    failed = _failed_necessary_conditions(B, cfg, decomp)
-    if failed:
-        return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
-
-    report = _divisibility(B, det, cfg, root_orders)
-    if report.verdict == STRONGLY_INF_DIVISIBLE:
-        # a trailing block passes every check B passed: its diagonal, its
-        # diagonal blocks, its trailing determinants (each > entry_tol) and
-        # its two-step paths are B's
-        for t in range(1, decomp.n_blocks):
-            sub = decomp.trailing(t).U
-            report.recursion.append(_divisibility(sub, float(np.linalg.det(sub)), cfg, root_orders))
+    for offset in itertools.accumulate(decomp.block_sizes[:-1]):
+        tail = np.ix_(decomp.permutation[offset:], decomp.permutation[offset:])
+        ok, failure = _log_acceptor(decomp.U[offset:, offset:], False, cfg)(-Q[tail])
+        if ok:
+            sliced = [(order, root[tail]) for order, root in roots]
+            sub = DivisibilityReport(STRONGLY_INF_DIVISIBLE, Q[tail], sliced)
+        else:
+            sub = DivisibilityReport(UNDETERMINED, failed_conditions=[failure])
+        report.recursion.append(sub)
     return report
 
 

@@ -493,6 +493,8 @@ class TestCheckStrongInfDivisible:
         assert all(not r.recursion for r in report.recursion)
 
     def test_trailing_sub_reports_match_standalone_decisions(self):
+        # each sub-report is sliced from the parent's witness and roots and
+        # agrees with deciding its block alone; no search runs for it
         rng = np.random.default_rng(39)
         draws = [numkit.expm(-block_triangular_z(rng, sizes)) for sizes in ((1, 3), (2, 2, 1), (3, 1, 2))]
         for B in [DIVISIBLE_TRIANGLE, TRANS_A] + draws:
@@ -501,10 +503,52 @@ class TestCheckStrongInfDivisible:
             decomp = structure.frobenius_form(B)
             assert len(report.recursion) == decomp.n_blocks - 1 >= 1
             for t, sub in enumerate(report.recursion, start=1):
-                alone = embed.check_strong_inf_divisible(structure.trailing_submatrix(decomp, t))
+                block = structure.trailing_submatrix(decomp, t)
+                alone = embed.check_strong_inf_divisible(block)
+                assert sub.verdict == alone.verdict
+                assert np.max(np.abs(sub.z_matrix - alone.z_matrix)) <= 1e-12
+                assert [order for order, _ in sub.roots_demonstrated] == [order for order, _ in alone.roots_demonstrated]
+                for (_, root), (_, root_alone) in zip(sub.roots_demonstrated, alone.roots_demonstrated):
+                    assert np.max(np.abs(root - root_alone)) <= 1e-12
+                assert sub.bound_used is None
+                assert sub.branches_examined == 0
+                assert sub.failed_conditions == []
                 assert not sub.recursion
-                alone.recursion = []
-                assert report_bits(sub) == report_bits(alone)
+                recon = scipy.linalg.expm(-sub.z_matrix)
+                assert np.linalg.norm(recon - block) <= CFG.recon_tol * np.linalg.norm(block)
+
+    def test_trailing_blocks_cost_no_second_decision(self, monkeypatch):
+        # three 1x1 blocks: the only determinants are the gate's and the
+        # trailing conditions', and each block costs one expm
+        B = np.triu(np.full((3, 3), 0.3)) + np.diag([0.4, 0.5, 0.6])
+        dets = count_calls(monkeypatch, np.linalg, "det")
+        eigs = count_calls(monkeypatch, numkit, "eig")
+        expms = count_calls(monkeypatch, numkit, "expm")
+        report = embed.check_strong_inf_divisible(B)
+        assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
+        assert len(report.recursion) == 2
+        assert [M.shape for (M,) in dets] == [(3, 3), (2, 2), (1, 1)]
+        assert len(eigs) == 1
+        # the acceptance test and three roots, then one check per block
+        assert len(expms) == 4 + 2
+
+    def test_trailing_slice_failing_its_check_is_undetermined(self, monkeypatch):
+        expected = embed.check_strong_inf_divisible(TRANS_A)
+        residual = numkit.relative_residual
+        # only the trailing blocks, smaller than the input, fail to reconstruct
+        monkeypatch.setattr(
+            numkit, "relative_residual", lambda approx, target: 1.0 if len(target) < 3 else residual(approx, target)
+        )
+        report = embed.check_strong_inf_divisible(TRANS_A)
+        assert len(report.recursion) == 2
+        for sub in report.recursion:
+            assert sub.verdict == embed.UNDETERMINED
+            assert sub.failed_conditions == [{"reason": "reconstruction_failure", "value": 1.0}]
+            assert sub.z_matrix is None
+            assert sub.roots_demonstrated == []
+        assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
+        assert report_bits(report.z_matrix) == report_bits(expected.z_matrix)
+        assert report_bits(report.roots_demonstrated) == report_bits(expected.roots_demonstrated)
 
     def test_necessary_conditions_run_once_per_decision(self, monkeypatch):
         # a trailing block passes every condition its parent passed
@@ -587,12 +631,13 @@ class TestCheckStrongInfDivisible:
         assert report.failed_conditions[-1]["reason"] == "all_branches_exhausted"
 
     def test_principal_log_built_once_per_branch(self, monkeypatch):
-        # one logm_branch per examined branch, the trailing sub-reports included
+        # one logm_branch per examined branch; the trailing sub-reports are
+        # sliced from the witness and examine none
         calls = count_calls(monkeypatch, numkit, "logm_branch")
         report = embed.check_strong_inf_divisible(TRANS_A)
         examined = report.branches_examined + sum(r.branches_examined for r in report.recursion)
-        assert examined == 3
-        assert len(calls) == 3
+        assert examined == 1
+        assert len(calls) == 1
 
     def test_repeated_spectrum_ends_at_the_principal_log(self, monkeypatch):
         calls = count_calls(monkeypatch, numkit, "principal_log")

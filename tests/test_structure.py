@@ -143,7 +143,7 @@ class TestFrobeniusFormCalls:
     def test_trailing_recursion_reuses_the_form(self, calls):
         report = embed.check_strong_inf_divisible(DIVISIBLE_TRIANGLE)
         assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
-        # the trailing blocks are decided on slices of the input's form
+        # the trailing sub-reports are slices of the witness in the input's form
         assert len(report.recursion) == 2
         assert len(calls) == 1
 
