@@ -157,24 +157,28 @@ def _tolerances(args) -> ToleranceConfig:
     return ToleranceConfig(entry_tol=entry_tol)
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """What ``json`` cannot encode itself: arrays (complex ones as real and
+    imaginary parts), numpy scalars, dataclasses field by field, and the repr
+    of anything else."""
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
             return {"real": obj.real.tolist(), "imag": obj.imag.tolist()}
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if obj is None or isinstance(obj, (str, int, float)):
-        return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     return repr(obj)
+
+
+_VERDICT_EXIT_CODES = {
+    embed.EMBEDDABLE: EXIT_POSITIVE,
+    embed.STRONGLY_INF_DIVISIBLE: EXIT_POSITIVE,
+    embed.NOT_EMBEDDABLE: EXIT_NEGATIVE,
+    embed.NOT_STRONGLY_INF_DIVISIBLE: EXIT_NEGATIVE,
+    embed.UNDETERMINED: EXIT_UNDETERMINED,
+}
 
 
 def _run_command(args, M, cfg):
@@ -213,21 +217,11 @@ def _run_command(args, M, cfg):
 
     if args.command == "embed":
         report = embed.check_embeddable(M, cfg)
-        code = {
-            embed.EMBEDDABLE: EXIT_POSITIVE,
-            embed.NOT_EMBEDDABLE: EXIT_NEGATIVE,
-            embed.UNDETERMINED: EXIT_UNDETERMINED,
-        }[report.verdict]
-        return {"embeddability": report}, code
+        return {"embeddability": report}, _VERDICT_EXIT_CODES[report.verdict]
 
     if args.command == "infdiv":
         report = embed.check_strong_inf_divisible(M, cfg, root_orders=tuple(args.roots))
-        code = {
-            embed.STRONGLY_INF_DIVISIBLE: EXIT_POSITIVE,
-            embed.NOT_STRONGLY_INF_DIVISIBLE: EXIT_NEGATIVE,
-            embed.UNDETERMINED: EXIT_UNDETERMINED,
-        }[report.verdict]
-        return {"divisibility": report}, code
+        return {"divisibility": report}, _VERDICT_EXIT_CODES[report.verdict]
 
     raise _UsageError(f"unknown command {args.command!r}")
 
@@ -235,9 +229,9 @@ def _run_command(args, M, cfg):
 def _summary_line(payload, code):
     for key in ("embeddability", "divisibility"):
         if key in payload:
-            return f"verdict: {payload[key]['verdict']}"
+            return f"verdict: {payload[key].verdict}"
     if "necessary_conditions" in payload:
-        passed = payload["necessary_conditions"]["passed"]
+        passed = payload["necessary_conditions"].passed
         return f"necessary conditions: {'pass' if passed else 'fail'}"
     if "error" in payload:
         return f"error: {payload['error']}"
@@ -273,16 +267,15 @@ def run_cli(argv) -> int:
 
     report = {
         "command": list(argv),
-        "tolerances": _jsonable(cfg),
+        "tolerances": cfg,
         "input": {"n": int(M.shape[0]), "rows": M.tolist()},
-        "result": _jsonable(payload),
+        "result": payload,
         "version": __version__,
         "duration_s": time.perf_counter() - started,
     }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2, default=_json_default) + "\n")
     if sys.stderr.isatty():
-        print(_summary_line(report["result"], code), file=sys.stderr)
+        print(_summary_line(payload, code), file=sys.stderr)
     return code
 
 

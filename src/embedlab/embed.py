@@ -3,19 +3,20 @@
 Both questions ask for a real logarithm L of the input with nonnegative
 off-diagonal entries: a stochastic P is embeddable when such an L also has
 zero row sums, and a nonnegative B is strongly infinitely divisible with the
-Z-matrix Q = -L.  So one pipeline, ``_decide``, answers both after each
-public entry's determinant gate and structural necessary conditions: the
-eigendecomposition, then either the branch search or, for a repeated or
-ill-conditioned spectrum, the principal logarithm alone.  A diagonalizable
-repeated spectrum is resolved from the eigenbasis the search already holds,
-V Log(Lambda) V^-1, and a positive found that way passes the acceptance test
-of every search hit; negatives on that path still rest on scipy's principal
-logarithm, and what it leaves open is Undetermined.  A ``_Problem``
-constant per question holds what differs: the intensity test (zero row
-sums, Runnenberg cone), the one complete window and the verdict names.
-Trailing blocks of a divisible reducible input are not decided again: their
-sub-reports are slices of the parent's witness and roots, one reconstruction
-check each, with ``bound_used`` None and ``branches_examined`` 0.
+Z-matrix Q = -L.  So one pipeline, ``_decide``, answers both.  Each public
+entry validates its input and applies its own determinant gate; ``_decide``
+then runs the structural necessary conditions, the eigendecomposition, and
+either the branch search or, for a repeated or ill-conditioned spectrum, the
+principal logarithm alone.  A diagonalizable repeated spectrum is resolved
+from the eigenbasis the search already holds, V Log(Lambda) V^-1, and a
+positive found that way passes the acceptance test of every search hit;
+negatives on that path still rest on scipy's principal logarithm, and what
+it leaves open is Undetermined.  A ``_Problem`` constant per question holds
+what differs: the intensity test (zero row sums, Runnenberg cone), the one
+complete window and the verdict names.  Trailing blocks of a divisible
+reducible input are not decided again: their sub-reports are slices of the
+parent's witness and roots, one reconstruction check each, with
+``bound_used`` None and ``branches_examined`` 0.
 
 Only real branch selections are built: with distinct eigenvalues a
 logarithm is real exactly when each real eigenvalue is positive and keeps
@@ -413,17 +414,6 @@ _DIVISIBILITY = _Problem(
 )
 
 
-@dataclass
-class _Decision:
-    """Verdict of the shared pipeline with what a report needs of it."""
-
-    verdict: str
-    witness: Optional[np.ndarray] = None
-    records: List[dict] = field(default_factory=list)
-    examined: int = 0
-    bound: Optional[BranchBound] = None
-
-
 def _eigenbasis_principal_log(eigen, cfg) -> Optional[np.ndarray]:
     """The real principal logarithm V Log(Lambda) V^-1 of ``eigen``; None
     without an eigenbasis, with an eigenvalue zero or on the closed negative
@@ -437,10 +427,10 @@ def _eigenbasis_principal_log(eigen, cfg) -> Optional[np.ndarray]:
     return numkit.as_real(numkit.logm_branch(eigen, BranchSelection.principal(eigen.n), cfg), cfg)
 
 
-def _repeated_spectrum_verdict(A, eigen, accept, problem, cfg) -> _Decision:
-    """Resolve a repeated or ill-conditioned spectrum; ``eigen`` is A's
-    eigendecomposition, None when eig found the input defective, and
-    ``accept`` the problem's acceptance test.
+def _repeated_spectrum_verdict(A, eigen, accept, problem, cfg):
+    """Resolve a repeated or ill-conditioned spectrum into (verdict, witness,
+    records); ``eigen`` is A's eigendecomposition, None when eig found the
+    input defective, and ``accept`` the problem's acceptance test.
 
     A diagonalizable repeated spectrum is first resolved from that eigenbasis:
     the principal logarithm is a primary function, so any eigenbasis gives it
@@ -455,7 +445,7 @@ def _repeated_spectrum_verdict(A, eigen, accept, problem, cfg) -> _Decision:
     """
     witness = _eigenbasis_principal_log(eigen, cfg)
     if witness is not None and accept(witness)[0]:
-        return _Decision(problem.positive, witness)
+        return problem.positive, witness, []
 
     records: List[dict] = []
     principal = None
@@ -467,45 +457,43 @@ def _repeated_spectrum_verdict(A, eigen, accept, problem, cfg) -> _Decision:
     if principal is not None:
         ok, failure = accept(principal)
         if ok:
-            return _Decision(problem.positive, principal, records)
+            return problem.positive, principal, records
         failure["branch"] = "principal_primary"
         records.append(failure)
         if _primary_log_is_only_real_log(A, cfg):
             records.append({"reason": "primary_log_is_only_candidate"})
-            return _Decision(problem.negative, records=records)
+            return problem.negative, None, records
 
     detail = "non-principal real logarithms of a repeated spectrum are not enumerated"
     records.append({"reason": "repeated_eigenvalues", "detail": detail})
-    return _Decision(UNDETERMINED, records=records)
+    return UNDETERMINED, None, records
 
 
-def _failed_necessary_conditions(A, cfg, decomposition=None) -> List[dict]:
-    """One record per violated structural necessary condition, none when
-    they all hold; ``decomposition`` as in ``structure.necessary_conditions``."""
-    nc = structure.necessary_conditions(A, cfg, decomposition=decomposition)
-    return [
-        {"reason": "necessary_condition", "condition": name, "location": location}
-        for name, location in nc.violations
-    ]
-
-
-def _decide(A, det, problem, cfg) -> _Decision:
-    """The pipeline both questions share, after the determinant gate and the
-    structural necessary conditions: the eigendecomposition, then either the
-    branch search or the repeated-spectrum resolution."""
+def _decide(A, det, problem, cfg, decomposition=None):
+    """The decision both questions share: the structural necessary
+    conditions (``decomposition`` as in ``structure.necessary_conditions``),
+    the eigendecomposition, then either the branch search or the
+    repeated-spectrum resolution.  The determinant gates differ between the
+    questions and stay in the public entries, which call this after them.
+    Returns (verdict, witness, records, examined, bound)."""
+    conditions = structure.necessary_conditions(A, cfg, decomposition=decomposition)
+    if conditions.violations:
+        records = [{"reason": "necessary_condition", "condition": name, "location": location}
+                   for name, location in conditions.violations]
+        return problem.negative, None, records, 0, None
     try:
         eigen = numkit.eig(A, cfg)
     except IllConditioned:
         eigen = None
     accept = _log_acceptor(A, problem.intensity, cfg)
     if eigen is None or eigen.is_repeated(cfg):
-        return _repeated_spectrum_verdict(A, eigen, accept, problem, cfg)
+        return *_repeated_spectrum_verdict(A, eigen, accept, problem, cfg), 0, None
     bound = branch_bound(eigen, det, problem.bound_mode)
     witness, examined, records = _branch_search(eigen, bound, accept, cfg, problem.intensity)
     if witness is None:
         records.append({"reason": "all_branches_exhausted", "branches": examined})
     verdict = problem.negative if witness is None else problem.positive
-    return _Decision(verdict, witness, records, examined, bound=bound)
+    return verdict, witness, records, examined, bound
 
 
 def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityReport:
@@ -537,18 +525,8 @@ def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityRepo
         failed = [{"reason": "determinant_negative", "value": det}]
         return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
 
-    failed = _failed_necessary_conditions(P, cfg)
-    if failed:
-        return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
-
-    decision = _decide(P, det, _EMBEDDABILITY, cfg)
-    return EmbeddabilityReport(
-        verdict=decision.verdict,
-        generator=decision.witness,
-        branches_examined=decision.examined,
-        failed_conditions=decision.records,
-        bound_used=decision.bound,
-    )
+    verdict, generator, records, examined, bound = _decide(P, det, _EMBEDDABILITY, cfg)
+    return EmbeddabilityReport(verdict, generator, examined, records, bound)
 
 
 def check_strong_inf_divisible(
@@ -583,21 +561,13 @@ def check_strong_inf_divisible(
         return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
 
     decomp = structure.frobenius_form(B, cfg)
-    failed = _failed_necessary_conditions(B, cfg, decomp)
-    if failed:
-        return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
-
-    decision = _decide(B, det, _DIVISIBILITY, cfg)
-    report = DivisibilityReport(
-        verdict=decision.verdict,
-        branches_examined=decision.examined,
-        failed_conditions=decision.records,
-        bound_used=decision.bound,
-    )
-    if decision.verdict != STRONGLY_INF_DIVISIBLE:
+    verdict, witness, records, examined, bound = _decide(B, det, _DIVISIBILITY, cfg, decomp)
+    report = DivisibilityReport(verdict, branches_examined=examined, failed_conditions=records,
+                                bound_used=bound)
+    if verdict != STRONGLY_INF_DIVISIBLE:
         return report
 
-    Q = report.z_matrix = -decision.witness
+    Q = report.z_matrix = -witness
     roots: List[Tuple[int, np.ndarray]] = []
     for order in root_orders:
         root = numkit.expm(-Q / order)

@@ -1,8 +1,10 @@
 """Dense numerical kernels.
 
 Eigendecomposition with a canonical eigenvalue ordering, matrix exponential,
-branch-parameterized matrix logarithms and primary roots.  Everything here is
-a pure function of its inputs and safe to call concurrently.
+branch-parameterized matrix logarithms and primary roots, all pure functions
+of their inputs.  ``principal_log`` (so ``primary_root``) seeds numpy's global
+random generator for scipy's logm and then restores it, so no other thread
+may use that generator meanwhile.
 """
 
 import warnings
@@ -222,13 +224,21 @@ def _check_log_preconditions(lam, cfg):
 
 def principal_log(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Primary principal logarithm of a real matrix with no eigenvalue on the
-    closed negative real axis.  Valid for repeated eigenvalues as well."""
+    closed negative real axis.  Valid for repeated eigenvalues as well.
+    scipy's logm draws from numpy's global random generator (``onenormest``):
+    it runs with that generator seeded with 0, so the result does not depend
+    on the caller's random state, which is restored afterwards."""
     A = as_square_matrix(A)
     _check_log_preconditions(np.linalg.eigvals(A), cfg)
-    with warnings.catch_warnings():
-        # accuracy is re-verified by every caller through reconstruction
-        warnings.filterwarnings("ignore", message="logm result may be inaccurate")
-        L = scipy.linalg.logm(A)
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        with warnings.catch_warnings():
+            # accuracy is re-verified by every caller through reconstruction
+            warnings.filterwarnings("ignore", message="logm result may be inaccurate")
+            L = scipy.linalg.logm(A)
+    finally:
+        np.random.set_state(state)
     if np.iscomplexobj(L):
         R = as_real(L, cfg)
         if R is None:

@@ -67,16 +67,6 @@ class StructureDecomposition:
         inverse[self.permutation] = np.arange(len(self.permutation))
         return self.U[np.ix_(inverse, inverse)]
 
-    def trailing(self, t: int) -> "StructureDecomposition":
-        """``frobenius_form`` of U without its first ``t`` blocks: the
-        components are blocks t, t+1, ..., and as later blocks never reach
-        earlier ones they stay in place, so the permutation is the identity."""
-        if not 0 <= t <= self.n_blocks:
-            raise OutOfRange(f"block index {t} outside [0, {self.n_blocks}]")
-        offset = int(sum(self.block_sizes[:t]))
-        U = self.U[offset:, offset:].copy()
-        return StructureDecomposition(np.arange(len(U)), self.block_sizes[t:], U, self.diagonal_blocks[t:])
-
 
 def frobenius_form(B, cfg: ToleranceConfig = DEFAULT_TOL) -> StructureDecomposition:
     """Condense the zero-pattern digraph into strongly connected components
@@ -106,9 +96,14 @@ def frobenius_form(B, cfg: ToleranceConfig = DEFAULT_TOL) -> StructureDecomposit
 
 
 def trailing_submatrix(D: StructureDecomposition, n: int) -> np.ndarray:
-    """Square submatrix of U after deleting the first ``n`` diagonal blocks
-    from the top rows and left columns.  ``n = 0`` returns U itself."""
-    return D.trailing(n).U
+    """Copy of the square submatrix of U after deleting the first ``n``
+    diagonal blocks from the top rows and left columns; ``n = 0`` gives all
+    of U.  Later blocks never reach earlier ones, so its Frobenius form keeps
+    blocks n, n+1, ... in place."""
+    if not 0 <= n <= D.n_blocks:
+        raise OutOfRange(f"block index {n} outside [0, {D.n_blocks}]")
+    offset = int(sum(D.block_sizes[:n]))
+    return D.U[offset:, offset:].copy()
 
 
 def zero_pattern_invariance(

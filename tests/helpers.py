@@ -119,3 +119,9 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def global_random_state():
+    """numpy's legacy global random state, comparable with ``==``."""
+    kind, keys, pos, has_gauss, cached_gaussian = np.random.get_state()
+    return kind, keys.tobytes(), pos, has_gauss, cached_gaussian

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -181,6 +182,27 @@ class TestCommands:
         assert report["result"]["divisibility"]["verdict"] == "StronglyInfDivisible"
         code, report = run(["infdiv", bad, "--roots", "2,3"], capsys)
         assert code == 1
+
+    def test_summary_line_on_a_terminal(self, tmp_path, monkeypatch):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        chain = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+        runs = [
+            (["embed", TRANS_A @ TRANS_B], "verdict: Embeddable"),
+            (["infdiv", TRANS_A], "verdict: StronglyInfDivisible"),
+            (["structure", chain], "necessary conditions: fail"),
+            (["logm", TRANS_A, "--branch", "0,1,0"], "error: ComplexCandidate"),
+            (["root", np.array([[0.0, 1.0], [1.0, 0.0]]), "--n", "2"], "error: NegativeRealEigenvalue"),
+            (["expm", GEN_A], "done (exit 0)"),
+        ]
+        for k, (argv, summary) in enumerate(runs):
+            terminal = Terminal()
+            monkeypatch.setattr(sys, "stderr", terminal)
+            path = write_json(tmp_path / f"m{k}.json", argv[1])
+            cli.run_cli([argv[0], path] + argv[2:])
+            assert terminal.getvalue() == summary + "\n"
 
 
 class TestReportContract:

@@ -550,11 +550,19 @@ class TestCheckStrongInfDivisible:
         assert report_bits(report.z_matrix) == report_bits(expected.z_matrix)
         assert report_bits(report.roots_demonstrated) == report_bits(expected.roots_demonstrated)
 
-    def test_necessary_conditions_run_once_per_decision(self, monkeypatch):
-        # a trailing block passes every condition its parent passed
+    @pytest.mark.parametrize(
+        "decide, matrix, verdict",
+        [
+            (embed.check_embeddable, TRANS_A, embed.EMBEDDABLE),
+            (embed.check_strong_inf_divisible, DIVISIBLE_TRIANGLE, embed.STRONGLY_INF_DIVISIBLE),
+        ],
+        ids=["embeddability", "divisibility"],
+    )
+    def test_necessary_conditions_run_once_per_decision(self, decide, matrix, verdict, monkeypatch):
+        # three 1x1 blocks; a trailing block passes every condition its
+        # parent passed
         calls = count_calls(monkeypatch, structure, "necessary_conditions")
-        report = embed.check_strong_inf_divisible(DIVISIBLE_TRIANGLE)
-        assert len(report.recursion) == 2
+        assert decide(matrix).verdict == verdict
         assert len(calls) == 1
 
     def test_determinant_must_be_positive(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from embedlab import numkit
+from embedlab import embed, numkit
 from embedlab.errors import (
     IllConditioned,
     NegativeRealEigenvalue,
@@ -13,9 +13,11 @@ from helpers import (
     EXP_GEN_A,
     GEN_A,
     GEN_B,
+    global_random_state,
     min_eig_gap,
     random_intensity,
     random_inverse_m,
+    random_sparse_intensity,
     random_stochastic,
 )
 
@@ -204,6 +206,36 @@ class TestPrimaryRoot:
             order = (2, 3, 5, 7)[k % 4]
             R = numkit.primary_root(B, order)
             assert numkit.relative_residual(np.linalg.matrix_power(R, order), B) <= 1e-7
+
+
+class TestGlobalRandomState:
+    """scipy's logm estimates norms with draws from numpy's global generator."""
+
+    def test_callers_state_is_left_as_it_was(self):
+        bad = numkit.expm(GEN_B) @ numkit.expm(GEN_A)
+        blocked = np.block([[bad, np.zeros((3, 3))], [np.zeros((3, 3)), bad]])
+        calls = [
+            lambda: embed.check_embeddable(blocked),
+            lambda: embed.check_strong_inf_divisible(blocked),
+            lambda: numkit.primary_root(numkit.expm(GEN_A), 2),
+        ]
+        for call in calls:
+            before = global_random_state()
+            call()
+            assert global_random_state() == before
+
+    def test_log_does_not_depend_on_the_global_seed(self):
+        # scipy's logm of this chain differs in its last bits under seeds 0 and 1
+        P = numkit.expm(random_sparse_intensity(np.random.default_rng(11), 8))
+        saved = np.random.get_state()
+        try:
+            logs = []
+            for seed in (0, 1):
+                np.random.seed(seed)
+                logs.append(numkit.principal_log(P).tobytes())
+        finally:
+            np.random.set_state(saved)
+        assert logs[0] == logs[1]
 
 
 class TestAsReal:

@@ -88,14 +88,18 @@ def reference_frobenius(B):
 
 
 def assert_trailing_forms_are_fresh_forms(d):
-    """``d.trailing(t)`` equals the form computed from scratch on the
-    trailing submatrix, field by field and bit for bit."""
+    """The form computed from scratch on each trailing submatrix keeps the
+    remaining blocks of ``d`` in place, bit for bit: identity permutation,
+    ``d``'s block sizes from t on, U equal to the submatrix and ``d``'s
+    diagonal blocks from t on.  Slicing the trailing blocks of a divisible
+    input in the parent's form relies on this."""
     for t in range(d.n_blocks):
-        tail = d.trailing(t)
-        fresh = structure.frobenius_form(structure.trailing_submatrix(d, t))
-        assert tail.block_sizes == fresh.block_sizes
-        pairs = [(tail.permutation, fresh.permutation), (tail.U, fresh.U)]
-        for a, b in pairs + list(zip(tail.diagonal_blocks, fresh.diagonal_blocks, strict=True)):
+        sub = structure.trailing_submatrix(d, t)
+        fresh = structure.frobenius_form(sub)
+        assert np.array_equal(fresh.permutation, np.arange(len(sub)))
+        assert fresh.block_sizes == d.block_sizes[t:]
+        pairs = [(fresh.U, sub)] + list(zip(fresh.diagonal_blocks, d.diagonal_blocks[t:], strict=True))
+        for a, b in pairs:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -147,8 +151,17 @@ class TestFrobeniusFormCalls:
         assert len(report.recursion) == 2
         assert len(calls) == 1
 
-    def test_embeddability(self, calls):
-        assert embed.check_embeddable(EXP_GEN_A).verdict == embed.EMBEDDABLE
+    @pytest.mark.parametrize(
+        "P, verdict",
+        [
+            (EXP_GEN_A, embed.EMBEDDABLE),
+            # a path 0 -> 1 -> 2 into the structural zero (0, 2)
+            (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]), embed.NOT_EMBEDDABLE),
+        ],
+        ids=["searched", "necessary_condition"],
+    )
+    def test_embeddability(self, calls, P, verdict):
+        assert embed.check_embeddable(P).verdict == verdict
         assert len(calls) == 1
 
 
@@ -171,7 +184,7 @@ class TestTrailingSubmatrix:
 
     def test_trailing_form_of_fixture(self):
         d = structure.frobenius_form(EXP_GEN_A)
-        assert d.trailing(1).block_sizes == [1, 1]
+        assert structure.frobenius_form(structure.trailing_submatrix(d, 1)).block_sizes == [1, 1]
         assert_trailing_forms_are_fresh_forms(d)
 
     def test_out_of_range(self):
