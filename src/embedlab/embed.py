@@ -18,12 +18,13 @@ reducible input are not decided again: their sub-reports are slices of the
 parent's witness and roots, one reconstruction check each, with
 ``bound_used`` None and ``branches_examined`` 0.
 
-Only real branch selections are built: with distinct eigenvalues a
-logarithm is real exactly when each real eigenvalue is positive and keeps
-offset 0 and each conjugate pair takes offsets (k, -k) (Culver 1966, On the
-existence and uniqueness of the real logarithm of a matrix), so the cost
-follows the number of real candidates rather than the raw product of
-per-eigenvalue windows.  Branch candidates are independent pure
+Each bound, the cone included, is a window of branch offsets per
+eigenvalue (``branch_bound``).  Only real branch selections are built: with
+distinct eigenvalues a logarithm is real exactly when each real eigenvalue
+is positive and keeps offset 0 and each conjugate pair takes offsets
+(k, -k) (Culver 1966, On the existence and uniqueness of the real logarithm
+of a matrix), so the cost follows the number of real candidates rather than
+the raw product of the windows.  Branch candidates are independent pure
 computations; enumeration order is deterministic (principal branch first,
 then lexicographic over offsets sorted by absolute value), so the reported
 witness is always the most principal admissible one.  Inverse-M power forms
@@ -45,6 +46,7 @@ from .errors import (
     NotNonnegative,
     NotStochastic,
     OffDiagonalZeros,
+    Overflow,
     RepeatedEigenvalues,
     SearchExhausted,
     SingularDeterminant,
@@ -164,6 +166,11 @@ def branch_bound(E: Eigendecomposition, det: float, mode: str) -> BranchBound:
     israel_two_sided    |Im log lam| <= |log det|  (Israel, Rosenthal & Wei 2001)
     paper_one_sided     log det <= Im log lam <= 0  (the paper's window)
     perron_radius       |Im log lam| <= n*r + t,  r = log rho, t = -log det
+    (cone)              |Im log lam| <= -log|lam| cot(pi/n)  (Runnenberg 1962)
+
+    The cone (``_cone_window``) holds intensity-matrix spectra only, so it
+    prunes only the embeddability search and ``bound_used`` does not count
+    it.  A det that is not a finite float raises Overflow.
 
     Israel's window is complete for intensity matrices; embeddability searches
     it.  The one-sided window is not: a conjugate pair takes offsets (k, -k),
@@ -188,12 +195,13 @@ def branch_bound(E: Eigendecomposition, det: float, mode: str) -> BranchBound:
     """
     if mode not in BOUND_MODES:
         raise ValueError(f"unknown bound mode {mode!r}")
+    if not math.isfinite(det):
+        raise Overflow("the determinant is not a finite float")
     if not det > 0:
         raise SingularDeterminant("branch bounds need det > 0")
     log_det = math.log(det)
     if mode == "israel_two_sided":
-        radius = abs(log_det)
-        lo, hi = -radius, radius
+        lo, hi = -abs(log_det), abs(log_det)
     elif mode == "paper_one_sided":
         lo, hi = min(log_det, 0.0), max(log_det, 0.0)
     else:
@@ -219,41 +227,31 @@ def _offset_windows(E: Eigendecomposition, lo: float, hi: float) -> List[range]:
     return [range(1)] + [_offset_window(arg, lo, hi) for arg in args[1:]]
 
 
-def _in_runnenberg_cone(mu: np.ndarray, n: int, slack: float = 1e-9) -> np.ndarray:
-    """Which entries of ``mu`` lie in the angular cone admissible for the
-    eigenvalues of an n-state generator (Runnenberg 1962):
-    arg in [pi*(1/2 + 1/n), pi*(3/2 - 1/n)], zero admitted."""
-    phi = np.angle(mu)
-    phi = np.where(phi < 0, phi + _TWO_PI, phi)
-    lo = math.pi * (0.5 + 1.0 / n) - slack
-    hi = math.pi * (1.5 - 1.0 / n) + slack
-    return (np.abs(mu) <= slack) | ((lo <= phi) & (phi <= hi))
+def _cone_window(lam: complex, n: int, slack: float = 1e-9) -> range:
+    """Offsets k that put mu = log lam + 2*pi*i*k in Runnenberg's (1962) cone
+    of n-state generator eigenvalues, arg mu in [pi(1/2 + 1/n), pi(3/2 - 1/n)],
+    with ``slack`` on the angle and |mu| <= slack admitted.  Re mu = log|lam|
+    does not depend on k, so that is |Im mu| <= -log|lam| * cot(pi/n)."""
+    re = math.log(abs(lam))
+    if re > slack:
+        return range(0)
+    radius = max(-re * math.tan(math.pi * (0.5 - 1.0 / n) + slack),
+                 math.sqrt(max(slack * slack - re * re, 0.0)))
+    return _offset_window(math.atan2(lam.imag, lam.real), -radius, radius)
 
 
-def _real_blocks(
-    E: Eigendecomposition, windows: List[range], runnenberg: bool = False
-) -> List[List[Tuple[int, ...]]]:
+def _real_blocks(E: Eigendecomposition, windows: List[range]) -> List[List[Tuple[int, ...]]]:
     """Offsets that keep the logarithm real, per real eigenvalue and per
     conjugate pair in the canonical order.
 
     With distinct eigenvalues every logarithm is primary, and it is real
     exactly when each real eigenvalue is positive and keeps offset 0 and each
     conjugate pair takes offsets (k, -k) (Culver 1966).  Each offset must lie
-    in its own eigenvalue's window and, with ``runnenberg``, put that
-    eigenvalue's logarithm inside the generator cone.  Pair offsets are
-    sorted principal first, so the product of the blocks runs in the
-    lexicographic order of the full offset tuples.
+    in its own eigenvalue's window.  Pair offsets are sorted principal first,
+    so the product of the blocks runs in the lexicographic order of the full
+    offset tuples.
     """
     lam = E.eigenvalues.tolist()
-    if runnenberg:
-        js = [j for j, window in enumerate(windows) for _ in window]
-        ks = [k for window in windows for k in window]
-        mu = np.log(E.eigenvalues)[js] + 2j * np.pi * np.asarray(ks)
-        windows = [set() for _ in windows]
-        for j, k, inside in zip(js, ks, _in_runnenberg_cone(mu, len(lam)).tolist()):
-            if inside:
-                windows[j].add(k)
-
     blocks: List[List[Tuple[int, ...]]] = []
     j = 0
     while j < len(lam):
@@ -273,15 +271,12 @@ def _real_blocks(
 
 
 def _candidate_stream(
-    E: Eigendecomposition,
-    bound: BranchBound,
-    cfg: ToleranceConfig,
-    runnenberg: bool = False,
+    E: Eigendecomposition, windows: List[range], cfg: ToleranceConfig
 ) -> Iterator[Tuple[BranchSelection, Optional[np.ndarray]]]:
-    """Real branch selections in lexicographic order with their assembled
-    logarithm, or None when its imaginary residue is not negligible."""
-    blocks = _real_blocks(E, _offset_windows(E, bound.im_low, bound.im_high), runnenberg)
-    for picks in itertools.product(*blocks):
+    """Real branch selections within ``windows`` in lexicographic order with
+    their assembled logarithm, or None when its imaginary residue is not
+    negligible."""
+    for picks in itertools.product(*_real_blocks(E, windows)):
         sel = BranchSelection(offsets=tuple(itertools.chain.from_iterable(picks)))
         yield sel, numkit.as_real(numkit.logm_branch(E, sel, cfg), cfg)
 
@@ -312,7 +307,7 @@ def enumerate_generators(
         raise RepeatedEigenvalues(
             "branch enumeration needs distinct eigenvalues (or a real positive spectrum)"
         )
-    for sel, real in _candidate_stream(E, bound, cfg):
+    for sel, real in _candidate_stream(E, _offset_windows(E, bound.im_low, bound.im_high), cfg):
         if real is not None:
             yield sel, real
 
@@ -355,15 +350,15 @@ def _log_acceptor(target: np.ndarray, require_row_sums: bool, cfg: ToleranceConf
     return accept
 
 
-def _branch_search(E, bound, accept, cfg, runnenberg):
-    """Scan the real branch selections; return the first accepted log."""
+def _branch_search(E, windows, accept, cfg):
+    """Scan the real branch selections in ``windows``; return the first accepted log."""
     negative = [z.real for z in E.eigenvalues.tolist() if z.imag == 0 and z.real < 0]
     if negative:
         # a simple negative real eigenvalue admits no real logarithm (Culver 1966)
         return None, 0, [{"reason": "negative_real_eigenvalue", "value": negative[0]}]
     examined = 0
     records: List[dict] = []
-    for sel, real in _candidate_stream(E, bound, cfg, runnenberg=runnenberg):
+    for sel, real in _candidate_stream(E, windows, cfg):
         examined += 1
         if real is None:
             records.append({"branch": sel.offsets, "reason": "complex_candidate"})
@@ -376,11 +371,11 @@ def _branch_search(E, bound, accept, cfg, runnenberg):
     return None, examined, records
 
 
-def _primary_log_is_only_real_log(A: np.ndarray, cfg: ToleranceConfig) -> bool:
+def _primary_log_is_only_real_log(A: np.ndarray, eigen, cfg: ToleranceConfig) -> bool:
     """True when every real logarithm of A must be the principal primary one:
     all eigenvalues real positive and each repeated eigenvalue confined to a
     single Jordan block (geometric multiplicity one)."""
-    lam = np.linalg.eigvals(A)
+    lam = np.linalg.eigvals(A) if eigen is None else eigen.eigenvalues
     if np.any(np.abs(lam.imag) > cfg.distinct_tol) or np.any(lam.real <= cfg.entry_tol):
         return False
     n = A.shape[0]
@@ -460,7 +455,7 @@ def _repeated_spectrum_verdict(A, eigen, accept, problem, cfg):
             return problem.positive, principal, records
         failure["branch"] = "principal_primary"
         records.append(failure)
-        if _primary_log_is_only_real_log(A, cfg):
+        if _primary_log_is_only_real_log(A, eigen, cfg):
             records.append({"reason": "primary_log_is_only_candidate"})
             return problem.negative, None, records
 
@@ -489,7 +484,11 @@ def _decide(A, det, problem, cfg, decomposition=None):
     if eigen is None or eigen.is_repeated(cfg):
         return *_repeated_spectrum_verdict(A, eigen, accept, problem, cfg), 0, None
     bound = branch_bound(eigen, det, problem.bound_mode)
-    witness, examined, records = _branch_search(eigen, bound, accept, cfg, problem.intensity)
+    windows = _offset_windows(eigen, bound.im_low, bound.im_high)
+    if problem.intensity:
+        cones = [_cone_window(lam, eigen.n) for lam in eigen.eigenvalues.tolist()]
+        windows = [range(max(w.start, c.start), min(w.stop, c.stop)) for w, c in zip(windows, cones)]
+    witness, examined, records = _branch_search(eigen, windows, accept, cfg)
     if witness is None:
         records.append({"reason": "all_branches_exhausted", "branches": examined})
     verdict = problem.negative if witness is None else problem.positive
@@ -655,9 +654,9 @@ def im_root_approx(
 
     Requires exp(generator) to reconstruct P and every off-diagonal entry of
     the generator to be strictly positive; without that the construction can
-    fail outright.  Doubles the root order from ``n`` until the primary root
-    of P^-1 passes the M-matrix test, demonstrating that the matching root of
-    P lies in the inverse-M class.
+    fail outright.  Doubles the root order m from ``n`` until exp(L/m), with L
+    the principal logarithm of P^-1 taken once, passes the M-matrix test,
+    demonstrating that the matching root of P lies in the inverse-M class.
     """
     P = as_square_matrix(P)
     G = as_square_matrix(generator)
@@ -669,13 +668,12 @@ def im_root_approx(
         raise ValueError("exp(generator) does not reconstruct the matrix")
     off = _offdiag(G)
     if off.size == 0 or np.min(off) <= cfg.entry_tol:
-        raise OffDiagonalZeros(
-            "generator off-diagonal entries must be strictly positive"
-        )
+        raise OffDiagonalZeros("generator off-diagonal entries must be strictly positive")
     Pinv = np.linalg.inv(P)
     order = int(n)
+    L = numkit.principal_log(Pinv, cfg) if order <= n_max else None
     while order <= n_max:
-        W = numkit.primary_root(Pinv, order, cfg)
+        W = Pinv if order == 1 else numkit.expm(L / order)
         if is_z_matrix(W, cfg) and is_nonnegative(np.linalg.inv(W), cfg):
             return W
         order *= 2

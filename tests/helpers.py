@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import scipy.linalg
 
 # Two upper triangular intensity matrices whose exponentials are the standing
 # regression fixtures: TRANS_B @ TRANS_A is not embeddable while
@@ -83,6 +84,16 @@ def wrapped_circulant(rng, n):
     C = np.roll(np.eye(n), 1, axis=1)
     mix = rng.uniform(0.1, 1.0)
     return rate * (C - np.eye(n)) + mix * (np.full((n, n), 1.0 / n) - np.eye(n))
+
+
+def scaled_dense_exp_z(c):
+    """c * exp(-Q) for a fixed dense 8-state Z-matrix Q: divisible for every
+    c > 0, and its determinant overflows a float from c of about 1e41."""
+    rng = np.random.default_rng(3)
+    Q = -rng.uniform(0.1, 1.0, (8, 8))
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1) + 0.5)
+    return c * scipy.linalg.expm(-Q)
 
 
 def random_m_matrix(rng, n, margin=0.1):

@@ -6,9 +6,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from embedlab import cli, numkit, structure
-from helpers import GEN_A, GEN_B, count_calls
+from helpers import GEN_A, GEN_B, count_calls, scaled_dense_exp_z
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_STRUCTURE = Path(__file__).parent / "data" / "cli_structure_golden.jsonl"
@@ -182,6 +183,14 @@ class TestCommands:
         assert report["result"]["divisibility"]["verdict"] == "StronglyInfDivisible"
         code, report = run(["infdiv", bad, "--roots", "2,3"], capsys)
         assert code == 1
+
+    def test_overflowing_determinant_is_two(self, tmp_path, capsys):
+        path = write_json(tmp_path / "big.json", scaled_dense_exp_z(1e45))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, report = run(["infdiv", path], capsys)
+        assert code == 2
+        assert report["result"]["error"] == "Overflow"
+        assert report["result"]["verdict"] == "Undetermined"
 
     def test_summary_line_on_a_terminal(self, tmp_path, monkeypatch):
         class Terminal(io.StringIO):

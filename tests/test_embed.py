@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -10,6 +11,8 @@ from embedlab.errors import (
     NotNonnegative,
     NotStochastic,
     OffDiagonalZeros,
+    Overflow,
+    SearchExhausted,
     SingularDeterminant,
     SingularMatrix,
 )
@@ -25,8 +28,10 @@ from helpers import (
     random_intensity,
     random_permutation_matrix,
     random_shifted_z,
+    random_sparse_intensity,
     random_stochastic,
     random_z_matrix,
+    scaled_dense_exp_z,
     wrapped_circulant,
 )
 
@@ -227,13 +232,31 @@ def brute_force_real_selections(eigen, bound, cone):
     return found
 
 
+def cone_windows(eigen, bound):
+    """Each eigenvalue's offset window within ``bound`` cut to the offsets
+    inside the Runnenberg cone, as ``_decide`` hands them to an embeddability
+    search."""
+    windows = embed._offset_windows(eigen, bound.im_low, bound.im_high)
+    cones = [embed._cone_window(lam, eigen.n) for lam in eigen.eigenvalues.tolist()]
+    return [range(max(w.start, c.start), min(w.stop, c.stop)) for w, c in zip(windows, cones)]
+
+
 class TestRealSelectionEnumeration:
-    def inputs(self, seed, count):
+    def inputs(self, seed, count, sizes=(3, 7), kinds=(0, 1)):
+        # kinds in turn: 0 exp of a dense generator, 1 a random chain, 2 a lazy
+        # chain a*I + (1 - a)*S, whose determinant keeps eight states in the cap
         rng = np.random.default_rng(seed)
         done = 0
         while done < count:
-            n = int(rng.integers(3, 7))
-            P = random_stochastic(rng, n) if done % 2 else numkit.expm(random_intensity(rng, n))
+            n = int(rng.integers(*sizes))
+            kind = kinds[done % len(kinds)]
+            if kind == 0:
+                P = numkit.expm(random_intensity(rng, n))
+            else:
+                P = random_stochastic(rng, n)
+                if kind == 2:
+                    a = rng.uniform(0.25, 0.6)
+                    P = a * np.eye(n) + (1 - a) * P
             det = float(np.linalg.det(P))
             if det <= 1e-12 or min_eig_gap(P) < CFG.distinct_tol:
                 continue
@@ -244,7 +267,9 @@ class TestRealSelectionEnumeration:
             yield eigen, det
 
     def test_matches_brute_force_product(self):
-        for eigen, det in self.inputs(40, 60):
+        streams = [self.inputs(40, 60), self.inputs(42, 60, sizes=(2, 9), kinds=(0, 1, 2)),
+                   self.inputs(43, 12, sizes=(7, 9), kinds=(2,))]
+        for eigen, det in itertools.chain(*streams):
             for mode in ("israel_two_sided", "paper_one_sided"):
                 bound = embed.branch_bound(eigen, det, mode)
                 reference = brute_force_real_selections(eigen, bound, cone=False)
@@ -255,7 +280,7 @@ class TestRealSelectionEnumeration:
                     assert np.array_equal(got, want)
                 pruned = [
                     (s.offsets, real)
-                    for s, real in embed._candidate_stream(eigen, bound, CFG, runnenberg=True)
+                    for s, real in embed._candidate_stream(eigen, cone_windows(eigen, bound), CFG)
                 ]
                 reference = brute_force_real_selections(eigen, bound, cone=True)
                 assert [c for c, _ in pruned] == [c for c, _ in reference]
@@ -264,22 +289,24 @@ class TestRealSelectionEnumeration:
 
     def test_true_generator_survives_pruning(self):
         rng = np.random.default_rng(41)
-        done = 0
-        while done < 100:
-            n = int(rng.integers(3, 7))
-            R = random_intensity(rng, n)
-            P = numkit.expm(R)
-            det = float(np.linalg.det(P))
-            if det < 1e-6 or min_eig_gap(P) < CFG.distinct_tol:
-                continue
-            done += 1
-            eigen = numkit.eig(P)
-            bound = embed.branch_bound(eigen, det, "israel_two_sided")
-            candidates = [
-                real for _, real in embed._candidate_stream(eigen, bound, CFG, runnenberg=True)
-            ]
-            assert any(np.allclose(real, R, atol=1e-7) for real in candidates)
-            assert embed.check_embeddable(P).verdict == embed.EMBEDDABLE
+        # slower dense rates keep det >= 1e-6 up to eight states
+        slow_dense = functools.partial(random_intensity, hi=0.3)
+        draws = [((3, 7), random_intensity, 100), ((2, 9), slow_dense, 60), ((2, 9), random_sparse_intensity, 60)]
+        for sizes, generator, count in draws:
+            done = 0
+            while done < count:
+                n = int(rng.integers(*sizes))
+                R = generator(rng, n)
+                P = numkit.expm(R)
+                det = float(np.linalg.det(P))
+                if det < 1e-6 or min_eig_gap(P) < CFG.distinct_tol:
+                    continue
+                done += 1
+                eigen = numkit.eig(P)
+                bound = embed.branch_bound(eigen, det, "israel_two_sided")
+                stream = embed._candidate_stream(eigen, cone_windows(eigen, bound), CFG)
+                assert any(np.allclose(real, R, atol=1e-7) for _, real in stream)
+                assert embed.check_embeddable(P).verdict == embed.EMBEDDABLE
 
     def test_eight_states_examine_few_branches(self):
         P = random_stochastic(np.random.default_rng(25), 8)
@@ -388,12 +415,12 @@ class TestCheckEmbeddable:
 
     def test_repeated_spectrum_spectral_passes(self, monkeypatch):
         # _decide's eig, then the eigenvalues of principal_log's precondition
-        # and of _primary_log_is_only_real_log, and one rank of a cluster
+        # and one rank of a cluster; _primary_log_is_only_real_log reads eig's
         bad = TRANS_B @ TRANS_A
         blocked = np.block([[bad, np.zeros((3, 3))], [np.zeros((3, 3)), bad]])
         counts = {name: count_calls(monkeypatch, np.linalg, name) for name in ("eig", "eigvals", "matrix_rank")}
         embed.check_embeddable(blocked)
-        assert {name: len(calls) for name, calls in counts.items()} == {"eig": 1, "eigvals": 2, "matrix_rank": 1}
+        assert {name: len(calls) for name, calls in counts.items()} == {"eig": 1, "eigvals": 1, "matrix_rank": 1}
 
     def test_two_state_grid_matches_determinant_criterion(self):
         for i in range(1, 20, 3):
@@ -455,6 +482,12 @@ class TestCheckEmbeddable:
 
 
 class TestCheckStrongInfDivisible:
+    def test_overflowing_determinant_raises_overflow(self):
+        B = scaled_dense_exp_z(1e40)
+        assert embed.check_strong_inf_divisible(B).verdict == embed.STRONGLY_INF_DIVISIBLE
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(Overflow):
+            embed.check_strong_inf_divisible(1e5 * B)
+
     def test_triangular_scaling_counterexample(self):
         assert (
             embed.check_strong_inf_divisible(DIVISIBLE_TRIANGLE).verdict
@@ -754,6 +787,20 @@ class TestImRootApprox:
             embed.im_root_approx(TRANS_A, GEN_A, 1)
         with pytest.raises(OffDiagonalZeros):
             embed.im_root_approx(np.eye(3), np.zeros((3, 3)), 1)
+
+    def test_principal_log_taken_once(self, monkeypatch):
+        # the root of P^-1 is an M-matrix first at order 16: orders 2, 4, 8
+        # and 16 all divide one logarithm
+        R = random_intensity(np.random.default_rng(36), 6, lo=0.05, hi=1.5)
+        P = numkit.expm(R)
+        logs = count_calls(monkeypatch, numkit, "principal_log")
+        W = embed.im_root_approx(P, R, 1)
+        assert len(logs) == 1
+        assert np.array_equal(W, numkit.expm(numkit.principal_log(np.linalg.inv(P)) / 16))
+        del logs[:]
+        with pytest.raises(SearchExhausted):
+            embed.im_root_approx(P, R, 4, n_max=2)
+        assert logs == []
 
     def test_grows_order_until_m_matrix(self):
         rng = np.random.default_rng(36)
