@@ -1,22 +1,23 @@
 """Decision core for embeddability and strong infinite divisibility.
 
 Both questions ask for a real logarithm L of the input with nonnegative
-off-diagonal entries: a stochastic P is embeddable when such an L also has
-zero row sums, and a nonnegative B is strongly infinitely divisible with the
-Z-matrix Q = -L.  So one pipeline, ``_decide``, answers both.  Each public
-entry validates its input and applies its own determinant gate; ``_decide``
-then runs the structural necessary conditions, the eigendecomposition, and
-either the branch search or, for a repeated or ill-conditioned spectrum, the
-principal logarithm alone.  A diagonalizable repeated spectrum is resolved
-from the eigenbasis the search already holds, V Log(Lambda) V^-1, and a
-positive found that way passes the acceptance test of every search hit;
-negatives on that path still rest on scipy's principal logarithm, and what
-it leaves open is Undetermined.  A ``_Problem`` constant per question holds
-what differs: the intensity test (zero row sums, Runnenberg cone), the one
-complete window and the verdict names.  Trailing blocks of a divisible
-reducible input are not decided again: their sub-reports are slices of the
-parent's witness and roots, one reconstruction check each, with
-``bound_used`` None and ``branches_examined`` 0.
+off-diagonal entries: a nonnegative B is strongly infinitely divisible with
+the Z-matrix Q = -L, and a stochastic P is embeddable with the generator L,
+because such an L of a stochastic P has zero row sums (Kingman 1962; the
+proof is in ``branch_bound``).  So one decision, ``_decide``, answers both
+with one acceptance test, one window and one cone; only the verdict names
+differ.  Each public entry validates its input and applies its own
+determinant gate; ``_decide`` then runs the structural necessary
+conditions, the eigendecomposition, and either the branch search or, for a
+repeated or ill-conditioned spectrum, the principal logarithm alone.  A
+diagonalizable repeated spectrum is resolved from the eigenbasis the search
+already holds, V Log(Lambda) V^-1, and a positive found that way passes the
+acceptance test of every search hit; negatives on that path still rest on
+scipy's principal logarithm, and what it leaves open is Undetermined.
+Trailing blocks of a divisible reducible input are not decided again: their
+sub-reports are slices of the parent's witness and roots, one
+reconstruction check each, with ``bound_used`` None and
+``branches_examined`` 0.
 
 Each bound, the cone included, is a window of branch offsets per
 eigenvalue (``branch_bound``).  Only real branch selections are built: with
@@ -166,17 +167,11 @@ def branch_bound(E: Eigendecomposition, det: float, mode: str) -> BranchBound:
     israel_two_sided    |Im log lam| <= |log det|  (Israel, Rosenthal & Wei 2001)
     paper_one_sided     log det <= Im log lam <= 0  (the paper's window)
     perron_radius       |Im log lam| <= n*r + t,  r = log rho, t = -log det
-    (cone)              |Im log lam| <= -log|lam| cot(pi/n)  (Runnenberg 1962)
+    (cone)              |Im log lam| <= (r - log|lam|) cot(pi/n)  (Runnenberg 1962)
 
-    The cone (``_cone_window``) holds intensity-matrix spectra only, so it
-    prunes only the embeddability search and ``bound_used`` does not count
-    it.  A det that is not a finite float raises Overflow.
-
-    Israel's window is complete for intensity matrices; embeddability searches
-    it.  The one-sided window is not: a conjugate pair takes offsets (k, -k),
-    whose logarithms cannot both lie in it, so it misses every generator with
-    a complex eigenvalue.  No decision searches it; it is kept only for the
-    raw tuple count of acceptance criterion 3.
+    Both questions search the Perron radius, each eigenvalue's offsets cut to
+    the cone (``_cone_window``); ``bound_used`` does not count the cut.  A
+    det that is not a finite float raises Overflow.
 
     The Perron radius is complete for any real logarithm L with nonnegative
     off-diagonal entries, so its exhaustion is a proof.  Such an L has a real
@@ -185,7 +180,30 @@ def branch_bound(E: Eigendecomposition, det: float, mode: str) -> BranchBound:
     s + r, so every L_jj <= r; as trace L = -t, s <= t + (n-1)r.  Every
     eigenvalue -a + i*theta of L lies in the disk of radius s + r centred at
     -s, so theta^2 <= (r+a)(2s + r - a) <= (s + r)^2 <= (n*r + t)^2.  For a
-    stochastic input r = 0 and the radius is Israel's |log det|.
+    stochastic input r = 0 and the radius is Israel's |log det|, up to
+    rounding.
+
+    The cone holds for the same L, with its apex at r.  If L is irreducible
+    with right Perron vector x > 0 and D = diag(x), then D^-1 (L - rI) D has
+    nonnegative off-diagonal entries and zero row sums: it is an intensity
+    matrix, so its eigenvalues lie in the cone with apex 0.  A reducible L has
+    the eigenvalues of its irreducible diagonal blocks; a block of m states
+    lies in the narrower m-state cone with apex at its own Perron root, at
+    most r, so inside the n-state cone at r.
+
+    For a stochastic P such an L is an intensity matrix (Kingman 1962), so
+    one search answers both questions.  Here r = 0 and the disk above touches
+    the imaginary axis only at 0, so e^mu = 1 only for mu = 0.  P1 = 1 then
+    puts 1 in L's generalized 0-eigenspace, where L is a nilpotent N, and
+    (e^N - I)1 = N phi(N)1 = 0 with phi(N) = sum N^k/(k+1)! invertible gives
+    L1 = N1 = 0.  A computed witness meets this up to rounding only: its row
+    sums are not tested and carry the rounding error of the computed log.
+
+    Israel's window is complete for intensity matrices.  The one-sided window
+    is not: a conjugate pair takes offsets (k, -k), whose logarithms cannot
+    both lie in it, so it misses every generator with a complex eigenvalue.
+    No decision searches either; both are kept only for the raw tuple count
+    of acceptance criterion 3.
 
     The spectral-radius position always gets exactly one offset (its
     logarithm must stay real).  ``raw_tuple_count`` is the product of the
@@ -227,12 +245,13 @@ def _offset_windows(E: Eigendecomposition, lo: float, hi: float) -> List[range]:
     return [range(1)] + [_offset_window(arg, lo, hi) for arg in args[1:]]
 
 
-def _cone_window(lam: complex, n: int, slack: float = 1e-9) -> range:
+def _cone_window(lam: complex, n: int, apex: float, slack: float = 1e-9) -> range:
     """Offsets k that put mu = log lam + 2*pi*i*k in Runnenberg's (1962) cone
-    of n-state generator eigenvalues, arg mu in [pi(1/2 + 1/n), pi(3/2 - 1/n)],
-    with ``slack`` on the angle and |mu| <= slack admitted.  Re mu = log|lam|
-    does not depend on k, so that is |Im mu| <= -log|lam| * cot(pi/n)."""
-    re = math.log(abs(lam))
+    of n-state generator eigenvalues moved to ``apex``: arg(mu - apex) in
+    [pi(1/2 + 1/n), pi(3/2 - 1/n)], with ``slack`` on the angle and
+    |mu - apex| <= slack admitted.  Re mu = log|lam| does not depend on k, so
+    that is |Im mu| <= (apex - log|lam|) * cot(pi/n)."""
+    re = math.log(abs(lam)) - apex
     if re > slack:
         return range(0)
     radius = max(-re * math.tan(math.pi * (0.5 - 1.0 / n) + slack),
@@ -316,14 +335,13 @@ def _offdiag(M: np.ndarray) -> np.ndarray:
     return M[~np.eye(M.shape[0], dtype=bool)]
 
 
-def _log_acceptor(target: np.ndarray, require_row_sums: bool, cfg: ToleranceConfig):
-    """Acceptance test for a real candidate logarithm L of ``target``.
-
-    Embeddability requires L to be an intensity matrix; plain divisibility
-    only requires -L to be a Z-matrix.  Failures within 10x the slack are
-    marked borderline.
+def _log_acceptor(target: np.ndarray, cfg: ToleranceConfig):
+    """Acceptance test for a real candidate logarithm L of ``target``: L must
+    have nonnegative off-diagonal entries and expm(L) must reconstruct the
+    target.  For a stochastic target such an L is an intensity matrix (see
+    ``branch_bound``), so the one test serves both questions.  An
+    off-diagonal failure within 10x the slack is marked borderline.
     """
-    n = target.shape[0]
 
     def accept(L: np.ndarray):
         off = _offdiag(L)
@@ -334,14 +352,6 @@ def _log_acceptor(target: np.ndarray, require_row_sums: bool, cfg: ToleranceConf
                 "value": min_off,
                 "borderline": min_off >= -10 * cfg.entry_tol,
             }
-        if require_row_sums:
-            worst = float(np.max(np.abs(L.sum(axis=1))))
-            if worst > n * cfg.entry_tol:
-                return False, {
-                    "reason": "row_sum_violation",
-                    "value": worst,
-                    "borderline": worst <= 10 * n * cfg.entry_tol,
-                }
         resid = numkit.relative_residual(numkit.expm(L), target)
         if resid > cfg.recon_tol:
             return False, {"reason": "reconstruction_failure", "value": resid}
@@ -388,27 +398,6 @@ def _primary_log_is_only_real_log(A: np.ndarray, eigen, cfg: ToleranceConfig) ->
     return True
 
 
-@dataclass(frozen=True)
-class _Problem:
-    """What tells the two questions apart.  Embeddability asks for an
-    ``intensity`` matrix, so it requires zero row sums and prunes with the
-    Runnenberg cone; divisibility asks only for nonnegative off-diagonal
-    entries.  Each searches one complete window, so an exhausted search is a
-    proof (see ``branch_bound``): embeddability Israel's, divisibility the
-    Perron radius from the spectrum."""
-
-    positive: str
-    negative: str
-    intensity: bool
-    bound_mode: str
-
-
-_EMBEDDABILITY = _Problem(EMBEDDABLE, NOT_EMBEDDABLE, intensity=True, bound_mode="israel_two_sided")
-_DIVISIBILITY = _Problem(
-    STRONGLY_INF_DIVISIBLE, NOT_STRONGLY_INF_DIVISIBLE, intensity=False, bound_mode="perron_radius"
-)
-
-
 def _eigenbasis_principal_log(eigen, cfg) -> Optional[np.ndarray]:
     """The real principal logarithm V Log(Lambda) V^-1 of ``eigen``; None
     without an eigenbasis, with an eigenvalue zero or on the closed negative
@@ -422,25 +411,27 @@ def _eigenbasis_principal_log(eigen, cfg) -> Optional[np.ndarray]:
     return numkit.as_real(numkit.logm_branch(eigen, BranchSelection.principal(eigen.n), cfg), cfg)
 
 
-def _repeated_spectrum_verdict(A, eigen, accept, problem, cfg):
+def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     """Resolve a repeated or ill-conditioned spectrum into (verdict, witness,
     records); ``eigen`` is A's eigendecomposition, None when eig found the
-    input defective, and ``accept`` the problem's acceptance test.
+    input defective, ``accept`` the acceptance test and ``verdicts`` the
+    question's (positive, negative) verdict names.
 
     A diagonalizable repeated spectrum is first resolved from that eigenbasis:
     the principal logarithm is a primary function, so any eigenbasis gives it
     (Higham, Functions of Matrices, 2008, Def. 1.2).  If the acceptor takes
     it, it is the witness, with the same certificate as any search hit (real,
-    an intensity or Z-matrix, and expm reconstructs A within recon_tol).
+    nonnegative off the diagonal, and expm reconstructs A within recon_tol).
     Otherwise scipy's principal primary logarithm decides, so every failure
     record and every negative rests on it: a passing one certifies a positive
     verdict outright; a failing one is conclusive only when it is the sole
     real-logarithm candidate.  The other real logarithms of a repeated
     spectrum are not enumerated, so anything else is Undetermined.
     """
+    positive, negative = verdicts
     witness = _eigenbasis_principal_log(eigen, cfg)
     if witness is not None and accept(witness)[0]:
-        return problem.positive, witness, []
+        return positive, witness, []
 
     records: List[dict] = []
     principal = None
@@ -452,47 +443,50 @@ def _repeated_spectrum_verdict(A, eigen, accept, problem, cfg):
     if principal is not None:
         ok, failure = accept(principal)
         if ok:
-            return problem.positive, principal, records
+            return positive, principal, records
         failure["branch"] = "principal_primary"
         records.append(failure)
         if _primary_log_is_only_real_log(A, eigen, cfg):
             records.append({"reason": "primary_log_is_only_candidate"})
-            return problem.negative, None, records
+            return negative, None, records
 
     detail = "non-principal real logarithms of a repeated spectrum are not enumerated"
     records.append({"reason": "repeated_eigenvalues", "detail": detail})
     return UNDETERMINED, None, records
 
 
-def _decide(A, det, problem, cfg, decomposition=None):
+def _decide(A, det, verdicts, cfg, decomposition=None):
     """The decision both questions share: the structural necessary
     conditions (``decomposition`` as in ``structure.necessary_conditions``),
-    the eigendecomposition, then either the branch search or the
-    repeated-spectrum resolution.  The determinant gates differ between the
-    questions and stay in the public entries, which call this after them.
-    Returns (verdict, witness, records, examined, bound)."""
+    the eigendecomposition, then either the search of the Perron radius cut
+    to the cone with apex log rho, or the repeated-spectrum resolution.  The
+    determinant gates differ between the questions and stay in the public
+    entries, which call this after them; ``verdicts`` is the question's
+    (positive, negative) pair.  Returns (verdict, witness, records,
+    examined, bound)."""
+    positive, negative = verdicts
     conditions = structure.necessary_conditions(A, cfg, decomposition=decomposition)
     if conditions.violations:
         records = [{"reason": "necessary_condition", "condition": name, "location": location}
                    for name, location in conditions.violations]
-        return problem.negative, None, records, 0, None
+        return negative, None, records, 0, None
     try:
         eigen = numkit.eig(A, cfg)
     except IllConditioned:
         eigen = None
-    accept = _log_acceptor(A, problem.intensity, cfg)
+    accept = _log_acceptor(A, cfg)
     if eigen is None or eigen.is_repeated(cfg):
-        return *_repeated_spectrum_verdict(A, eigen, accept, problem, cfg), 0, None
-    bound = branch_bound(eigen, det, problem.bound_mode)
-    windows = _offset_windows(eigen, bound.im_low, bound.im_high)
-    if problem.intensity:
-        cones = [_cone_window(lam, eigen.n) for lam in eigen.eigenvalues.tolist()]
-        windows = [range(max(w.start, c.start), min(w.stop, c.stop)) for w, c in zip(windows, cones)]
+        return *_repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg), 0, None
+    bound = branch_bound(eigen, det, "perron_radius")
+    lam = eigen.eigenvalues.tolist()
+    apex = math.log(abs(lam[0]))
+    cones = [_cone_window(z, eigen.n, apex) for z in lam]
+    windows = [range(max(w.start, c.start), min(w.stop, c.stop))
+               for w, c in zip(_offset_windows(eigen, bound.im_low, bound.im_high), cones)]
     witness, examined, records = _branch_search(eigen, windows, accept, cfg)
     if witness is None:
         records.append({"reason": "all_branches_exhausted", "branches": examined})
-    verdict = problem.negative if witness is None else problem.positive
-    return verdict, witness, records, examined, bound
+    return (negative if witness is None else positive), witness, records, examined, bound
 
 
 def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityReport:
@@ -500,17 +494,21 @@ def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityRepo
     matrix.
 
     A positive determinant and the structural necessary conditions are
-    required outright.  With distinct eigenvalues a simple negative real
+    required outright.  The rest is the divisibility decision of P (see
+    ``branch_bound``): with distinct eigenvalues a simple negative real
     eigenvalue rules out any real logarithm (Culver 1966); otherwise only the
-    real branch selections within Israel's window are enumerated, each
-    eigenvalue pruned by the angular cone admissible for generator spectra,
-    and the first candidate passing the intensity test is the witness.
-    Exhausting them proves non-embeddability when eigenvalues are distinct.
-    Repeated eigenvalues are resolved through the principal logarithm, taken
-    from the search's eigenbasis when the spectrum is diagonalizable: it is
-    the witness when it passes, a failing one proves non-embeddability only
-    when it is the sole real logarithm, and otherwise the verdict is
-    Undetermined.
+    real branch selections within the Perron radius, which for a stochastic
+    input is Israel's window up to rounding, are enumerated, each eigenvalue
+    pruned by the generator cone, and the first candidate with nonnegative
+    off-diagonal entries that reconstructs P is the witness.  Such a
+    logarithm of a stochastic matrix is an intensity matrix, so the
+    witness's row sums are zero up to rounding; they are not tested.
+    Exhausting the candidates proves non-embeddability when eigenvalues are
+    distinct.  Repeated eigenvalues are resolved through the principal
+    logarithm, taken from the search's eigenbasis when the spectrum is
+    diagonalizable: it is the witness when it passes, a failing one proves
+    non-embeddability only when it is the sole real logarithm, and otherwise
+    the verdict is Undetermined.
     """
     P = as_square_matrix(P)
     if not is_stochastic(P, cfg):
@@ -524,7 +522,7 @@ def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityRepo
         failed = [{"reason": "determinant_negative", "value": det}]
         return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
 
-    verdict, generator, records, examined, bound = _decide(P, det, _EMBEDDABILITY, cfg)
+    verdict, generator, records, examined, bound = _decide(P, det, (EMBEDDABLE, NOT_EMBEDDABLE), cfg)
     return EmbeddabilityReport(verdict, generator, examined, records, bound)
 
 
@@ -560,7 +558,8 @@ def check_strong_inf_divisible(
         return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
 
     decomp = structure.frobenius_form(B, cfg)
-    verdict, witness, records, examined, bound = _decide(B, det, _DIVISIBILITY, cfg, decomp)
+    verdicts = (STRONGLY_INF_DIVISIBLE, NOT_STRONGLY_INF_DIVISIBLE)
+    verdict, witness, records, examined, bound = _decide(B, det, verdicts, cfg, decomp)
     report = DivisibilityReport(verdict, branches_examined=examined, failed_conditions=records,
                                 bound_used=bound)
     if verdict != STRONGLY_INF_DIVISIBLE:
@@ -584,7 +583,7 @@ def check_strong_inf_divisible(
 
     for offset in itertools.accumulate(decomp.block_sizes[:-1]):
         tail = np.ix_(decomp.permutation[offset:], decomp.permutation[offset:])
-        ok, failure = _log_acceptor(decomp.U[offset:, offset:], False, cfg)(-Q[tail])
+        ok, failure = _log_acceptor(decomp.U[offset:, offset:], cfg)(-Q[tail])
         if ok:
             sliced = [(order, root[tail]) for order, root in roots]
             sub = DivisibilityReport(STRONGLY_INF_DIVISIBLE, Q[tail], sliced)

@@ -204,11 +204,17 @@ class TestEnumerateGenerators:
                         assert sel.offsets[i] == -sel.offsets[j]
 
 
-def brute_force_real_selections(eigen, bound, cone):
+def perron_apex(eigen):
+    """log rho: the apex of the cone that ``_decide`` prunes with."""
+    return float(np.log(np.abs(eigen.eigenvalues[0])))
+
+
+def brute_force_real_selections(eigen, bound, apex=None):
     """Reference enumeration: walk the full product of per-eigenvalue offset
     windows (spectral-radius position pinned at 0, each list sorted by
-    |k| then k), optionally drop tuples outside the Runnenberg cone, and keep
-    the tuples whose assembled logarithm is real."""
+    |k| then k), drop the tuples outside the Runnenberg cone moved to
+    ``apex`` unless it is None, and keep the tuples whose assembled
+    logarithm is real."""
     lam = eigen.eigenvalues
     n = eigen.n
     lists = [[0]]
@@ -220,8 +226,8 @@ def brute_force_real_selections(eigen, bound, cone):
     cone_lo, cone_hi = np.pi * (0.5 + 1.0 / n), np.pi * (1.5 - 1.0 / n)
     found = []
     for combo in itertools.product(*lists):
-        if cone:
-            mu = np.log(lam) + 2j * np.pi * np.asarray(combo)
+        if apex is not None:
+            mu = np.log(lam) + 2j * np.pi * np.asarray(combo) - apex
             phi = np.mod(np.angle(mu), 2 * np.pi)
             inside = (np.abs(mu) <= 1e-9) | ((phi >= cone_lo - 1e-9) & (phi <= cone_hi + 1e-9))
             if not inside.all():
@@ -232,19 +238,20 @@ def brute_force_real_selections(eigen, bound, cone):
     return found
 
 
-def cone_windows(eigen, bound):
+def cone_windows(eigen, bound, apex):
     """Each eigenvalue's offset window within ``bound`` cut to the offsets
-    inside the Runnenberg cone, as ``_decide`` hands them to an embeddability
-    search."""
+    inside the Runnenberg cone moved to ``apex``, as ``_decide`` hands them
+    to the search with apex log rho."""
     windows = embed._offset_windows(eigen, bound.im_low, bound.im_high)
-    cones = [embed._cone_window(lam, eigen.n) for lam in eigen.eigenvalues.tolist()]
+    cones = [embed._cone_window(lam, eigen.n, apex) for lam in eigen.eigenvalues.tolist()]
     return [range(max(w.start, c.start), min(w.stop, c.stop)) for w, c in zip(windows, cones)]
 
 
 class TestRealSelectionEnumeration:
     def inputs(self, seed, count, sizes=(3, 7), kinds=(0, 1)):
         # kinds in turn: 0 exp of a dense generator, 1 a random chain, 2 a lazy
-        # chain a*I + (1 - a)*S, whose determinant keeps eight states in the cap
+        # chain a*I + (1 - a)*S, whose determinant keeps eight states in the
+        # cap, 3 a scaled chain c*S, whose cone apex log c is not 0
         rng = np.random.default_rng(seed)
         done = 0
         while done < count:
@@ -257,6 +264,8 @@ class TestRealSelectionEnumeration:
                 if kind == 2:
                     a = rng.uniform(0.25, 0.6)
                     P = a * np.eye(n) + (1 - a) * P
+                if kind == 3:
+                    P = rng.uniform(0.3, 3.0) * P
             det = float(np.linalg.det(P))
             if det <= 1e-12 or min_eig_gap(P) < CFG.distinct_tol:
                 continue
@@ -268,11 +277,12 @@ class TestRealSelectionEnumeration:
 
     def test_matches_brute_force_product(self):
         streams = [self.inputs(40, 60), self.inputs(42, 60, sizes=(2, 9), kinds=(0, 1, 2)),
-                   self.inputs(43, 12, sizes=(7, 9), kinds=(2,))]
+                   self.inputs(43, 12, sizes=(7, 9), kinds=(2,)), self.inputs(45, 40, kinds=(3,))]
         for eigen, det in itertools.chain(*streams):
+            apex = perron_apex(eigen)
             for mode in ("israel_two_sided", "paper_one_sided"):
                 bound = embed.branch_bound(eigen, det, mode)
-                reference = brute_force_real_selections(eigen, bound, cone=False)
+                reference = brute_force_real_selections(eigen, bound)
                 assert bound.candidate_count == len(reference)
                 listed = list(embed.enumerate_generators(eigen, bound))
                 assert [s.offsets for s, _ in listed] == [c for c, _ in reference]
@@ -280,9 +290,9 @@ class TestRealSelectionEnumeration:
                     assert np.array_equal(got, want)
                 pruned = [
                     (s.offsets, real)
-                    for s, real in embed._candidate_stream(eigen, cone_windows(eigen, bound), CFG)
+                    for s, real in embed._candidate_stream(eigen, cone_windows(eigen, bound, apex), CFG)
                 ]
-                reference = brute_force_real_selections(eigen, bound, cone=True)
+                reference = brute_force_real_selections(eigen, bound, apex)
                 assert [c for c, _ in pruned] == [c for c, _ in reference]
                 for (_, got), (_, want) in zip(pruned, reference):
                     assert np.array_equal(got, want)
@@ -303,10 +313,37 @@ class TestRealSelectionEnumeration:
                     continue
                 done += 1
                 eigen = numkit.eig(P)
-                bound = embed.branch_bound(eigen, det, "israel_two_sided")
-                stream = embed._candidate_stream(eigen, cone_windows(eigen, bound), CFG)
+                bound = embed.branch_bound(eigen, det, "perron_radius")
+                stream = embed._candidate_stream(eigen, cone_windows(eigen, bound, perron_apex(eigen)), CFG)
                 assert any(np.allclose(real, R, atol=1e-7) for _, real in stream)
                 assert embed.check_embeddable(P).verdict == embed.EMBEDDABLE
+
+    @pytest.mark.parametrize(
+        "draw, reducible",
+        [(random_shifted_z, False), (functools.partial(random_z_matrix, density=0.3), True)],
+        ids=["shifted_z", "sparse_reducible_z"],
+    )
+    def test_true_z_matrix_survives_pruning(self, draw, reducible):
+        # -Q is Metzler, so its eigenvalues lie in the cone with apex log rho
+        # of exp(-Q); the sparse draws are kept only when reducible, where
+        # each diagonal block sits in a narrower cone of its own
+        rng = np.random.default_rng(44)
+        done = 0
+        while done < 60:
+            n = int(rng.integers(2, 8))
+            Q = draw(rng, n)
+            B = numkit.expm(-Q)
+            det = float(np.linalg.det(B))
+            if not 1e-6 <= det <= 1e6 or min_eig_gap(B) < CFG.distinct_tol:
+                continue
+            if reducible and structure.frobenius_form(B).n_blocks == 1:
+                continue
+            done += 1
+            eigen = numkit.eig(B)
+            bound = embed.branch_bound(eigen, det, "perron_radius")
+            stream = embed._candidate_stream(eigen, cone_windows(eigen, bound, perron_apex(eigen)), CFG)
+            assert any(np.allclose(real, -Q, atol=1e-7) for _, real in stream)
+            assert embed.check_strong_inf_divisible(B).verdict == embed.STRONGLY_INF_DIVISIBLE
 
     def test_eight_states_examine_few_branches(self):
         P = random_stochastic(np.random.default_rng(25), 8)
@@ -373,6 +410,17 @@ class TestCheckEmbeddable:
     def test_requires_stochastic(self):
         with pytest.raises(NotStochastic):
             embed.check_embeddable(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1 + 5e-10, 1 + 2e-9])
+    def test_chain_scaled_within_tolerance_keeps_its_witness(self, scale):
+        # is_stochastic admits row sums within n*entry_tol of 1, so rho may
+        # exceed 1; the cone's apex is log rho, so the Perron root stays at it
+        P = scale * numkit.expm(random_intensity(np.random.default_rng(1), 4))
+        assert classify.is_stochastic(P, CFG)
+        report = embed.check_embeddable(P)
+        assert report.verdict == embed.EMBEDDABLE
+        assert report.branches_examined >= 1
+        assert numkit.relative_residual(numkit.expm(report.generator), P) <= CFG.recon_tol
 
     def test_unknown_bound_mode_is_rejected_up_front(self):
         # the mode is checked before the determinant, so a singular one
@@ -487,6 +535,25 @@ class TestCheckStrongInfDivisible:
         assert embed.check_strong_inf_divisible(B).verdict == embed.STRONGLY_INF_DIVISIBLE
         with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(Overflow):
             embed.check_strong_inf_divisible(1e5 * B)
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            1.0,
+            1e-1,
+            1e-2,
+            pytest.param(1e-3, marks=pytest.mark.xfail(
+                strict=True, reason="det 5e-11 falls under the absolute determinant gate (ROADMAP item 1)")),
+        ],
+    )
+    def test_verdict_does_not_depend_on_scale(self, c):
+        # c exp(-Q) = exp(-(Q - log(c) I)); the Perron radius and the cone's
+        # apex move with log c, so the search is the same
+        B = numkit.expm(-np.array([[1.0, -0.5, -0.2], [-0.3, 1.0, -0.4], [-0.1, -0.6, 1.0]]))
+        base = embed.check_strong_inf_divisible(B)
+        report = embed.check_strong_inf_divisible(c * B)
+        assert report.verdict == base.verdict == embed.STRONGLY_INF_DIVISIBLE
+        assert report.branches_examined == base.branches_examined
 
     def test_triangular_scaling_counterexample(self):
         assert (
@@ -689,6 +756,41 @@ class TestCheckStrongInfDivisible:
         records = [(r["reason"], r.get("branch")) for r in report.failed_conditions]
         assert records == [("off_diagonal_negative", "principal_primary"), ("repeated_eigenvalues", None)]
         assert len(calls) == 1
+
+
+class TestEmbeddabilityIsDivisibility:
+    def test_one_decision_answers_both_questions(self):
+        # a real logarithm of a stochastic matrix with nonnegative
+        # off-diagonal entries has zero row sums (Kingman 1962), so past the
+        # determinant gates the two questions run the same search
+        classes = {
+            embed.EMBEDDABLE: "positive",
+            embed.STRONGLY_INF_DIVISIBLE: "positive",
+            embed.NOT_EMBEDDABLE: "negative",
+            embed.NOT_STRONGLY_INF_DIVISIBLE: "negative",
+            embed.UNDETERMINED: "undetermined",
+        }
+        rng = np.random.default_rng(16)
+        seen = []
+        for k in range(120):
+            n = int(rng.integers(3, 7))
+            P = random_stochastic(rng, n) if k % 2 else numkit.expm(random_intensity(rng, n, hi=2.0))
+            if np.linalg.det(P) <= CFG.entry_tol:
+                continue
+            gen = embed.check_embeddable(P)
+            div = embed.check_strong_inf_divisible(P)
+            seen.append(classes[gen.verdict])
+            assert classes[div.verdict] == seen[-1]
+            assert gen.branches_examined == div.branches_examined
+            assert report_bits(gen.bound_used) == report_bits(div.bound_used)
+            assert report_bits(gen.failed_conditions) == report_bits(div.failed_conditions)
+            if gen.generator is None:
+                assert div.z_matrix is None
+            else:
+                assert report_bits(gen.generator) == report_bits(-div.z_matrix)
+                assert classify.is_intensity_matrix(gen.generator, CFG)
+        assert len(seen) == 63
+        assert {"positive", "negative"} <= set(seen)
 
 
 def scipy_accepts(P, L, intensity):
