@@ -4,32 +4,36 @@ Both questions ask for a real logarithm L of the input with nonnegative
 off-diagonal entries: a nonnegative B is strongly infinitely divisible with
 the Z-matrix Q = -L, and a stochastic P is embeddable with the generator L,
 because such an L of a stochastic P has zero row sums (Kingman 1962; the
-proof is in ``branch_bound``).  So one decision, ``_decide``, answers both
-with one acceptance test, one window and one cone; only the verdict names
-differ.  Each public entry validates its input and applies its own
+proof is in ``_search_windows``).  So one decision, ``_decide``, answers
+both with one acceptance test and one searched window; only the verdict
+names differ.  Each public entry validates its input and applies its own
 determinant gate; ``_decide`` then runs the structural necessary
-conditions, the eigendecomposition, and either the branch search or, for a
-repeated or ill-conditioned spectrum, the principal logarithm alone.  A
-diagonalizable repeated spectrum is resolved from the eigenbasis the search
-already holds, V Log(Lambda) V^-1, and a positive found that way passes the
-acceptance test of every search hit; negatives on that path still rest on
-scipy's principal logarithm, and what it leaves open is Undetermined.
-Trailing blocks of a divisible reducible input are not decided again: their
-sub-reports are slices of the parent's witness and roots, one
-reconstruction check each, with ``bound_used`` None and
-``branches_examined`` 0.
+conditions, one eigendecomposition, and either the branch search or, for a
+repeated or ill-conditioned spectrum, the principal logarithm alone.  That
+eigendecomposition is the one source of every spectral fact the decision
+uses: the searched window and, on a repeated spectrum, whether a real
+principal logarithm exists and its value V Log(Lambda) V^-1.  A positive
+found that way passes the acceptance test of every search hit; negatives on
+that path rest on scipy's principal logarithm, and what it leaves open is
+Undetermined.  A negative that rests on a failure within the acceptor's
+borderline band is Undetermined too.  Trailing blocks of a divisible
+reducible input are not decided again: their sub-reports are slices of the
+parent's witness and roots, one reconstruction check each, with
+``bound_used`` None and ``branches_examined`` 0.
 
-Each bound, the cone included, is a window of branch offsets per
-eigenvalue (``branch_bound``).  Only real branch selections are built: with
-distinct eigenvalues a logarithm is real exactly when each real eigenvalue
-is positive and keeps offset 0 and each conjugate pair takes offsets
-(k, -k) (Culver 1966, On the existence and uniqueness of the real logarithm
-of a matrix), so the cost follows the number of real candidates rather than
-the raw product of the windows.  Branch candidates are independent pure
-computations; enumeration order is deterministic (principal branch first,
-then lexicographic over offsets sorted by absolute value), so the reported
-witness is always the most principal admissible one.  Inverse-M power forms
-and nonnegative root construction complete the module.
+The searched window gives each eigenvalue its branch offsets in one pass,
+the Perron radius and Runnenberg's cone together (``_search_windows``);
+``branch_bound`` states the windows whose tuple counts reports carry.  Only
+real branch selections are built: with distinct eigenvalues a logarithm is
+real exactly when each real eigenvalue is positive and keeps offset 0 and
+each conjugate pair takes offsets (k, -k) (Culver 1966, On the existence
+and uniqueness of the real logarithm of a matrix), so the cost follows the
+number of real candidates rather than the raw product of the windows.
+Branch candidates are independent pure computations; enumeration order is
+deterministic (principal branch first, then lexicographic over offsets
+sorted by absolute value), so the reported witness is always the most
+principal admissible one.  Inverse-M power forms and nonnegative root
+construction complete the module.
 """
 
 import itertools
@@ -167,37 +171,11 @@ def branch_bound(E: Eigendecomposition, det: float, mode: str) -> BranchBound:
     israel_two_sided    |Im log lam| <= |log det|  (Israel, Rosenthal & Wei 2001)
     paper_one_sided     log det <= Im log lam <= 0  (the paper's window)
     perron_radius       |Im log lam| <= n*r + t,  r = log rho, t = -log det
-    (cone)              |Im log lam| <= (r - log|lam|) cot(pi/n)  (Runnenberg 1962)
 
     Both questions search the Perron radius, each eigenvalue's offsets cut to
-    the cone (``_cone_window``); ``bound_used`` does not count the cut.  A
-    det that is not a finite float raises Overflow.
-
-    The Perron radius is complete for any real logarithm L with nonnegative
-    off-diagonal entries, so its exhaustion is a proof.  Such an L has a real
-    Perron root, its largest real part, so that root is r = log rho = log|lam_0|.
-    With s = max(-L_jj) the matrix L + sI is nonnegative with Perron root
-    s + r, so every L_jj <= r; as trace L = -t, s <= t + (n-1)r.  Every
-    eigenvalue -a + i*theta of L lies in the disk of radius s + r centred at
-    -s, so theta^2 <= (r+a)(2s + r - a) <= (s + r)^2 <= (n*r + t)^2.  For a
-    stochastic input r = 0 and the radius is Israel's |log det|, up to
-    rounding.
-
-    The cone holds for the same L, with its apex at r.  If L is irreducible
-    with right Perron vector x > 0 and D = diag(x), then D^-1 (L - rI) D has
-    nonnegative off-diagonal entries and zero row sums: it is an intensity
-    matrix, so its eigenvalues lie in the cone with apex 0.  A reducible L has
-    the eigenvalues of its irreducible diagonal blocks; a block of m states
-    lies in the narrower m-state cone with apex at its own Perron root, at
-    most r, so inside the n-state cone at r.
-
-    For a stochastic P such an L is an intensity matrix (Kingman 1962), so
-    one search answers both questions.  Here r = 0 and the disk above touches
-    the imaginary axis only at 0, so e^mu = 1 only for mu = 0.  P1 = 1 then
-    puts 1 in L's generalized 0-eigenspace, where L is a nilpotent N, and
-    (e^N - I)1 = N phi(N)1 = 0 with phi(N) = sum N^k/(k+1)! invertible gives
-    L1 = N1 = 0.  A computed witness meets this up to rounding only: its row
-    sums are not tested and carry the rounding error of the computed log.
+    Runnenberg's cone (``_search_windows``, which holds both proofs);
+    ``bound_used`` reports this bound and does not count the cut.  A det that
+    is not a finite float raises Overflow.
 
     Israel's window is complete for intensity matrices.  The one-sided window
     is not: a conjugate pair takes offsets (k, -k), whose logarithms cannot
@@ -245,18 +223,55 @@ def _offset_windows(E: Eigendecomposition, lo: float, hi: float) -> List[range]:
     return [range(1)] + [_offset_window(arg, lo, hi) for arg in args[1:]]
 
 
-def _cone_window(lam: complex, n: int, apex: float, slack: float = 1e-9) -> range:
-    """Offsets k that put mu = log lam + 2*pi*i*k in Runnenberg's (1962) cone
-    of n-state generator eigenvalues moved to ``apex``: arg(mu - apex) in
-    [pi(1/2 + 1/n), pi(3/2 - 1/n)], with ``slack`` on the angle and
-    |mu - apex| <= slack admitted.  Re mu = log|lam| does not depend on k, so
-    that is |Im mu| <= (apex - log|lam|) * cot(pi/n)."""
-    re = math.log(abs(lam)) - apex
-    if re > slack:
-        return range(0)
-    radius = max(-re * math.tan(math.pi * (0.5 - 1.0 / n) + slack),
-                 math.sqrt(max(slack * slack - re * re, 0.0)))
-    return _offset_window(math.atan2(lam.imag, lam.real), -radius, radius)
+def _search_windows(E: Eigendecomposition, radius: float) -> List[range]:
+    """The searched offsets per eigenvalue: |Im mu| <= h for
+    mu = log lam + 2*pi*i*k, with
+
+        h = min(radius, (r - log|lam|) cot(pi/n)),  r = log rho = log|lam_0|,
+
+    ``radius`` the Perron radius n*r + t of ``branch_bound`` (t = -log det)
+    and the second term Runnenberg's (1962) cone with its apex at r.  The
+    cone's angle gets 1e-9 of slack and admits |mu - r| <= 1e-9.  The
+    spectral-radius position keeps offset 0 alone; the canonical order puts
+    rho first, so no later log|lam| exceeds r.
+
+    Both bounds hold for any real logarithm L with nonnegative off-diagonal
+    entries, so exhausting this window is a proof.  Such an L has a real
+    Perron root, its largest real part, so that root is r.
+
+    Perron radius.  With s = max(-L_jj) the matrix L + sI is nonnegative with
+    Perron root s + r, so every L_jj <= r; as trace L = -t, s <= t + (n-1)r.
+    Every eigenvalue -a + i*theta of L lies in the disk of radius s + r
+    centred at -s, so theta^2 <= (r+a)(2s + r - a) <= (s + r)^2 <= (n*r + t)^2.
+    For a stochastic input r = 0 and the radius is Israel's |log det|, up to
+    rounding.
+
+    Cone.  If L is irreducible with right Perron vector x > 0 and
+    D = diag(x), then D^-1 (L - rI) D has nonnegative off-diagonal entries
+    and zero row sums: it is an intensity matrix, so its eigenvalues lie in
+    the cone with apex 0.  A reducible L has the eigenvalues of its
+    irreducible diagonal blocks; a block of m states lies in the narrower
+    m-state cone with apex at its own Perron root, at most r, so inside the
+    n-state cone at r.  Re mu = log|lam| does not depend on k, so the cone
+    bounds |Im mu| alone.
+
+    For a stochastic P such an L is an intensity matrix (Kingman 1962), so
+    one search answers both questions.  Here r = 0 and the disk above touches
+    the imaginary axis only at 0, so e^mu = 1 only for mu = 0.  P1 = 1 then
+    puts 1 in L's generalized 0-eigenspace, where L is a nilpotent N, and
+    (e^N - I)1 = N phi(N)1 = 0 with phi(N) = sum N^k/(k+1)! invertible gives
+    L1 = N1 = 0.  A computed witness meets this up to rounding only: its row
+    sums are not tested and carry the rounding error of the computed log.
+    """
+    slack = 1e-9
+    apex = math.log(abs(E.eigenvalues[0]))
+    cot = math.tan(math.pi * (0.5 - 1.0 / E.n) + slack)
+    windows = [range(1)]
+    for z, arg in zip(E.eigenvalues[1:].tolist(), np.angle(E.eigenvalues[1:]).tolist()):
+        re = math.log(abs(z)) - apex
+        h = min(radius, max(-re * cot, math.sqrt(max(slack * slack - re * re, 0.0))))
+        windows.append(_offset_window(arg, -h, h))
+    return windows
 
 
 def _real_blocks(E: Eigendecomposition, windows: List[range]) -> List[List[Tuple[int, ...]]]:
@@ -339,8 +354,9 @@ def _log_acceptor(target: np.ndarray, cfg: ToleranceConfig):
     """Acceptance test for a real candidate logarithm L of ``target``: L must
     have nonnegative off-diagonal entries and expm(L) must reconstruct the
     target.  For a stochastic target such an L is an intensity matrix (see
-    ``branch_bound``), so the one test serves both questions.  An
-    off-diagonal failure within 10x the slack is marked borderline.
+    ``_search_windows``), so the one test serves both questions.  An
+    off-diagonal failure within 10x the slack is marked borderline, and
+    ``_decide`` certifies no negative that rests on one.
     """
 
     def accept(L: np.ndarray):
@@ -398,52 +414,42 @@ def _primary_log_is_only_real_log(A: np.ndarray, eigen, cfg: ToleranceConfig) ->
     return True
 
 
-def _eigenbasis_principal_log(eigen, cfg) -> Optional[np.ndarray]:
-    """The real principal logarithm V Log(Lambda) V^-1 of ``eigen``; None
-    without an eigenbasis, with an eigenvalue zero or on the closed negative
-    real axis, or with an imaginary residue that is not negligible."""
-    if eigen is None:
-        return None
-    try:
-        numkit._check_log_preconditions(eigen.eigenvalues, cfg)
-    except (SingularMatrix, NegativeRealEigenvalue):
-        return None
-    return numkit.as_real(numkit.logm_branch(eigen, BranchSelection.principal(eigen.n), cfg), cfg)
-
-
 def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     """Resolve a repeated or ill-conditioned spectrum into (verdict, witness,
     records); ``eigen`` is A's eigendecomposition, None when eig found the
     input defective, ``accept`` the acceptance test and ``verdicts`` the
     question's (positive, negative) verdict names.
 
-    A diagonalizable repeated spectrum is first resolved from that eigenbasis:
-    the principal logarithm is a primary function, so any eigenbasis gives it
-    (Higham, Functions of Matrices, 2008, Def. 1.2).  If the acceptor takes
-    it, it is the witness, with the same certificate as any search hit (real,
-    nonnegative off the diagonal, and expm reconstructs A within recon_tol).
-    Otherwise scipy's principal primary logarithm decides, so every failure
-    record and every negative rests on it: a passing one certifies a positive
-    verdict outright; a failing one is conclusive only when it is the sole
-    real-logarithm candidate.  The other real logarithms of a repeated
-    spectrum are not enumerated, so anything else is Undetermined.
+    With an eigenbasis its eigenvalues decide whether a real principal
+    logarithm exists: one that is zero or on the closed negative real axis
+    ends the path Undetermined with a ``principal_log_unavailable`` record.
+    Otherwise the principal logarithm is taken from that eigenbasis first: it
+    is a primary function, so any eigenbasis gives it (Higham, Functions of
+    Matrices, 2008, Def. 1.2).  If the acceptor takes it, it is the witness,
+    with the same certificate as any search hit (real, nonnegative off the
+    diagonal, and expm reconstructs A within recon_tol).  scipy's principal
+    primary logarithm runs only when that one is rejected or there is no
+    eigenbasis, so every failure record and every negative rests on it: a
+    passing one certifies a positive verdict outright; a failing one is
+    conclusive only when it is the sole real-logarithm candidate.  The other
+    real logarithms of a repeated spectrum are not enumerated, so anything
+    else is Undetermined.
     """
     positive, negative = verdicts
-    witness = _eigenbasis_principal_log(eigen, cfg)
-    if witness is not None and accept(witness)[0]:
-        return positive, witness, []
-
     records: List[dict] = []
-    principal = None
     try:
-        principal = numkit.principal_log(A, cfg)
+        if eigen is not None:
+            numkit._check_log_preconditions(eigen.eigenvalues, cfg)
+            witness = numkit.as_real(numkit.logm_branch(eigen, BranchSelection.principal(eigen.n), cfg), cfg)
+            if witness is not None and accept(witness)[0]:
+                return positive, witness, records
+        witness = numkit.principal_log(A, cfg)
     except (SingularMatrix, NegativeRealEigenvalue) as exc:
         records.append({"reason": "principal_log_unavailable", "detail": str(exc)})
-
-    if principal is not None:
-        ok, failure = accept(principal)
+    else:
+        ok, failure = accept(witness)
         if ok:
-            return positive, principal, records
+            return positive, witness, records
         failure["branch"] = "principal_primary"
         records.append(failure)
         if _primary_log_is_only_real_log(A, eigen, cfg):
@@ -458,35 +464,39 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
 def _decide(A, det, verdicts, cfg, decomposition=None):
     """The decision both questions share: the structural necessary
     conditions (``decomposition`` as in ``structure.necessary_conditions``),
-    the eigendecomposition, then either the search of the Perron radius cut
-    to the cone with apex log rho, or the repeated-spectrum resolution.  The
+    one eigendecomposition, then either the search of ``_search_windows``
+    (the Perron radius cut to the cone with apex log rho, both from that
+    eigendecomposition) or the repeated-spectrum resolution.  A negative that
+    rests on a failure the acceptor marks borderline is not certified: it
+    ends Undetermined with a trailing ``near_threshold`` record.  The
     determinant gates differ between the questions and stay in the public
     entries, which call this after them; ``verdicts`` is the question's
-    (positive, negative) pair.  Returns (verdict, witness, records,
-    examined, bound)."""
+    (positive, negative) pair.  Returns (verdict, witness, examined, records,
+    bound), the field order of ``EmbeddabilityReport``."""
     positive, negative = verdicts
     conditions = structure.necessary_conditions(A, cfg, decomposition=decomposition)
     if conditions.violations:
         records = [{"reason": "necessary_condition", "condition": name, "location": location}
                    for name, location in conditions.violations]
-        return negative, None, records, 0, None
+        return negative, None, 0, records, None
     try:
         eigen = numkit.eig(A, cfg)
     except IllConditioned:
         eigen = None
     accept = _log_acceptor(A, cfg)
     if eigen is None or eigen.is_repeated(cfg):
-        return *_repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg), 0, None
-    bound = branch_bound(eigen, det, "perron_radius")
-    lam = eigen.eigenvalues.tolist()
-    apex = math.log(abs(lam[0]))
-    cones = [_cone_window(z, eigen.n, apex) for z in lam]
-    windows = [range(max(w.start, c.start), min(w.stop, c.stop))
-               for w, c in zip(_offset_windows(eigen, bound.im_low, bound.im_high), cones)]
-    witness, examined, records = _branch_search(eigen, windows, accept, cfg)
-    if witness is None:
-        records.append({"reason": "all_branches_exhausted", "branches": examined})
-    return (negative if witness is None else positive), witness, records, examined, bound
+        verdict, witness, records = _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg)
+        examined, bound = 0, None
+    else:
+        bound = branch_bound(eigen, det, "perron_radius")
+        witness, examined, records = _branch_search(eigen, _search_windows(eigen, bound.im_high), accept, cfg)
+        if witness is None:
+            records.append({"reason": "all_branches_exhausted", "branches": examined})
+        verdict = negative if witness is None else positive
+    if verdict == negative and any(record.get("borderline") for record in records):
+        verdict = UNDETERMINED
+        records.append({"reason": "near_threshold"})
+    return verdict, witness, examined, records, bound
 
 
 def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityReport:
@@ -495,7 +505,7 @@ def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityRepo
 
     A positive determinant and the structural necessary conditions are
     required outright.  The rest is the divisibility decision of P (see
-    ``branch_bound``): with distinct eigenvalues a simple negative real
+    ``_search_windows``): with distinct eigenvalues a simple negative real
     eigenvalue rules out any real logarithm (Culver 1966); otherwise only the
     real branch selections within the Perron radius, which for a stochastic
     input is Israel's window up to rounding, are enumerated, each eigenvalue
@@ -505,16 +515,18 @@ def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityRepo
     witness's row sums are zero up to rounding; they are not tested.
     Exhausting the candidates proves non-embeddability when eigenvalues are
     distinct.  Repeated eigenvalues are resolved through the principal
-    logarithm, taken from the search's eigenbasis when the spectrum is
+    logarithm, taken from the decision's eigenbasis when the spectrum is
     diagonalizable: it is the witness when it passes, a failing one proves
     non-embeddability only when it is the sole real logarithm, and otherwise
-    the verdict is Undetermined.
+    the verdict is Undetermined.  A negative that rests on a borderline
+    failure is Undetermined, with a last ``near_threshold`` record.
     """
     P = as_square_matrix(P)
     if not is_stochastic(P, cfg):
         raise NotStochastic("input is not row-stochastic within tolerance")
 
-    det = float(np.linalg.det(P))
+    with np.errstate(over="ignore"):
+        det = float(np.linalg.det(P))
     if abs(det) <= cfg.entry_tol:
         failed = [{"reason": "determinant_near_singular", "value": det}]
         return EmbeddabilityReport(verdict=UNDETERMINED, failed_conditions=failed)
@@ -522,8 +534,7 @@ def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityRepo
         failed = [{"reason": "determinant_negative", "value": det}]
         return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
 
-    verdict, generator, records, examined, bound = _decide(P, det, (EMBEDDABLE, NOT_EMBEDDABLE), cfg)
-    return EmbeddabilityReport(verdict, generator, examined, records, bound)
+    return EmbeddabilityReport(*_decide(P, det, (EMBEDDABLE, NOT_EMBEDDABLE), cfg))
 
 
 def check_strong_inf_divisible(
@@ -537,8 +548,9 @@ def check_strong_inf_divisible(
     A witness is a real matrix Q with nonpositive off-diagonal entries and
     exp(-Q) equal to the input; sample roots exp(-Q/n) are demonstrated for
     ``root_orders``, and a failing root makes the verdict Undetermined.  A
-    repeated spectrum is resolved through the principal logarithm alone, as
-    in ``check_embeddable``.  With a witness, -Q's pattern lies inside the
+    repeated spectrum is resolved through the principal logarithm alone, and
+    a negative that rests on a borderline failure is Undetermined, as in
+    ``check_embeddable``.  With a witness, -Q's pattern lies inside the
     input's, so Q and its roots are block upper triangular in the input's
     Frobenius form and each trailing block is exp(-Q_t) of its slice.  Its
     sub-report holds Q_t and the sliced roots once one reconstruction check
@@ -552,14 +564,15 @@ def check_strong_inf_divisible(
     if not is_nonnegative(B, cfg):
         raise NotNonnegative("input has an entry below -entry_tol")
 
-    det = float(np.linalg.det(B))
+    with np.errstate(over="ignore"):
+        det = float(np.linalg.det(B))
     if det <= cfg.entry_tol:
         failed = [{"reason": "determinant_not_positive", "value": det}]
         return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
 
     decomp = structure.frobenius_form(B, cfg)
     verdicts = (STRONGLY_INF_DIVISIBLE, NOT_STRONGLY_INF_DIVISIBLE)
-    verdict, witness, records, examined, bound = _decide(B, det, verdicts, cfg, decomp)
+    verdict, witness, examined, records, bound = _decide(B, det, verdicts, cfg, decomp)
     report = DivisibilityReport(verdict, branches_examined=examined, failed_conditions=records,
                                 bound_used=bound)
     if verdict != STRONGLY_INF_DIVISIBLE:

@@ -190,10 +190,11 @@ def necessary_conditions(
                 )
             offset += block.shape[0]
 
-    for t in range(1, decomp.n_blocks):
-        sub_det = float(np.linalg.det(trailing_submatrix(decomp, t)))
-        if sub_det <= cfg.entry_tol:
-            violations.append(("trailing_submatrices_recursive", (t, sub_det)))
+    with np.errstate(over="ignore"):
+        for t in range(1, decomp.n_blocks):
+            sub_det = float(np.linalg.det(trailing_submatrix(decomp, t)))
+            if sub_det <= cfg.entry_tol:
+                violations.append(("trailing_submatrices_recursive", (t, sub_det)))
 
     two_step = (pattern.astype(np.int64) @ pattern.astype(np.int64)) > 0
     for i, j in np.argwhere(two_step & ~pattern & ~np.eye(n, dtype=bool)):

@@ -238,13 +238,12 @@ def brute_force_real_selections(eigen, bound, apex=None):
     return found
 
 
-def cone_windows(eigen, bound, apex):
-    """Each eigenvalue's offset window within ``bound`` cut to the offsets
-    inside the Runnenberg cone moved to ``apex``, as ``_decide`` hands them
-    to the search with apex log rho."""
-    windows = embed._offset_windows(eigen, bound.im_low, bound.im_high)
-    cones = [embed._cone_window(lam, eigen.n, apex) for lam in eigen.eigenvalues.tolist()]
-    return [range(max(w.start, c.start), min(w.stop, c.stop)) for w, c in zip(windows, cones)]
+def cone_windows(eigen, bound):
+    """Each eigenvalue's offset window within the symmetric ``bound`` cut to
+    the Runnenberg cone with apex log rho, as ``_decide`` hands them to the
+    search."""
+    assert bound.im_low == -bound.im_high
+    return embed._search_windows(eigen, bound.im_high)
 
 
 class TestRealSelectionEnumeration:
@@ -279,8 +278,7 @@ class TestRealSelectionEnumeration:
         streams = [self.inputs(40, 60), self.inputs(42, 60, sizes=(2, 9), kinds=(0, 1, 2)),
                    self.inputs(43, 12, sizes=(7, 9), kinds=(2,)), self.inputs(45, 40, kinds=(3,))]
         for eigen, det in itertools.chain(*streams):
-            apex = perron_apex(eigen)
-            for mode in ("israel_two_sided", "paper_one_sided"):
+            for mode in embed.BOUND_MODES:
                 bound = embed.branch_bound(eigen, det, mode)
                 reference = brute_force_real_selections(eigen, bound)
                 assert bound.candidate_count == len(reference)
@@ -288,11 +286,14 @@ class TestRealSelectionEnumeration:
                 assert [s.offsets for s, _ in listed] == [c for c, _ in reference]
                 for (_, got), (_, want) in zip(listed, reference):
                     assert np.array_equal(got, want)
+                if mode == "paper_one_sided":
+                    # no decision prunes the one-sided window
+                    continue
                 pruned = [
                     (s.offsets, real)
-                    for s, real in embed._candidate_stream(eigen, cone_windows(eigen, bound, apex), CFG)
+                    for s, real in embed._candidate_stream(eigen, cone_windows(eigen, bound), CFG)
                 ]
-                reference = brute_force_real_selections(eigen, bound, apex)
+                reference = brute_force_real_selections(eigen, bound, perron_apex(eigen))
                 assert [c for c, _ in pruned] == [c for c, _ in reference]
                 for (_, got), (_, want) in zip(pruned, reference):
                     assert np.array_equal(got, want)
@@ -314,7 +315,7 @@ class TestRealSelectionEnumeration:
                 done += 1
                 eigen = numkit.eig(P)
                 bound = embed.branch_bound(eigen, det, "perron_radius")
-                stream = embed._candidate_stream(eigen, cone_windows(eigen, bound, perron_apex(eigen)), CFG)
+                stream = embed._candidate_stream(eigen, cone_windows(eigen, bound), CFG)
                 assert any(np.allclose(real, R, atol=1e-7) for _, real in stream)
                 assert embed.check_embeddable(P).verdict == embed.EMBEDDABLE
 
@@ -341,7 +342,7 @@ class TestRealSelectionEnumeration:
             done += 1
             eigen = numkit.eig(B)
             bound = embed.branch_bound(eigen, det, "perron_radius")
-            stream = embed._candidate_stream(eigen, cone_windows(eigen, bound, perron_apex(eigen)), CFG)
+            stream = embed._candidate_stream(eigen, cone_windows(eigen, bound), CFG)
             assert any(np.allclose(real, -Q, atol=1e-7) for _, real in stream)
             assert embed.check_strong_inf_divisible(B).verdict == embed.STRONGLY_INF_DIVISIBLE
 
@@ -533,7 +534,7 @@ class TestCheckStrongInfDivisible:
     def test_overflowing_determinant_raises_overflow(self):
         B = scaled_dense_exp_z(1e40)
         assert embed.check_strong_inf_divisible(B).verdict == embed.STRONGLY_INF_DIVISIBLE
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(Overflow):
+        with pytest.raises(Overflow):
             embed.check_strong_inf_divisible(1e5 * B)
 
     @pytest.mark.parametrize(
@@ -835,6 +836,53 @@ class TestRepeatedSpectrum:
         report = check(P)
         assert report.verdict == embed.UNDETERMINED
         assert report.failed_conditions[0]["reason"] == "principal_log_unavailable"
+
+    @pytest.mark.parametrize("check", [embed.check_embeddable, embed.check_strong_inf_divisible])
+    def test_log_precondition_is_read_from_the_decision_eigenbasis(self, check, monkeypatch):
+        # the double negative eigenvalue of eig's spectrum already rules out a
+        # real principal log, so no second spectrum and no scipy log follow
+        P = numkit.expm(wrapped_circulant(np.random.default_rng(3), 3))
+        counts = {name: count_calls(monkeypatch, np.linalg, name) for name in ("eig", "eigvals")}
+        counts["principal_log"] = count_calls(monkeypatch, numkit, "principal_log")
+        report = check(P)
+        assert report.verdict == embed.UNDETERMINED
+        assert [r["reason"] for r in report.failed_conditions] == ["principal_log_unavailable", "repeated_eigenvalues"]
+        assert {name: len(calls) for name, calls in counts.items()} == {"eig": 1, "eigvals": 0, "principal_log": 0}
+
+
+class TestNearThreshold:
+    # R's (0, 2) rate is -eps with its row sum kept at 0: -5e-9 lies inside the
+    # acceptor's borderline band of 10 entry_tol, -5e-8 outside it
+    SEARCH = [[-0.7, 0.7, 0.0], [0.3, -0.8, 0.5], [0.2, 0.6, -0.8]]
+    # an upper-triangular generator whose exponential is defective: eig finds
+    # no eigenbasis and scipy's principal log is the only real candidate
+    DEFECTIVE = [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]
+
+    @staticmethod
+    def chain(R, eps):
+        R = np.array(R)
+        R[0, 1] += eps
+        R[0, 2] -= eps
+        return numkit.expm(R)
+
+    @pytest.mark.parametrize(
+        "check, negative",
+        [(embed.check_embeddable, embed.NOT_EMBEDDABLE),
+         (embed.check_strong_inf_divisible, embed.NOT_STRONGLY_INF_DIVISIBLE)],
+        ids=["embeddability", "divisibility"],
+    )
+    @pytest.mark.parametrize("R, last", [(SEARCH, "all_branches_exhausted"), (DEFECTIVE, "primary_log_is_only_candidate")],
+                             ids=["search", "defective"])
+    def test_borderline_failure_certifies_no_negative(self, check, negative, R, last):
+        report = check(self.chain(R, 5e-9))
+        assert report.verdict == embed.UNDETERMINED
+        reasons = [r["reason"] for r in report.failed_conditions]
+        assert reasons == ["off_diagonal_negative", last, "near_threshold"]
+        assert report.failed_conditions[0]["borderline"] is True
+        report = check(self.chain(R, 5e-8))
+        assert report.verdict == negative
+        assert [r["reason"] for r in report.failed_conditions] == ["off_diagonal_negative", last]
+        assert report.failed_conditions[0]["borderline"] is False
 
 
 class TestInverseMPowerForm:

@@ -1,0 +1,73 @@
+"""Digest of every decision report embedlab gives on the benchmark corpora.
+
+    python3 tools/report_digest.py SRC_DIR
+
+SRC_DIR is the directory that holds the ``embedlab`` package to test (the
+``src`` directory of a checkout).  The inputs come from this checkout's
+``perfbench/corpus.py``: every case of the four workloads at seeds 1-5 and
+2026, plus the known-defect probe draws of each seed.  Both questions are
+asked of every input.  A report is written as nested tuples, with arrays as
+dtype, shape and bytes and floats in hex, so two runs give the same digest
+only when their reports are bitwise identical; an input that raises
+contributes its exception type and message instead.
+
+Prints the number of reports and the sha256 of all of them in order.  Run it
+on two checkouts to show that a change leaves every report as it was.
+"""
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3, 4, 5, 2026)
+
+
+def report_bits(x):
+    """A report as nested tuples; equal results give equal tuples bit for bit."""
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, report_bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, dict):
+        return tuple((k, report_bits(v)) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return tuple(report_bits(v) for v in x)
+    return x.hex() if isinstance(x, float) else x
+
+
+def main(argv):
+    if len(argv) != 1:
+        raise SystemExit(f"usage: {Path(__file__).name} SRC_DIR")
+    src = Path(argv[0]).resolve()
+    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import corpus
+    import embedlab
+    from embedlab.errors import EmbedlabError
+
+    if not Path(embedlab.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"error: imported embedlab from {embedlab.__file__}, not from {src}")
+
+    questions = (embedlab.check_embeddable, embedlab.check_strong_inf_divisible)
+    digest = hashlib.sha256()
+    count = 0
+    for seed in SEEDS:
+        cases = [case for workload in sorted(corpus.WORKLOADS) for case in corpus.build(workload, seed)]
+        for case in cases + corpus.known_defect_cases(seed):
+            for question in questions:
+                try:
+                    bits = report_bits(question(case.matrix))
+                except EmbedlabError as exc:
+                    bits = (type(exc).__name__, str(exc))
+                digest.update(repr(bits).encode())
+                count += 1
+    print(f"reports {count}")
+    print(f"sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
