@@ -34,6 +34,11 @@ deterministic (principal branch first, then lexicographic over offsets
 sorted by absolute value), so the reported witness is always the most
 principal admissible one.  Inverse-M power forms and nonnegative root
 construction complete the module.
+
+The sample roots exp(-Q/m) of a divisibility witness found in the
+eigenbasis come from that basis, V diag(exp(mu/m)) V^-1; expm runs for the
+acceptance test, the trailing-block checks, a root that fails its checks,
+and the roots of a witness from scipy's logarithm.
 """
 
 import itertools
@@ -377,11 +382,13 @@ def _log_acceptor(target: np.ndarray, cfg: ToleranceConfig):
 
 
 def _branch_search(E, windows, accept, cfg):
-    """Scan the real branch selections in ``windows``; return the first accepted log."""
+    """Scan the real branch selections in ``windows``; return the first
+    accepted log with its selection (both None when none is accepted), the
+    number examined and the failure records."""
     negative = [z.real for z in E.eigenvalues.tolist() if z.imag == 0 and z.real < 0]
     if negative:
         # a simple negative real eigenvalue admits no real logarithm (Culver 1966)
-        return None, 0, [{"reason": "negative_real_eigenvalue", "value": negative[0]}]
+        return None, None, 0, [{"reason": "negative_real_eigenvalue", "value": negative[0]}]
     examined = 0
     records: List[dict] = []
     for sel, real in _candidate_stream(E, windows, cfg):
@@ -391,17 +398,17 @@ def _branch_search(E, windows, accept, cfg):
             continue
         ok, failure = accept(real)
         if ok:
-            return real, examined, records
+            return real, sel, examined, records
         failure["branch"] = sel.offsets
         records.append(failure)
-    return None, examined, records
+    return None, None, examined, records
 
 
-def _primary_log_is_only_real_log(A: np.ndarray, eigen, cfg: ToleranceConfig) -> bool:
-    """True when every real logarithm of A must be the principal primary one:
-    all eigenvalues real positive and each repeated eigenvalue confined to a
-    single Jordan block (geometric multiplicity one)."""
-    lam = np.linalg.eigvals(A) if eigen is None else eigen.eigenvalues
+def _primary_log_is_only_real_log(A: np.ndarray, lam: np.ndarray, cfg: ToleranceConfig) -> bool:
+    """True when every real logarithm of A, whose eigenvalues are ``lam``,
+    must be the principal primary one: all eigenvalues real positive and each
+    repeated eigenvalue confined to a single Jordan block (geometric
+    multiplicity one)."""
     if np.any(np.abs(lam.imag) > cfg.distinct_tol) or np.any(lam.real <= cfg.entry_tol):
         return False
     n = A.shape[0]
@@ -416,9 +423,11 @@ def _primary_log_is_only_real_log(A: np.ndarray, eigen, cfg: ToleranceConfig) ->
 
 def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     """Resolve a repeated or ill-conditioned spectrum into (verdict, witness,
-    records); ``eigen`` is A's eigendecomposition, None when eig found the
-    input defective, ``accept`` the acceptance test and ``verdicts`` the
-    question's (positive, negative) verdict names.
+    records, selection); ``eigen`` is A's eigendecomposition, None when eig
+    found the input defective, ``accept`` the acceptance test and
+    ``verdicts`` the question's (positive, negative) verdict names.
+    ``selection`` is the principal one when the witness is eig's eigenbasis
+    log, None otherwise.
 
     With an eigenbasis its eigenvalues decide whether a real principal
     logarithm exists: one that is zero or on the closed negative real axis
@@ -431,34 +440,40 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     primary logarithm runs only when that one is rejected or there is no
     eigenbasis, so every failure record and every negative rests on it: a
     passing one certifies a positive verdict outright; a failing one is
-    conclusive only when it is the sole real-logarithm candidate.  The other
-    real logarithms of a repeated spectrum are not enumerated, so anything
-    else is Undetermined.
+    conclusive only when it is the sole real-logarithm candidate.  Without an
+    eigenbasis the spectrum is taken once, for scipy's precondition and that
+    last test.  The other real logarithms of a repeated spectrum are not
+    enumerated, so anything else is Undetermined.
     """
     positive, negative = verdicts
     records: List[dict] = []
     try:
-        if eigen is not None:
-            numkit._check_log_preconditions(eigen.eigenvalues, cfg)
-            witness = numkit.as_real(numkit.logm_branch(eigen, BranchSelection.principal(eigen.n), cfg), cfg)
+        if eigen is None:
+            lam = np.linalg.eigvals(A)
+            witness = numkit.principal_log(A, cfg, eigenvalues=lam)
+        else:
+            lam = eigen.eigenvalues
+            numkit._check_log_preconditions(lam, cfg)
+            sel = BranchSelection.principal(eigen.n)
+            witness = numkit.as_real(numkit.logm_branch(eigen, sel, cfg), cfg)
             if witness is not None and accept(witness)[0]:
-                return positive, witness, records
-        witness = numkit.principal_log(A, cfg)
+                return positive, witness, records, sel
+            witness = numkit.principal_log(A, cfg)
     except (SingularMatrix, NegativeRealEigenvalue) as exc:
         records.append({"reason": "principal_log_unavailable", "detail": str(exc)})
     else:
         ok, failure = accept(witness)
         if ok:
-            return positive, witness, records
+            return positive, witness, records, None
         failure["branch"] = "principal_primary"
         records.append(failure)
-        if _primary_log_is_only_real_log(A, eigen, cfg):
+        if _primary_log_is_only_real_log(A, lam, cfg):
             records.append({"reason": "primary_log_is_only_candidate"})
-            return negative, None, records
+            return negative, None, records, None
 
     detail = "non-principal real logarithms of a repeated spectrum are not enumerated"
     records.append({"reason": "repeated_eigenvalues", "detail": detail})
-    return UNDETERMINED, None, records
+    return UNDETERMINED, None, records, None
 
 
 def _decide(A, det, verdicts, cfg, decomposition=None):
@@ -472,31 +487,33 @@ def _decide(A, det, verdicts, cfg, decomposition=None):
     determinant gates differ between the questions and stay in the public
     entries, which call this after them; ``verdicts`` is the question's
     (positive, negative) pair.  Returns (verdict, witness, examined, records,
-    bound), the field order of ``EmbeddabilityReport``."""
+    bound), the field order of ``EmbeddabilityReport``, then the witness's
+    spectral form (eigen, selection) when it is eig's V Log(Lambda) V^-1 at
+    that branch selection, None otherwise."""
     positive, negative = verdicts
     conditions = structure.necessary_conditions(A, cfg, decomposition=decomposition)
     if conditions.violations:
         records = [{"reason": "necessary_condition", "condition": name, "location": location}
                    for name, location in conditions.violations]
-        return negative, None, 0, records, None
+        return negative, None, 0, records, None, None
     try:
         eigen = numkit.eig(A, cfg)
     except IllConditioned:
         eigen = None
     accept = _log_acceptor(A, cfg)
     if eigen is None or eigen.is_repeated(cfg):
-        verdict, witness, records = _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg)
+        verdict, witness, records, sel = _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg)
         examined, bound = 0, None
     else:
         bound = branch_bound(eigen, det, "perron_radius")
-        witness, examined, records = _branch_search(eigen, _search_windows(eigen, bound.im_high), accept, cfg)
+        witness, sel, examined, records = _branch_search(eigen, _search_windows(eigen, bound.im_high), accept, cfg)
         if witness is None:
             records.append({"reason": "all_branches_exhausted", "branches": examined})
         verdict = negative if witness is None else positive
     if verdict == negative and any(record.get("borderline") for record in records):
         verdict = UNDETERMINED
         records.append({"reason": "near_threshold"})
-    return verdict, witness, examined, records, bound
+    return verdict, witness, examined, records, bound, None if sel is None else (eigen, sel)
 
 
 def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityReport:
@@ -534,7 +551,7 @@ def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityRepo
         failed = [{"reason": "determinant_negative", "value": det}]
         return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
 
-    return EmbeddabilityReport(*_decide(P, det, (EMBEDDABLE, NOT_EMBEDDABLE), cfg))
+    return EmbeddabilityReport(*_decide(P, det, (EMBEDDABLE, NOT_EMBEDDABLE), cfg)[:5])
 
 
 def check_strong_inf_divisible(
@@ -546,8 +563,17 @@ def check_strong_inf_divisible(
     order together with a positive determinant.
 
     A witness is a real matrix Q with nonpositive off-diagonal entries and
-    exp(-Q) equal to the input; sample roots exp(-Q/n) are demonstrated for
-    ``root_orders``, and a failing root makes the verdict Undetermined.  A
+    exp(-Q) equal to the input; sample roots exp(-Q/m) are demonstrated for
+    the orders m in ``root_orders``: each must be nonnegative and its mth
+    power must reconstruct the input, and a failing root makes the verdict
+    Undetermined.  When the witness is -Q = V diag(mu) V^-1 from the
+    decision's eigenbasis (a search hit, or the principal logarithm of a
+    repeated diagonalizable spectrum), the roots are V diag(exp(mu/m)) V^-1,
+    all orders in one product (``numkit.branch_roots``).  A root that is not
+    real within the truncation threshold or fails a check is recomputed as
+    expm(-Q/m) and checked again, so the report then rests on the expm root.
+    A witness from scipy's principal logarithm has no eigenbasis, and its
+    roots are expm's.  A
     repeated spectrum is resolved through the principal logarithm alone, and
     a negative that rests on a borderline failure is Undetermined, as in
     ``check_embeddable``.  With a witness, -Q's pattern lies inside the
@@ -572,25 +598,23 @@ def check_strong_inf_divisible(
 
     decomp = structure.frobenius_form(B, cfg)
     verdicts = (STRONGLY_INF_DIVISIBLE, NOT_STRONGLY_INF_DIVISIBLE)
-    verdict, witness, examined, records, bound = _decide(B, det, verdicts, cfg, decomp)
+    verdict, witness, examined, records, bound, spectral = _decide(B, det, verdicts, cfg, decomp)
     report = DivisibilityReport(verdict, branches_examined=examined, failed_conditions=records,
                                 bound_used=bound)
     if verdict != STRONGLY_INF_DIVISIBLE:
         return report
 
     Q = report.z_matrix = -witness
+    candidates = numkit.branch_roots(*spectral, root_orders, cfg) if spectral else [None] * len(root_orders)
     roots: List[Tuple[int, np.ndarray]] = []
-    for order in root_orders:
-        root = numkit.expm(-Q / order)
-        failure = None
-        if np.min(root) < -cfg.entry_tol:
-            failure = {"reason": "root_not_nonnegative", "order": order, "value": float(np.min(root))}
-        elif numkit.relative_residual(np.linalg.matrix_power(root, order), B) > 10 * cfg.recon_tol:
-            failure = {"reason": "root_power_mismatch", "order": order}
-        if failure is not None:
-            report.failed_conditions.append(failure)
-            report.verdict = UNDETERMINED
-            return report
+    for order, root in zip(root_orders, candidates):
+        if root is None or _root_failure(root, order, B, cfg) is not None:
+            root = numkit.expm(-Q / order)
+            failure = _root_failure(root, order, B, cfg)
+            if failure is not None:
+                report.failed_conditions.append(failure)
+                report.verdict = UNDETERMINED
+                return report
         roots.append((order, root))
     report.roots_demonstrated = roots
 
@@ -604,6 +628,17 @@ def check_strong_inf_divisible(
             sub = DivisibilityReport(UNDETERMINED, failed_conditions=[failure])
         report.recursion.append(sub)
     return report
+
+
+def _root_failure(root: np.ndarray, order: int, B: np.ndarray, cfg: ToleranceConfig) -> Optional[dict]:
+    """The record of a sample root that is not nonnegative or whose power
+    misses B, None when it passes both checks."""
+    low = float(np.min(root))
+    if low < -cfg.entry_tol:
+        return {"reason": "root_not_nonnegative", "order": order, "value": low}
+    if numkit.relative_residual(np.linalg.matrix_power(root, order), B) > 10 * cfg.recon_tol:
+        return {"reason": "root_power_mismatch", "order": order}
+    return None
 
 
 def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optional[InverseMRoot]:

@@ -1,8 +1,8 @@
 """Dense numerical kernels.
 
 Eigendecomposition with a canonical eigenvalue ordering, matrix exponential,
-branch-parameterized matrix logarithms and primary roots, all pure functions
-of their inputs.  ``principal_log`` (so ``primary_root``) seeds numpy's global
+branch-parameterized matrix logarithms with their roots, and primary roots,
+all pure functions of their inputs.  ``principal_log`` (so ``primary_root``) seeds numpy's global
 random generator for scipy's logm and then restores it, so no other thread
 may use that generator meanwhile.
 """
@@ -30,6 +30,7 @@ __all__ = [
     "eig",
     "expm",
     "logm_branch",
+    "branch_roots",
     "principal_log",
     "primary_root",
     "as_real",
@@ -67,7 +68,7 @@ def as_square_matrix(A) -> np.ndarray:
     M = np.array(A, dtype=float, copy=True)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     return M
 
@@ -141,7 +142,7 @@ def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
         Vinv = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise IllConditioned("eigenvector basis is singular (defective matrix)") from exc
-    cond = float(np.linalg.cond(V))
+    cond = _condition(V)
     recon = (V * lam) @ Vinv
     resid = relative_residual(recon, A)
     if resid > cfg.recon_tol or cond > _MAX_CONDITION:
@@ -164,7 +165,7 @@ def expm(A) -> np.ndarray:
     A = as_square_matrix(A)
     with np.errstate(over="ignore", invalid="ignore"):
         E = scipy.linalg.expm(A)
-    if not np.all(np.isfinite(E)):
+    if not np.isfinite(E).all():
         raise Overflow("matrix exponential exceeded the floating-point range")
     return np.asarray(E, dtype=float)
 
@@ -194,6 +195,12 @@ def logm_branch(E: Eigendecomposition, selection, cfg: ToleranceConfig = DEFAULT
     independent and are allowed).  The result is complex; use :func:`as_real`
     to truncate a small imaginary residue.
     """
+    return (E.right_eigenvectors * _branch_logs(E, selection, cfg)) @ E.inverse_basis
+
+
+def _branch_logs(E: Eigendecomposition, selection, cfg: ToleranceConfig) -> np.ndarray:
+    """Log lam_j + 2 pi i k_j for the offsets of ``selection``, validated as
+    :func:`logm_branch` describes."""
     offsets = np.asarray(getattr(selection, "offsets", selection), dtype=int)
     if offsets.shape != (E.n,):
         raise ValueError(f"expected {E.n} branch offsets, got shape {offsets.shape}")
@@ -206,8 +213,23 @@ def logm_branch(E: Eigendecomposition, selection, cfg: ToleranceConfig = DEFAULT
                 raise RepeatedEigenvalues(
                     "offsets differ inside a repeated eigenvalue cluster"
                 )
-    logs = np.log(lam) + 2j * np.pi * offsets
-    return (E.right_eigenvectors * logs) @ E.inverse_basis
+    return np.log(lam) + 2j * np.pi * offsets
+
+
+def branch_roots(E: Eigendecomposition, selection, orders, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
+    """The roots exp(L/m) = V diag(exp(mu_j/m)) V^-1 of the branch logarithm
+    L = V diag(mu_j) V^-1 of :func:`logm_branch`, one per order m in
+    ``orders``, from one stacked product (evaluation by diagonalization;
+    Higham, Functions of Matrices, 2008, Sec. 4.5).  Its error grows with the
+    condition number of V, so callers check what they use.  A root is real
+    when its imaginary residue is below :func:`imag_truncation_threshold`, as
+    in :func:`as_real`, and None otherwise.
+    """
+    m = np.asarray(orders, dtype=float).reshape(-1, 1)
+    stack = (E.right_eigenvectors * np.exp(_branch_logs(E, selection, cfg) / m)[:, None, :]) @ E.inverse_basis
+    residue = np.abs(stack.imag).max(axis=(1, 2))
+    threshold = E.n * cfg.entry_tol * (1.0 + np.linalg.norm(stack, axis=(1, 2)))
+    return [root.real.copy() if real else None for root, real in zip(stack, residue <= threshold)]
 
 
 def _check_log_preconditions(lam, cfg):
@@ -222,14 +244,16 @@ def _check_log_preconditions(lam, cfg):
         )
 
 
-def principal_log(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def principal_log(A, cfg: ToleranceConfig = DEFAULT_TOL, *, eigenvalues=None) -> np.ndarray:
     """Primary principal logarithm of a real matrix with no eigenvalue on the
     closed negative real axis.  Valid for repeated eigenvalues as well.
+    ``eigenvalues``, when given, must be ``np.linalg.eigvals(A)``; the
+    precondition reads it instead of taking the spectrum again.
     scipy's logm draws from numpy's global random generator (``onenormest``):
     it runs with that generator seeded with 0, so the result does not depend
     on the caller's random state, which is restored afterwards."""
     A = as_square_matrix(A)
-    _check_log_preconditions(np.linalg.eigvals(A), cfg)
+    _check_log_preconditions(np.linalg.eigvals(A) if eigenvalues is None else eigenvalues, cfg)
     state = np.random.get_state()
     np.random.seed(0)
     try:
@@ -281,8 +305,18 @@ def as_real(M, cfg: ToleranceConfig = DEFAULT_TOL):
     return None
 
 
+def _condition(V) -> float:
+    """2-norm condition number sigma_0 / sigma_n-1, as ``np.linalg.cond(V)``
+    computes it for a finite V (a singular V gives inf), without its checks."""
+    s = np.linalg.svd(V, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = float(s[0] / s[-1])
+    return np.inf if np.isnan(cond) else cond
+
+
 def _min_gap(values) -> float:
     if len(values) == 1:
         return np.inf
-    diff = values[:, None] - values[None, :]
-    return float(np.min(np.abs(diff[~np.eye(len(values), dtype=bool)])))
+    gaps = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return float(np.min(gaps))

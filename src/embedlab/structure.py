@@ -78,10 +78,18 @@ def frobenius_form(B, cfg: ToleranceConfig = DEFAULT_TOL) -> StructureDecomposit
     squaring.  Next goes the unplaced component with the smallest original
     index that no other unplaced one reaches, and indices inside a component
     stay ascending, so the decomposition is deterministic.  A fully
-    irreducible matrix yields a single block.
+    irreducible matrix yields a single block; a full pattern (every entry
+    beyond ``entry_tol`` in absolute value) is that block in the original
+    order, with no closure computed.
     """
     B = as_square_matrix(B)
-    labels, comp_order = strong_components(structural_pattern(B, cfg))
+    pattern = structural_pattern(B, cfg)
+    if pattern.all():
+        # a full pattern is one irreducible block in the original order
+        return StructureDecomposition(
+            permutation=np.arange(len(B)), block_sizes=[len(B)], U=B, diagonal_blocks=[B.copy()]
+        )
+    labels, comp_order = strong_components(pattern)
     rank = np.argsort(comp_order)  # position of each component in comp_order
     order = np.argsort(rank[labels], kind="stable")
     U = B[np.ix_(order, order)]
@@ -162,9 +170,14 @@ def necessary_conditions(
     trailing submatrix needs no other check: its diagonal and its diagonal
     blocks are those of B, already checked.
     ``decomposition``, when given, must be ``frobenius_form(B, cfg)``; the
-    form is computed here otherwise.
+    form is computed here otherwise.  A strictly positive B (every entry
+    above ``entry_tol``) passes at once: none of the five can fire on it.
     """
     B = as_square_matrix(B)
+    if (B > cfg.entry_tol).all():
+        # strictly positive: a positive diagonal, one irreducible block, no
+        # trailing submatrix and no structural zero, so nothing can fire
+        return NecessaryConditionReport(passed=True, violations=[])
     n = B.shape[0]
     violations: List[Tuple[str, tuple]] = []
 

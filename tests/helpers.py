@@ -52,6 +52,20 @@ def random_sparse_intensity(rng, n, density=0.5, lo=0.1, hi=1.0):
     return R
 
 
+def triangular_intensity(rng, n, g):
+    """Upper-triangular intensity matrix with its last state absorbing: state
+    k < n-1 leaves at rate 0.5 + g*k, split over the later states in
+    uniform(0.05, 1) proportions.  A small g brings the exit rates together,
+    so the eigenbasis of its exponential is ill-conditioned."""
+    R = np.zeros((n, n))
+    for k in range(n - 1):
+        rate = 0.5 + g * k
+        weights = rng.uniform(0.05, 1.0, n - 1 - k)
+        R[k, k + 1 :] = rate * weights / weights.sum()
+        R[k, k] = -rate
+    return R
+
+
 def random_stochastic(rng, n, lo=0.01):
     P = rng.uniform(lo, 1.0, (n, n))
     return P / P.sum(axis=1, keepdims=True)

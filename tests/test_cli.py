@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from embedlab import cli, numkit, structure
 from helpers import GEN_A, GEN_B, count_calls, scaled_dense_exp_z
@@ -266,6 +267,24 @@ class TestReportContract:
             report["command"][1] = "<file>"
             assert code == golden["exit_code"]
             assert json.dumps(report) == json.dumps(golden["report"])
+
+    def test_golden_roots_are_the_exponentials_of_the_witness(self):
+        # the sample roots come from the witness's eigenbasis, so their last
+        # bits differ from expm's; each stays within 1e-12 relative of it
+        def reports(report):
+            yield report
+            for sub in report["recursion"]:
+                yield from reports(sub)
+
+        seen = 0
+        for line in GOLDEN_DECISIONS.read_text().splitlines():
+            result = json.loads(line)["report"]["result"]
+            for report in reports(result.get("divisibility", {"recursion": []})):
+                for order, root in report.get("roots_demonstrated", []):
+                    expected = scipy.linalg.expm(-np.array(report["z_matrix"]) / order)
+                    assert np.linalg.norm(np.array(root) - expected) <= 1e-12 * np.linalg.norm(expected)
+                    seen += 1
+        assert seen == 27
 
     def test_tol_flag_echoed(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", np.eye(2))

@@ -32,6 +32,7 @@ from helpers import (
     random_stochastic,
     random_z_matrix,
     scaled_dense_exp_z,
+    triangular_intensity,
     wrapped_circulant,
 )
 
@@ -625,13 +626,16 @@ class TestCheckStrongInfDivisible:
         dets = count_calls(monkeypatch, np.linalg, "det")
         eigs = count_calls(monkeypatch, numkit, "eig")
         expms = count_calls(monkeypatch, numkit, "expm")
+        roots = count_calls(monkeypatch, numkit, "branch_roots")
         report = embed.check_strong_inf_divisible(B)
         assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
         assert len(report.recursion) == 2
         assert [M.shape for (M,) in dets] == [(3, 3), (2, 2), (1, 1)]
         assert len(eigs) == 1
-        # the acceptance test and three roots, then one check per block
-        assert len(expms) == 4 + 2
+        # the acceptance test, then one check per block; the three roots come
+        # from the witness's eigenbasis in one call
+        assert len(expms) == 1 + 2
+        assert len(roots) == 1
 
     def test_trailing_slice_failing_its_check_is_undetermined(self, monkeypatch):
         expected = embed.check_strong_inf_divisible(TRANS_A)
@@ -682,6 +686,102 @@ class TestCheckStrongInfDivisible:
         with pytest.raises(ValueError, match="root orders"):
             embed.check_strong_inf_divisible(DIVISIBLE_TRIANGLE, root_orders=orders)
         assert not forms
+
+    def test_one_decision_runs_every_traced_stage_once(self, monkeypatch):
+        # a strictly positive input takes every shortcut, yet each stage the
+        # benchmark traces still runs through its public name
+        B = numkit.expm(-(0.5 * np.eye(4) - random_intensity(np.random.default_rng(44), 4)))
+        stages = [(numkit, "eig"), (structure, "frobenius_form"), (structure, "necessary_conditions"),
+                  (numkit, "expm"), (numkit, "branch_roots")]
+        calls = {name: count_calls(monkeypatch, module, name) for module, name in stages}
+        report = embed.check_strong_inf_divisible(B)
+        assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
+        assert len(report.roots_demonstrated) == 3
+        assert {name: len(c) for name, c in calls.items()} == {name: 1 for _, name in stages}
+
+    @pytest.mark.parametrize("spoil", ["negative_entry", "complex_residue"])
+    def test_rejected_spectral_root_falls_back_to_expm(self, spoil, monkeypatch):
+        # a root from the eigenbasis that fails a check is recomputed with
+        # expm, so the report prints exactly the expm root
+        B = numkit.expm(-(0.5 * np.eye(3) - random_intensity(np.random.default_rng(45), 3)))
+        expected = embed.check_strong_inf_divisible(B)
+        branch_roots = numkit.branch_roots
+
+        def spoiled(*args):
+            roots = branch_roots(*args)
+            if spoil == "complex_residue":
+                return [None] * len(roots)
+            for root in roots:
+                root[0, 1] = -1.0
+            return roots
+
+        monkeypatch.setattr(numkit, "branch_roots", spoiled)
+        expms = count_calls(monkeypatch, numkit, "expm")
+        report = embed.check_strong_inf_divisible(B)
+        assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
+        assert report.failed_conditions == []
+        assert report_bits(report.z_matrix) == report_bits(expected.z_matrix)
+        Q = report.z_matrix
+        assert report_bits(report.roots_demonstrated) == report_bits(
+            [(order, numkit.expm(-Q / order)) for order in (2, 3, 5)]
+        )
+        assert len(expms) == 1 + 3 + 3  # acceptance, the fallbacks, the comparison above
+
+    def test_roots_of_an_eigenbasis_principal_log_come_from_that_basis(self, monkeypatch):
+        # a repeated diagonalizable spectrum: the witness is eig's principal
+        # log, and so are its roots
+        B = equal_input(np.random.default_rng(46), 4)
+        expms = count_calls(monkeypatch, numkit, "expm")
+        roots = count_calls(monkeypatch, numkit, "branch_roots")
+        report = embed.check_strong_inf_divisible(B)
+        assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
+        assert report.bound_used is None
+        assert (len(expms), len(roots)) == (1, 1)
+        for order, root in report.roots_demonstrated:
+            expected = scipy.linalg.expm(-report.z_matrix / order)
+            assert np.linalg.norm(root - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_scipy_witness_keeps_expm_roots(self, monkeypatch):
+        # a defective input has no eigenbasis, so its roots are expm's
+        B = numkit.expm(np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]))
+        roots = count_calls(monkeypatch, numkit, "branch_roots")
+        report = embed.check_strong_inf_divisible(B)
+        assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
+        assert roots == []
+        Q = report.z_matrix
+        assert report_bits(report.roots_demonstrated) == report_bits(
+            [(order, numkit.expm(-Q / order)) for order in (2, 3, 5)]
+        )
+
+    def test_spectral_roots_keep_every_verdict_on_ill_conditioned_bases(self, monkeypatch):
+        # expm(R + 0.3 I) for upper-triangular R whose exit rates nearly
+        # coincide: eigenbases with condition numbers up to about 5e8, where
+        # roots by diagonalization are least accurate (the rest have none
+        # and take scipy's log).  No spectral root is rejected, and against
+        # the expm roots no verdict changes and no root moves beyond 1e-7
+        # relative
+        rng = np.random.default_rng(5)
+        draws = []
+        for _ in range(200):
+            n = int(rng.integers(3, 7))
+            R = triangular_intensity(rng, n, 10 ** rng.uniform(-6.5, -2))
+            draws.append(numkit.expm(R + 0.3 * np.eye(n)))
+        spectral_calls = count_calls(monkeypatch, numkit, "branch_roots")
+        expms = count_calls(monkeypatch, numkit, "expm")
+        spectral = [embed.check_strong_inf_divisible(B) for B in draws]
+        assert [r.verdict for r in spectral] == [embed.STRONGLY_INF_DIVISIBLE] * 200
+        assert 50 <= len(spectral_calls) <= 150
+        # acceptance and one check per trailing block, plus three expm roots
+        # for each witness without an eigenbasis: no fallback fired
+        assert len(expms) == sum(1 + len(r.recursion) for r in spectral) + 3 * (200 - len(spectral_calls))
+        monkeypatch.setattr(numkit, "branch_roots", lambda E, sel, orders, cfg: [None] * len(orders))
+        reference = [embed.check_strong_inf_divisible(B) for B in draws]
+        assert [r.verdict for r in reference] == [r.verdict for r in spectral]
+        for ours, theirs in zip(spectral, reference):
+            assert report_bits(ours.z_matrix) == report_bits(theirs.z_matrix)
+            assert [order for order, _ in ours.roots_demonstrated] == [order for order, _ in theirs.roots_demonstrated]
+            for (_, root), (_, expected) in zip(ours.roots_demonstrated, theirs.roots_demonstrated):
+                assert np.linalg.norm(root - expected) <= 1e-7 * np.linalg.norm(expected)
 
     def test_root_failure_reports_count_the_branches_searched(self, monkeypatch):
         expected = embed.check_strong_inf_divisible(TRANS_A)
@@ -848,6 +948,18 @@ class TestRepeatedSpectrum:
         assert report.verdict == embed.UNDETERMINED
         assert [r["reason"] for r in report.failed_conditions] == ["principal_log_unavailable", "repeated_eigenvalues"]
         assert {name: len(calls) for name, calls in counts.items()} == {"eig": 1, "eigvals": 0, "principal_log": 0}
+
+    @pytest.mark.parametrize("check", [embed.check_embeddable, embed.check_strong_inf_divisible])
+    def test_defective_input_takes_its_spectrum_once(self, check, monkeypatch):
+        # no eigenbasis: scipy's log precondition and the test that its log
+        # is the only real candidate read one spectrum
+        P = numkit.expm(np.array([[-1.0, 1.0 + 5e-8, -5e-8], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]))
+        eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
+        logs = count_calls(monkeypatch, numkit, "principal_log")
+        report = check(P)
+        reasons = [r["reason"] for r in report.failed_conditions]
+        assert reasons == ["off_diagonal_negative", "primary_log_is_only_candidate"]
+        assert (len(eigvals), len(logs)) == (1, 1)
 
 
 class TestNearThreshold:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from helpers import (
     EXP_GEN_A,
     GEN_A,
     GEN_B,
+    count_calls,
     global_random_state,
     min_eig_gap,
     random_intensity,
@@ -81,6 +84,26 @@ class TestEig:
     def test_defective_raises(self):
         with pytest.raises(IllConditioned):
             numkit.eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_basis_condition_is_numpys_condition_number(self):
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            try:
+                e = numkit.eig(rng.normal(size=(n, n)))
+            except IllConditioned:
+                continue
+            expected = np.linalg.cond(e.right_eigenvectors)
+            assert e.basis_condition.hex() == float(expected).hex()
+
+    @pytest.mark.parametrize("V", [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.ones((3, 3), dtype=complex)])
+    def test_singular_basis_condition_is_infinite_without_a_warning(self, V):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert numkit._condition(V) == np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert np.linalg.cond(V) == np.inf
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
@@ -176,6 +199,46 @@ class TestLogmBranch:
             assert numkit.relative_residual(numkit.expm(L), P) <= 1e-8
 
 
+class TestBranchRoots:
+    def test_roots_of_a_branch_logarithm(self):
+        rng = np.random.default_rng(49)
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            P = numkit.expm(random_intensity(rng, n))
+            e = numkit.eig(P)
+            L = numkit.logm_branch(e, [0] * n)
+            roots = numkit.branch_roots(e, [0] * n, (1, 2, 3, 7))
+            for m, root in zip((1, 2, 3, 7), roots):
+                expected = numkit.expm(np.real(L) / m)
+                assert root.dtype == float and root.flags.c_contiguous
+                assert numkit.relative_residual(root, expected) <= 1e-12
+            assert numkit.relative_residual(roots[0], P) <= 1e-12
+
+    def test_nonreal_root_is_none(self):
+        # offsets (1, 0) on the real spectrum {2, 0.5}: exp(pi i) makes the
+        # square root real, exp(2 pi i / 3) and exp(pi i / 2) do not
+        e = numkit.eig(np.diag([2.0, 0.5]))
+        square, *rest = numkit.branch_roots(e, [1, 0], (2, 3, 4))
+        assert rest == [None, None]
+        assert np.allclose(square, np.diag([-np.sqrt(2.0), np.sqrt(0.5)]), atol=1e-14)
+        # (k, -k) on a conjugate pair keeps them real
+        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+        e = numkit.eig(numkit.expm(0.5 * rotation))
+        for m, root in zip((2, 3), numkit.branch_roots(e, [0, 0], (2, 3))):
+            assert np.allclose(root, numkit.expm(0.5 * rotation / m), atol=1e-14)
+
+    def test_no_orders_no_roots(self):
+        e = numkit.eig(np.diag([2.0, 0.5]))
+        assert numkit.branch_roots(e, [0, 0], ()) == []
+
+    def test_selection_is_validated_as_for_logm_branch(self):
+        e = numkit.eig(np.eye(3))
+        with pytest.raises(RepeatedEigenvalues):
+            numkit.branch_roots(e, [0, 1, 0], (2,))
+        with pytest.raises(ValueError):
+            numkit.branch_roots(e, [0, 0], (2,))
+
+
 class TestPrimaryRoot:
     def test_order_one_is_identity_map(self):
         A = np.array([[2.0, 1.0], [0.5, 3.0]])
@@ -206,6 +269,18 @@ class TestPrimaryRoot:
             order = (2, 3, 5, 7)[k % 4]
             R = numkit.primary_root(B, order)
             assert numkit.relative_residual(np.linalg.matrix_power(R, order), B) <= 1e-7
+
+
+class TestPrincipalLog:
+    def test_a_given_spectrum_replaces_its_own(self, monkeypatch):
+        P = numkit.expm(GEN_A)
+        lam = np.linalg.eigvals(P)
+        expected = numkit.principal_log(P)
+        calls = count_calls(monkeypatch, np.linalg, "eigvals")
+        assert numkit.principal_log(P, eigenvalues=lam).tobytes() == expected.tobytes()
+        assert calls == []
+        with pytest.raises(NegativeRealEigenvalue):
+            numkit.principal_log(P, eigenvalues=np.array([1.0, -0.5, 0.2]))
 
 
 class TestGlobalRandomState:

@@ -131,6 +131,64 @@ class TestFrobeniusFormOracle:
         self.check(B)
         assert structure.frobenius_form(B).block_sizes == [2] * 20
 
+    def test_full_pattern_shortcut(self, monkeypatch):
+        # every entry structural, here strictly positive or negative: one block
+        # in the original order with no closure, and no necessary condition
+        # can fire on a strictly positive input
+        closures = count_calls(monkeypatch, structure, "strong_components")
+        forms = count_calls(monkeypatch, structure, "frobenius_form")
+        rng = np.random.default_rng(50)
+        above = np.nextafter(CFG.entry_tol, 1.0)
+        for k in range(300):
+            n = int(rng.integers(1, 9))
+            B = rng.uniform(0.1, 1.0, (n, n))
+            B[rng.random((n, n)) < 0.2] = above
+            if k % 3 == 0:
+                B[rng.random((n, n)) < 0.5] *= -1.0
+            self.check(B)
+            d = structure.frobenius_form(B)
+            assert d.permutation.dtype == np.intp
+            assert d.diagonal_blocks[0].tobytes() == d.U.tobytes()
+            assert not np.shares_memory(d.diagonal_blocks[0], d.U)
+            del forms[:]
+            report = structure.necessary_conditions(B)
+            if np.all(B > 0):
+                assert (report.passed, report.violations) == (True, [])
+                assert forms == []
+            else:
+                assert not report.passed
+        assert closures == []
+
+    def test_entries_at_the_structural_threshold_take_the_closure(self, monkeypatch):
+        # an entry of exactly +-entry_tol is a structural zero: the closure
+        # path runs and the conditions see the zero
+        closures = count_calls(monkeypatch, structure, "strong_components")
+        rng = np.random.default_rng(51)
+        for k in range(300):
+            n = int(rng.integers(1, 9))
+            B = rng.uniform(0.1, 1.0, (n, n))
+            i, j = (int(x) for x in rng.integers(0, n, 2))
+            B[i, j] = CFG.entry_tol if k % 2 else -CFG.entry_tol
+            self.check(B)
+            del closures[:]
+            structure.frobenius_form(B)
+            assert len(closures) == 1
+            violations = structure.necessary_conditions(np.abs(B)).violations
+            if i == j:
+                assert ("positive_diagonal", (i, CFG.entry_tol)) in violations
+            elif n > 2:
+                # still irreducible, so the zero is a violation
+                assert ("irreducible_implies_positive", (i, j, CFG.entry_tol)) in violations
+
+    @pytest.mark.parametrize("x", [0.5, np.nextafter(1e-9, 1.0), 1e-9, 0.0, -1e-9, -0.5])
+    def test_one_by_one(self, x):
+        B = np.array([[x]])
+        self.check(B)
+        d = structure.frobenius_form(B)
+        assert (d.block_sizes, d.permutation.tolist()) == ([1], [0])
+        report = structure.necessary_conditions(np.abs(B))
+        assert report.passed == (abs(x) > CFG.entry_tol)
+
 
 class TestFrobeniusFormCalls:
     """The decisions compute the Frobenius form once and reuse it."""

@@ -11,8 +11,11 @@ dtype, shape and bytes and floats in hex, so two runs give the same digest
 only when their reports are bitwise identical; an input that raises
 contributes its exception type and message instead.
 
-Prints the number of reports and the sha256 of all of them in order.  Run it
-on two checkouts to show that a change leaves every report as it was.
+Prints the number of reports and the sha256 of all of them in order, then
+``sha256_without_roots``, the same digest with every ``roots_demonstrated``
+left out (trailing sub-reports included).  Run it on two checkouts to show
+that a change leaves every report as it was, or everything but the sample
+roots, whose last bits depend on how they are computed.
 """
 
 import dataclasses
@@ -26,16 +29,19 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5, 2026)
 
 
-def report_bits(x):
-    """A report as nested tuples; equal results give equal tuples bit for bit."""
+def report_bits(x, skip=()):
+    """A report as nested tuples, without the dataclass fields named in
+    ``skip``; equal results give equal tuples bit for bit."""
     if dataclasses.is_dataclass(x):
-        return tuple((f.name, report_bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+        return tuple(
+            (f.name, report_bits(getattr(x, f.name), skip)) for f in dataclasses.fields(x) if f.name not in skip
+        )
     if isinstance(x, np.ndarray):
         return (x.dtype.str, x.shape, x.tobytes())
     if isinstance(x, dict):
-        return tuple((k, report_bits(v)) for k, v in x.items())
+        return tuple((k, report_bits(v, skip)) for k, v in x.items())
     if isinstance(x, (list, tuple)):
-        return tuple(report_bits(v) for v in x)
+        return tuple(report_bits(v, skip) for v in x)
     return x.hex() if isinstance(x, float) else x
 
 
@@ -53,20 +59,23 @@ def main(argv):
         raise SystemExit(f"error: imported embedlab from {embedlab.__file__}, not from {src}")
 
     questions = (embedlab.check_embeddable, embedlab.check_strong_inf_divisible)
-    digest = hashlib.sha256()
+    digest, without_roots = hashlib.sha256(), hashlib.sha256()
     count = 0
     for seed in SEEDS:
         cases = [case for workload in sorted(corpus.WORKLOADS) for case in corpus.build(workload, seed)]
         for case in cases + corpus.known_defect_cases(seed):
             for question in questions:
                 try:
-                    bits = report_bits(question(case.matrix))
+                    report = question(case.matrix)
+                    bits, rootless = report_bits(report), report_bits(report, ("roots_demonstrated",))
                 except EmbedlabError as exc:
-                    bits = (type(exc).__name__, str(exc))
+                    bits = rootless = (type(exc).__name__, str(exc))
                 digest.update(repr(bits).encode())
+                without_roots.update(repr(rootless).encode())
                 count += 1
     print(f"reports {count}")
     print(f"sha256 {digest.hexdigest()}")
+    print(f"sha256_without_roots {without_roots.hexdigest()}")
 
 
 if __name__ == "__main__":
