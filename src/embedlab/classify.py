@@ -1,6 +1,8 @@
-"""Tolerance-aware membership predicates for the matrix classes the decision
-pipeline relies on: nonnegative, strictly positive, stochastic, Z, intensity,
-M, inverse-M, and irreducible matrices.
+"""Tolerance-aware membership tests for the matrix classes the decision
+pipeline relies on.  Nonnegative, stochastic, Z, intensity and irreducible
+matrices have their own predicates (``is_nonnegative`` and so on); strictly
+positive, positive-diagonal, M, inverse-M and nonsingular are only flags
+of ``classify_matrix`` (``FLAG_NAMES`` lists them all).
 """
 
 from dataclasses import dataclass, field

@@ -152,9 +152,10 @@ class DivisibilityReport:
 class InverseMRoot:
     """Root of a matrix that lies in the inverse-M class.
 
-    ``root`` is the nonnegative primary mth root whose inverse is an
-    M-matrix.  For stochastic targets ``epsilon`` and ``h`` give the
-    equivalent resolvent form ``P = (1 - epsilon)^m (I - epsilon*h)^-m``.
+    ``root`` is the target's own nonnegative primary mth root, whose inverse
+    is an M-matrix (at m = 1 it is the target itself).  For stochastic
+    targets ``epsilon`` and ``h`` give the equivalent resolvent form
+    ``P = (1 - epsilon)^m (I - epsilon*h)^-m``.
     """
 
     root: np.ndarray
@@ -564,7 +565,8 @@ def check_strong_inf_divisible(
 
     A witness is a real matrix Q with nonpositive off-diagonal entries and
     exp(-Q) equal to the input; sample roots exp(-Q/m) are demonstrated for
-    the orders m in ``root_orders``: each must be nonnegative and its mth
+    the orders m in ``root_orders`` (any iterable of positive integers, read
+    once; booleans are not orders): each must be nonnegative and its mth
     power must reconstruct the input, and a failing root makes the verdict
     Undetermined.  When the witness is -Q = V diag(mu) V^-1 from the
     decision's eigenbasis (a search hit, or the principal logarithm of a
@@ -584,7 +586,8 @@ def check_strong_inf_divisible(
     search runs for it, so ``bound_used`` is None and ``branches_examined``
     0, and it carries no recursion.
     """
-    if not all(isinstance(order, (int, np.integer)) and order >= 1 for order in root_orders):
+    root_orders = tuple(root_orders)
+    if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1 for m in root_orders):
         raise ValueError("root orders must be positive integers")
     B = as_square_matrix(B)
     if not is_nonnegative(B, cfg):
@@ -644,11 +647,13 @@ def _root_failure(root: np.ndarray, order: int, B: np.ndarray, cfg: ToleranceCon
 def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optional[InverseMRoot]:
     """Express P as the mth power of an inverse-M matrix, when possible.
 
-    The primary mth root W of P^-1 is tested for M-matrix membership.  For
-    stochastic P the result carries the resolvent parameters
-    ``epsilon = (s-1)/s`` and stochastic ``h`` with ``W = s(I - epsilon*h)``;
-    the identity P = (1-epsilon)^m (I - epsilon*h)^-m is verified within
-    ``recon_tol``.  Returns None when P has no such representation.
+    The primary mth root of P must be nonnegative and its inverse W a
+    Z-matrix, so that W is a nonsingular M-matrix and the root lies in the
+    inverse-M class.  For stochastic P the result carries the resolvent
+    parameters ``epsilon = (s-1)/s`` and stochastic ``h`` with
+    ``W = s(I - epsilon*h)``; the identity P = (1-epsilon)^m (I - epsilon*h)^-m
+    is verified within ``recon_tol``.  Returns None when P has no such
+    representation.
     """
     P = as_square_matrix(P)
     if not (isinstance(m, (int, np.integer)) and m >= 1):
@@ -658,25 +663,24 @@ def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optio
     if abs(det) <= cfg.entry_tol:
         raise SingularMatrix("inverse-M power form needs a nonsingular matrix")
     stochastic = is_stochastic(P, cfg)
-    Pinv = np.linalg.inv(P)
-    W = numkit.primary_root(Pinv, m, cfg)
+    root = numkit.primary_root(P, m, cfg)
 
-    if not is_z_matrix(W, cfg):
+    if not is_nonnegative(root, cfg):
         return None
     try:
-        Winv = np.linalg.inv(W)
+        W = np.linalg.inv(root)
     except np.linalg.LinAlgError:
         return None
-    if not is_nonnegative(Winv, cfg):
+    if not is_z_matrix(W, cfg):
         return None
 
     if not stochastic:
-        return InverseMRoot(root=Winv)
+        return InverseMRoot(root=root)
 
     s = float(np.max(np.diag(W)))
     if abs(s - 1.0) <= n * cfg.entry_tol:
         # boundary P = I: epsilon 0 and any stochastic factor; identity by convention
-        return InverseMRoot(root=Winv, epsilon=0.0, h=np.eye(n))
+        return InverseMRoot(root=root, epsilon=0.0, h=np.eye(n))
     K = s * np.eye(n) - W
     H = K / (s - 1.0)
     if not is_stochastic(H, cfg):
@@ -687,7 +691,7 @@ def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optio
     )
     if numkit.relative_residual(recon, P) > cfg.recon_tol:
         return None
-    return InverseMRoot(root=Winv, epsilon=epsilon, h=H)
+    return InverseMRoot(root=root, epsilon=epsilon, h=H)
 
 
 def im_root_approx(
@@ -700,10 +704,14 @@ def im_root_approx(
     """Smallest-order inverse-M root certificate.
 
     Requires exp(generator) to reconstruct P and every off-diagonal entry of
-    the generator to be strictly positive; without that the construction can
-    fail outright.  Doubles the root order m from ``n`` until exp(L/m), with L
-    the principal logarithm of P^-1 taken once, passes the M-matrix test,
-    demonstrating that the matching root of P lies in the inverse-M class.
+    the generator G to be strictly positive; without that the construction
+    can fail outright.  Doubles the root order m from ``n`` up to ``n_max``
+    and returns the first W = expm(-G/m) that is a Z-matrix with a
+    nonnegative inverse: W is then an M-matrix, and its inverse expm(G/m),
+    an mth root of P, lies in the inverse-M class.  No logarithm is taken,
+    so W comes from the given G: for a generator that is not P's principal
+    logarithm, W and the root belong to that branch, not the principal one.
+    Raises SearchExhausted when no order up to ``n_max`` passes.
     """
     P = as_square_matrix(P)
     G = as_square_matrix(generator)
@@ -716,11 +724,9 @@ def im_root_approx(
     off = _offdiag(G)
     if off.size == 0 or np.min(off) <= cfg.entry_tol:
         raise OffDiagonalZeros("generator off-diagonal entries must be strictly positive")
-    Pinv = np.linalg.inv(P)
     order = int(n)
-    L = numkit.principal_log(Pinv, cfg) if order <= n_max else None
     while order <= n_max:
-        W = Pinv if order == 1 else numkit.expm(L / order)
+        W = numkit.expm(-G / order)
         if is_z_matrix(W, cfg) and is_nonnegative(np.linalg.inv(W), cfg):
             return W
         order *= 2

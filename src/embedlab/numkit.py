@@ -2,9 +2,11 @@
 
 Eigendecomposition with a canonical eigenvalue ordering, matrix exponential,
 branch-parameterized matrix logarithms with their roots, and primary roots,
-all pure functions of their inputs.  ``principal_log`` (so ``primary_root``) seeds numpy's global
-random generator for scipy's logm and then restores it, so no other thread
-may use that generator meanwhile.
+all pure functions of their inputs.  ``principal_log`` (so ``primary_root``,
+and through it ``embed.inverse_m_power_form``) seeds numpy's global random
+generator for scipy's logm and then restores it, so no other thread may use
+that generator meanwhile.  ``embed.im_root_approx`` takes no logarithm and
+leaves the generator alone.
 """
 
 import warnings
@@ -63,9 +65,13 @@ DEFAULT_TOL = ToleranceConfig()
 def as_square_matrix(A) -> np.ndarray:
     """Validate and return ``A`` as a float two-dimensional square array.
 
-    Raises ValueError for non-square shapes or non-finite entries.
+    Raises ValueError for complex entries (before any conversion drops
+    their imaginary parts), non-square shapes or non-finite entries.
     """
-    M = np.array(A, dtype=float, copy=True)
+    M = np.array(A, copy=True)
+    if M.dtype.kind == "c":
+        raise ValueError("matrix entries must be real")
+    M = M.astype(float, copy=False)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
@@ -188,8 +194,10 @@ def logm_branch(E: Eigendecomposition, selection, cfg: ToleranceConfig = DEFAULT
     """Branch-parameterized matrix logarithm V diag(Log lam_j + 2 pi i k_j) V^-1.
 
     ``selection`` is a sequence of integer offsets (or an object exposing
-    ``offsets``), one per eigenvalue in the canonical order.  All-zero offsets
-    give the principal logarithm.  Offsets that differ inside a repeated
+    ``offsets``), one per eigenvalue in the canonical order; an offset array
+    of any non-integer dtype (floats, booleans, strings) raises ValueError
+    rather than being rounded or parsed.  All-zero offsets give the
+    principal logarithm.  Offsets that differ inside a repeated
     eigenvalue cluster do not define a primary function and raise
     RepeatedEigenvalues (constant offsets on a cluster stay basis
     independent and are allowed).  The result is complex; use :func:`as_real`
@@ -201,7 +209,9 @@ def logm_branch(E: Eigendecomposition, selection, cfg: ToleranceConfig = DEFAULT
 def _branch_logs(E: Eigendecomposition, selection, cfg: ToleranceConfig) -> np.ndarray:
     """Log lam_j + 2 pi i k_j for the offsets of ``selection``, validated as
     :func:`logm_branch` describes."""
-    offsets = np.asarray(getattr(selection, "offsets", selection), dtype=int)
+    offsets = np.asarray(getattr(selection, "offsets", selection))
+    if offsets.dtype.kind not in "iu":
+        raise ValueError(f"branch offsets must be integers, got dtype {offsets.dtype}")
     if offsets.shape != (E.n,):
         raise ValueError(f"expected {E.n} branch offsets, got shape {offsets.shape}")
     lam = E.eigenvalues

@@ -26,6 +26,7 @@ from helpers import (
     equal_input,
     min_eig_gap,
     random_intensity,
+    random_inverse_m,
     random_permutation_matrix,
     random_shifted_z,
     random_sparse_intensity,
@@ -680,12 +681,18 @@ class TestCheckStrongInfDivisible:
         with pytest.raises(NotNonnegative):
             embed.check_strong_inf_divisible(np.array([[1.0, -1.0], [0.0, 1.0]]))
 
-    @pytest.mark.parametrize("orders", [(0,), (-2,), (2, 2.5)])
+    @pytest.mark.parametrize("orders", [(0,), (-2,), (2, 2.5), (True,)])
     def test_root_orders_must_be_positive_integers(self, orders, monkeypatch):
         forms = count_calls(monkeypatch, embed.structure, "frobenius_form")
         with pytest.raises(ValueError, match="root orders"):
             embed.check_strong_inf_divisible(DIVISIBLE_TRIANGLE, root_orders=orders)
         assert not forms
+
+    def test_root_orders_are_read_once_from_any_iterable(self):
+        from_tuple = embed.check_strong_inf_divisible(DIVISIBLE_TRIANGLE, root_orders=(2, 3, 5))
+        from_generator = embed.check_strong_inf_divisible(DIVISIBLE_TRIANGLE, root_orders=(m for m in (2, 3, 5)))
+        assert [order for order, _ in from_generator.roots_demonstrated] == [2, 3, 5]
+        assert report_bits(from_generator) == report_bits(from_tuple)
 
     def test_one_decision_runs_every_traced_stage_once(self, monkeypatch):
         # a strictly positive input takes every shortcut, yet each stage the
@@ -1003,7 +1010,20 @@ class TestInverseMPowerForm:
         assert result is not None
         assert result.epsilon == pytest.approx(1.0 - np.exp(-2.0), abs=1e-9)
         assert classify.is_stochastic(result.h, CFG)
-        assert np.allclose(result.root, TRANS_A, atol=1e-9)
+        # the first root is the input itself, never a twice-inverted copy
+        assert np.array_equal(result.root, TRANS_A)
+
+    def test_root_is_taken_from_the_input_not_its_inverse(self, monkeypatch):
+        P = TRANS_A @ TRANS_A
+        inverses = count_calls(monkeypatch, np.linalg, "inv")
+        roots = count_calls(monkeypatch, numkit, "primary_root")
+        result = embed.inverse_m_power_form(P, 2)
+        assert len(roots) == 1 and np.array_equal(roots[0][0], P)
+        assert np.array_equal(result.root, numkit.primary_root(P, 2))
+        assert not any(np.array_equal(args[0], P) for args in inverses)
+        # at m = 1 a dense inverse-M input is its own root, bit for bit
+        B = random_inverse_m(np.random.default_rng(62), 4)
+        assert np.array_equal(embed.inverse_m_power_form(B, 1).root, B)
 
     def test_square_of_inverse_m(self):
         result = embed.inverse_m_power_form(TRANS_A @ TRANS_A, 2)
@@ -1050,19 +1070,48 @@ class TestImRootApprox:
         with pytest.raises(OffDiagonalZeros):
             embed.im_root_approx(np.eye(3), np.zeros((3, 3)), 1)
 
-    def test_principal_log_taken_once(self, monkeypatch):
-        # the root of P^-1 is an M-matrix first at order 16: orders 2, 4, 8
-        # and 16 all divide one logarithm
+    def test_takes_no_logarithm(self, monkeypatch):
+        # expm(-R/m) is an M-matrix first at order 16; every order divides
+        # the verified generator itself, and P is never inverted
         R = random_intensity(np.random.default_rng(36), 6, lo=0.05, hi=1.5)
         P = numkit.expm(R)
         logs = count_calls(monkeypatch, numkit, "principal_log")
+        inverses = count_calls(monkeypatch, np.linalg, "inv")
         W = embed.im_root_approx(P, R, 1)
-        assert len(logs) == 1
-        assert np.array_equal(W, numkit.expm(numkit.principal_log(np.linalg.inv(P)) / 16))
-        del logs[:]
+        assert np.array_equal(W, numkit.expm(-R / 16))
         with pytest.raises(SearchExhausted):
             embed.im_root_approx(P, R, 4, n_max=2)
         assert logs == []
+        assert inverses and not any(np.array_equal(args[0], P) for args in inverses)
+
+    def test_non_principal_generator_gives_its_own_root(self):
+        # R = 5(C - I) + 0.3(J/3 - I), C the 3-cycle, has eigenvalues
+        # -7.8 +- 4.33i: a real logarithm of P = expm(R) but not the principal
+        # one G0, which check_embeddable accepts after one branch.  Each
+        # generator certifies with its own roots.
+        C = np.roll(np.eye(3), 1, axis=1)
+        R = 5.0 * (C - np.eye(3)) + 0.3 * (np.ones((3, 3)) / 3 - np.eye(3))
+        P = numkit.expm(R)
+        report = embed.check_embeddable(P)
+        assert report.verdict == embed.EMBEDDABLE and report.branches_examined == 1
+        G0 = report.generator
+        assert np.max(np.abs(G0 - R)) > 1.0
+        assert np.array_equal(embed.im_root_approx(P, R), numkit.expm(-R / 256))
+        assert np.array_equal(embed.im_root_approx(P, G0), numkit.expm(-G0 / 8))
+
+    def test_log_free_oracle(self):
+        # each returned W is a Z-matrix with a nonnegative inverse whose
+        # power of some power-of-two order m reconstructs P
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            R = random_intensity(rng, int(rng.integers(2, 7)), lo=0.05, hi=2.0)
+            P = numkit.expm(R)
+            W = embed.im_root_approx(P, R)
+            assert classify.is_z_matrix(W, CFG)
+            root = np.linalg.inv(W)
+            assert classify.is_nonnegative(root, CFG)
+            residuals = [numkit.relative_residual(np.linalg.matrix_power(root, 2**k), P) for k in range(21)]
+            assert min(residuals) <= CFG.recon_tol
 
     def test_grows_order_until_m_matrix(self):
         rng = np.random.default_rng(36)

@@ -27,6 +27,31 @@ from helpers import (
 CFG = numkit.DEFAULT_TOL
 
 
+class TestAsSquareMatrix:
+    @pytest.mark.parametrize(
+        "A", [np.array([[1.0 + 1.0j]]), [[1 + 1j]], np.array([[1.0 + 0.0j, 0.0], [0.0, 1.0]])]
+    )
+    def test_complex_entries_are_rejected_before_conversion(self, A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="real"):
+                numkit.as_square_matrix(A)
+
+    def test_complex_input_gets_no_verdict(self):
+        with pytest.raises(ValueError, match="real"):
+            embed.check_embeddable(np.array([[0.9, 0.1], [0.2, 0.8]]) + 1e-3j)
+
+    @pytest.mark.parametrize(
+        "A",
+        [np.array([[0.9, 0.1], [0.2, 0.8]]), np.eye(2, dtype=np.float32), [[1, 0], [0, 2]], [[True, False], [False, True]]],
+    )
+    def test_real_input_becomes_a_float_copy(self, A):
+        M = numkit.as_square_matrix(A)
+        assert M.dtype == np.float64
+        assert np.array_equal(M, np.asarray(A, dtype=float))
+        assert not np.shares_memory(M, A)
+
+
 class TestToleranceConfig:
     def test_defaults(self):
         assert CFG.entry_tol == 1e-9
@@ -153,6 +178,19 @@ class TestLogmBranch:
         with pytest.raises(RepeatedEigenvalues):
             numkit.logm_branch(e, [0, 1, 0])
 
+    @pytest.mark.parametrize("offsets", [[1.9, 0], [1.0, 0], ["1", 0], [True, False]])
+    def test_offsets_must_be_integers(self, offsets):
+        e = numkit.eig(np.diag([2.0, 0.5]))
+        with pytest.raises(ValueError, match="integers"):
+            numkit.logm_branch(e, offsets)
+
+    def test_integer_offsets_of_any_width_are_accepted(self):
+        e = numkit.eig(np.diag([2.0, 0.5]))
+        L = numkit.logm_branch(e, [1, 0])
+        widths = (np.array([1, 0], dtype=np.int8), np.array([1, 0], dtype=np.uint16))
+        for offsets in (*widths, embed.BranchSelection((1, 0))):
+            assert np.array_equal(numkit.logm_branch(e, offsets), L)
+
     def test_product_fixture_has_negative_offdiagonal(self):
         P = numkit.expm(GEN_B) @ numkit.expm(GEN_A)
         L = numkit.as_real(numkit.logm_branch(numkit.eig(P), [0, 0, 0]))
@@ -237,6 +275,9 @@ class TestBranchRoots:
             numkit.branch_roots(e, [0, 1, 0], (2,))
         with pytest.raises(ValueError):
             numkit.branch_roots(e, [0, 0], (2,))
+        for offsets in ([1.9, 0, 0], ["1", 0, 0], [True, False, False]):
+            with pytest.raises(ValueError, match="integers"):
+                numkit.branch_roots(e, offsets, (2,))
 
 
 class TestPrimaryRoot:
