@@ -2,7 +2,8 @@
 
 Reads a square matrix from a JSON file ({"n": int, "rows": [[...], ...],
 "kind": optional}) or a plain CSV of rows, runs one analysis subcommand, and
-writes a single self-contained JSON report to stdout.  A one-line human
+writes a single self-contained JSON report to stdout as one line, so the
+reports of many runs appended to one file are JSON Lines.  A one-line human
 summary goes to stderr when it is a terminal.
 
 Exit codes: 0 positive verdict / success, 1 negative verdict,
@@ -145,16 +146,19 @@ def _load_matrix(path):
 
 
 def _tolerances(args) -> ToleranceConfig:
-    entry_tol = ToleranceConfig().entry_tol
+    """``numkit.DEFAULT_TOL`` with ``entry_tol`` from ``--tol`` or else from
+    the environment; the environment value is checked even when ``--tol``
+    overrides it."""
+    entry_tol = args.tol
     env = os.environ.get(TOL_ENV_VAR)
     if env is not None:
         try:
-            entry_tol = _positive_float(env)
+            env_tol = _positive_float(env)
         except argparse.ArgumentTypeError as exc:
             raise _UsageError(f"{TOL_ENV_VAR}: {exc}") from None
-    if getattr(args, "tol", None) is not None:
-        entry_tol = args.tol
-    return ToleranceConfig(entry_tol=entry_tol)
+        if entry_tol is None:
+            entry_tol = env_tol
+    return numkit.DEFAULT_TOL if entry_tol is None else ToleranceConfig(entry_tol=entry_tol)
 
 
 def _json_default(obj):
@@ -273,7 +277,8 @@ def run_cli(argv) -> int:
         "version": __version__,
         "duration_s": time.perf_counter() - started,
     }
-    sys.stdout.write(json.dumps(report, indent=2, default=_json_default) + "\n")
+    # no indent: json uses its C encoder only without one
+    sys.stdout.write(json.dumps(report, default=_json_default) + "\n")
     if sys.stderr.isatty():
         print(_summary_line(payload, code), file=sys.stderr)
     return code

@@ -14,7 +14,7 @@ eigendecomposition is the one source of every spectral fact the decision
 uses: the searched window and, on a repeated spectrum, whether a real
 principal logarithm exists and its value V Log(Lambda) V^-1.  A positive
 found that way passes the acceptance test of every search hit; negatives on
-that path rest on scipy's principal logarithm, and what it leaves open is
+that path rest on ``numkit.principal_log``, and what it leaves open is
 Undetermined.  A negative that rests on a failure within the acceptor's
 borderline band is Undetermined too.  Trailing blocks of a divisible
 reducible input are not decided again: their sub-reports are slices of the
@@ -38,7 +38,7 @@ construction complete the module.
 The sample roots exp(-Q/m) of a divisibility witness found in the
 eigenbasis come from that basis, V diag(exp(mu/m)) V^-1; expm runs for the
 acceptance test, the trailing-block checks, a root that fails its checks,
-and the roots of a witness from scipy's logarithm.
+and the roots of a witness from ``numkit.principal_log``.
 """
 
 import itertools
@@ -432,19 +432,21 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
 
     With an eigenbasis its eigenvalues decide whether a real principal
     logarithm exists: one that is zero or on the closed negative real axis
-    ends the path Undetermined with a ``principal_log_unavailable`` record.
+    ends the path Undetermined with a ``principal_log_unavailable`` record,
+    as does a ``numkit.principal_log`` whose square roots do not converge.
     Otherwise the principal logarithm is taken from that eigenbasis first: it
     is a primary function, so any eigenbasis gives it (Higham, Functions of
     Matrices, 2008, Def. 1.2).  If the acceptor takes it, it is the witness,
     with the same certificate as any search hit (real, nonnegative off the
-    diagonal, and expm reconstructs A within recon_tol).  scipy's principal
-    primary logarithm runs only when that one is rejected or there is no
-    eigenbasis, so every failure record and every negative rests on it: a
-    passing one certifies a positive verdict outright; a failing one is
-    conclusive only when it is the sole real-logarithm candidate.  Without an
-    eigenbasis the spectrum is taken once, for scipy's precondition and that
-    last test.  The other real logarithms of a repeated spectrum are not
-    enumerated, so anything else is Undetermined.
+    diagonal, and expm reconstructs A within recon_tol).
+    ``numkit.principal_log``, which needs no eigenbasis, runs only when that
+    one is rejected or there is none, so every failure record and every
+    negative rests on it: a passing one certifies a positive verdict
+    outright; a failing one is conclusive only when it is the sole
+    real-logarithm candidate.  Without an eigenbasis the spectrum is taken
+    once, for its precondition and that last test.  The other real
+    logarithms of a repeated spectrum are not enumerated, so anything else
+    is Undetermined.
     """
     positive, negative = verdicts
     records: List[dict] = []
@@ -460,7 +462,7 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
             if witness is not None and accept(witness)[0]:
                 return positive, witness, records, sel
             witness = numkit.principal_log(A, cfg)
-    except (SingularMatrix, NegativeRealEigenvalue) as exc:
+    except (SingularMatrix, NegativeRealEigenvalue, IllConditioned) as exc:
         records.append({"reason": "principal_log_unavailable", "detail": str(exc)})
     else:
         ok, failure = accept(witness)
@@ -574,17 +576,16 @@ def check_strong_inf_divisible(
     all orders in one product (``numkit.branch_roots``).  A root that is not
     real within the truncation threshold or fails a check is recomputed as
     expm(-Q/m) and checked again, so the report then rests on the expm root.
-    A witness from scipy's principal logarithm has no eigenbasis, and its
-    roots are expm's.  A
-    repeated spectrum is resolved through the principal logarithm alone, and
-    a negative that rests on a borderline failure is Undetermined, as in
-    ``check_embeddable``.  With a witness, -Q's pattern lies inside the
-    input's, so Q and its roots are block upper triangular in the input's
-    Frobenius form and each trailing block is exp(-Q_t) of its slice.  Its
-    sub-report holds Q_t and the sliced roots once one reconstruction check
-    passes, and is Undetermined with that check's record otherwise; no
-    search runs for it, so ``bound_used`` is None and ``branches_examined``
-    0, and it carries no recursion.
+    A witness from ``numkit.principal_log`` has no eigenbasis, and its roots
+    are expm's.  A repeated spectrum is resolved through the principal
+    logarithm alone, and a negative that rests on a borderline failure is
+    Undetermined, as in ``check_embeddable``.  With a witness, -Q's pattern
+    lies inside the input's, so Q and its roots are block upper triangular
+    in the input's Frobenius form and each trailing block is exp(-Q_t) of
+    its slice.  Its sub-report holds Q_t and the sliced roots once one
+    reconstruction check passes, and is Undetermined with that check's
+    record otherwise; no search runs for it, so ``bound_used`` is None and
+    ``branches_examined`` 0, and it carries no recursion.
     """
     root_orders = tuple(root_orders)
     if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1 for m in root_orders):
@@ -653,14 +654,15 @@ def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optio
     parameters ``epsilon = (s-1)/s`` and stochastic ``h`` with
     ``W = s(I - epsilon*h)``; the identity P = (1-epsilon)^m (I - epsilon*h)^-m
     is verified within ``recon_tol``.  Returns None when P has no such
-    representation.
+    representation.  Raises SingularMatrix when P is singular relative to its
+    scale, sigma_min <= entry_tol * sigma_max, so the answer does not change
+    when P is multiplied by a positive constant.
     """
     P = as_square_matrix(P)
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValueError("power m must be a positive integer")
     n = P.shape[0]
-    det = float(np.linalg.det(P))
-    if abs(det) <= cfg.entry_tol:
+    if numkit._condition(P) * cfg.entry_tol >= 1.0:
         raise SingularMatrix("inverse-M power form needs a nonsingular matrix")
     stochastic = is_stochastic(P, cfg)
     root = numkit.primary_root(P, m, cfg)

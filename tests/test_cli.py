@@ -240,6 +240,30 @@ class TestReportContract:
         assert report["duration_s"] >= 0
         assert report["tolerances"]["entry_tol"] == 1e-9
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify"], ["structure"], ["expm"], ["logm"], ["logm", "--branch", "0,1,0"], ["root", "--n", "2"],
+         ["embed"], ["infdiv"]],
+    )
+    def test_each_report_is_one_json_line(self, argv, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", TRANS_A)
+        cli.run_cli([argv[0], path, *argv[1:]])
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out)["command"] == [argv[0], path, *argv[1:]]
+
+    def test_appended_reports_are_json_lines(self, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", TRANS_A)
+        log = tmp_path / "reports.jsonl"
+        for command in ("embed", "infdiv"):
+            cli.run_cli([command, path])
+            with log.open("a") as fh:
+                fh.write(capsys.readouterr().out)
+        reports = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [report["command"][0] for report in reports] == ["embed", "infdiv"]
+        assert reports[0]["result"]["embeddability"]["verdict"] == "Embeddable"
+        assert reports[1]["result"]["divisibility"]["verdict"] == "StronglyInfDivisible"
+
     def test_structure_payload_matches_golden(self, tmp_path, capsys, monkeypatch):
         # each line: exit code and report of `structure` on one input, the
         # file path replaced by "<file>" and duration_s dropped
@@ -299,3 +323,12 @@ class TestReportContract:
         # an explicit flag wins over the environment
         _, report = run(["classify", path, "--tol", "1e-4"], capsys)
         assert report["tolerances"]["entry_tol"] == 1e-4
+
+    def test_no_override_uses_the_library_default(self, monkeypatch):
+        monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+        args = cli._build_parser().parse_args(["classify", "m.json"])
+        assert cli._tolerances(args) is numkit.DEFAULT_TOL
+        # a malformed environment value is refused even under --tol
+        monkeypatch.setenv(cli.TOL_ENV_VAR, "-1")
+        with pytest.raises(cli._UsageError):
+            cli._tolerances(cli._build_parser().parse_args(["classify", "m.json", "--tol", "1e-4"]))

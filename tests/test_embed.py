@@ -454,7 +454,7 @@ class TestCheckEmbeddable:
         assert classify.is_intensity_matrix(report.generator, CFG)
 
     def test_derogatory_failure_is_undetermined(self, monkeypatch):
-        # the eigenbasis log fails, so scipy's principal log decides, once
+        # the eigenbasis log fails, so numkit's principal log decides, once
         calls = count_calls(monkeypatch, numkit, "principal_log")
         bad = TRANS_B @ TRANS_A
         blocked = np.block([[bad, np.zeros((3, 3))], [np.zeros((3, 3)), bad]])
@@ -764,9 +764,9 @@ class TestCheckStrongInfDivisible:
         # expm(R + 0.3 I) for upper-triangular R whose exit rates nearly
         # coincide: eigenbases with condition numbers up to about 5e8, where
         # roots by diagonalization are least accurate (the rest have none
-        # and take scipy's log).  No spectral root is rejected, and against
-        # the expm roots no verdict changes and no root moves beyond 1e-7
-        # relative
+        # and take numkit's principal log).  No spectral root is rejected,
+        # and against the expm roots no verdict changes and no root moves
+        # beyond 1e-7 relative
         rng = np.random.default_rng(5)
         draws = []
         for _ in range(200):
@@ -917,7 +917,7 @@ class TestRepeatedSpectrum:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_equal_input_is_resolved_from_the_search_eigenbasis(self, n, monkeypatch):
         # exp(-c) repeated n-1 times on a diagonalizable spectrum: the
-        # principal log of eig's basis is the witness, scipy's logm never runs
+        # principal log of eig's basis is the witness, numkit's never runs
         calls = count_calls(monkeypatch, numkit, "principal_log")
         rng = np.random.default_rng(40 + n)
         for _ in range(3):
@@ -947,7 +947,7 @@ class TestRepeatedSpectrum:
     @pytest.mark.parametrize("check", [embed.check_embeddable, embed.check_strong_inf_divisible])
     def test_log_precondition_is_read_from_the_decision_eigenbasis(self, check, monkeypatch):
         # the double negative eigenvalue of eig's spectrum already rules out a
-        # real principal log, so no second spectrum and no scipy log follow
+        # real principal log, so no second spectrum and no principal_log follow
         P = numkit.expm(wrapped_circulant(np.random.default_rng(3), 3))
         counts = {name: count_calls(monkeypatch, np.linalg, name) for name in ("eig", "eigvals")}
         counts["principal_log"] = count_calls(monkeypatch, numkit, "principal_log")
@@ -958,8 +958,8 @@ class TestRepeatedSpectrum:
 
     @pytest.mark.parametrize("check", [embed.check_embeddable, embed.check_strong_inf_divisible])
     def test_defective_input_takes_its_spectrum_once(self, check, monkeypatch):
-        # no eigenbasis: scipy's log precondition and the test that its log
-        # is the only real candidate read one spectrum
+        # no eigenbasis: the principal log's precondition and the test that
+        # this log is the only real candidate read one spectrum
         P = numkit.expm(np.array([[-1.0, 1.0 + 5e-8, -5e-8], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]))
         eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
         logs = count_calls(monkeypatch, numkit, "principal_log")
@@ -968,13 +968,29 @@ class TestRepeatedSpectrum:
         assert reasons == ["off_diagonal_negative", "primary_log_is_only_candidate"]
         assert (len(eigvals), len(logs)) == (1, 1)
 
+    @pytest.mark.parametrize("check", [embed.check_embeddable, embed.check_strong_inf_divisible])
+    def test_unconverged_principal_log_is_undetermined(self, check, monkeypatch):
+        # with no square-root step allowed the principal log never converges:
+        # neither the blocked fixture (eigenbasis log rejected) nor the
+        # defective input (no eigenbasis, a negative otherwise) gets a verdict
+        monkeypatch.setattr(numkit, "_MAX_SQRT_STEPS", 0)
+        bad = TRANS_B @ TRANS_A
+        blocked = np.block([[bad, np.zeros((3, 3))], [np.zeros((3, 3)), bad]])
+        defective = numkit.expm(np.array([[-1.0, 1.0 + 5e-8, -5e-8], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]))
+        for A in (blocked, defective):
+            report = check(A)
+            assert report.verdict == embed.UNDETERMINED
+            reasons = [r["reason"] for r in report.failed_conditions]
+            assert reasons == ["principal_log_unavailable", "repeated_eigenvalues"]
+            assert "did not converge" in report.failed_conditions[0]["detail"]
+
 
 class TestNearThreshold:
     # R's (0, 2) rate is -eps with its row sum kept at 0: -5e-9 lies inside the
     # acceptor's borderline band of 10 entry_tol, -5e-8 outside it
     SEARCH = [[-0.7, 0.7, 0.0], [0.3, -0.8, 0.5], [0.2, 0.6, -0.8]]
     # an upper-triangular generator whose exponential is defective: eig finds
-    # no eigenbasis and scipy's principal log is the only real candidate
+    # no eigenbasis and numkit's principal log is the only real candidate
     DEFECTIVE = [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]
 
     @staticmethod
@@ -1016,11 +1032,26 @@ class TestInverseMPowerForm:
     def test_root_is_taken_from_the_input_not_its_inverse(self, monkeypatch):
         P = TRANS_A @ TRANS_A
         inverses = count_calls(monkeypatch, np.linalg, "inv")
-        roots = count_calls(monkeypatch, numkit, "primary_root")
+        # indices into ``inverses`` of the inv calls made inside primary_root,
+        # whose square-root iteration inverts its own iterate, P at first
+        inside_root = []
+        roots = []
+        primary_root = numkit.primary_root
+
+        def recording_root(*args):
+            roots.append(args)
+            start = len(inverses)
+            try:
+                return primary_root(*args)
+            finally:
+                inside_root.extend(range(start, len(inverses)))
+
+        monkeypatch.setattr(numkit, "primary_root", recording_root)
         result = embed.inverse_m_power_form(P, 2)
         assert len(roots) == 1 and np.array_equal(roots[0][0], P)
         assert np.array_equal(result.root, numkit.primary_root(P, 2))
-        assert not any(np.array_equal(args[0], P) for args in inverses)
+        outside_root = [args for j, args in enumerate(inverses) if j not in inside_root]
+        assert not any(np.array_equal(args[0], P) for args in outside_root)
         # at m = 1 a dense inverse-M input is its own root, bit for bit
         B = random_inverse_m(np.random.default_rng(62), 4)
         assert np.array_equal(embed.inverse_m_power_form(B, 1).root, B)
@@ -1054,6 +1085,20 @@ class TestInverseMPowerForm:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
             embed.inverse_m_power_form(np.array([[0.5, 0.5], [0.5, 0.5]]), 1)
+
+    def test_singularity_is_relative_to_scale(self):
+        # det(1e-4 I) = 1e-12 lies below entry_tol, yet 1e-4 I is a
+        # nonsingular inverse-M matrix, its own root at m = 1 and 1e-2 I at m = 2
+        small = 1e-4 * np.eye(3)
+        assert np.array_equal(embed.inverse_m_power_form(small, 1).root, small)
+        assert np.allclose(embed.inverse_m_power_form(small, 2).root, 1e-2 * np.eye(3), rtol=1e-12, atol=0)
+        # rank one at every scale
+        for c in (1e-3, 1.0, 1e6):
+            with pytest.raises(SingularMatrix):
+                embed.inverse_m_power_form(c * np.ones((3, 3)), 1)
+        # det = 1 lies far above entry_tol, but sigma_min / sigma_max is 2.5e-13
+        with pytest.raises(SingularMatrix):
+            embed.inverse_m_power_form(1e6 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]]), 1)
 
 
 class TestImRootApprox:

@@ -1,7 +1,9 @@
+import fractions
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from embedlab import embed, numkit
 from embedlab.errors import (
@@ -15,16 +17,26 @@ from helpers import (
     EXP_GEN_A,
     GEN_A,
     GEN_B,
+    SCALED_TRIANGLE,
     count_calls,
+    equal_input,
     global_random_state,
     min_eig_gap,
     random_intensity,
     random_inverse_m,
     random_sparse_intensity,
     random_stochastic,
+    triangular_intensity,
 )
 
 CFG = numkit.DEFAULT_TOL
+
+
+def blocked_fixture():
+    """blockdiag(P, P) for the non-embeddable P = expm(GEN_B) expm(GEN_A):
+    a repeated spectrum whose eigenbasis log is rejected."""
+    bad = numkit.expm(GEN_B) @ numkit.expm(GEN_A)
+    return np.block([[bad, np.zeros((3, 3))], [np.zeros((3, 3)), bad]])
 
 
 class TestAsSquareMatrix:
@@ -50,6 +62,24 @@ class TestAsSquareMatrix:
         assert M.dtype == np.float64
         assert np.array_equal(M, np.asarray(A, dtype=float))
         assert not np.shares_memory(M, A)
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [["1"]],
+            np.array([[b"1"]]),
+            np.array([[1 + 1j]], dtype=object),
+            np.array([["0.5", 0.5], [0.5, 0.5]], dtype=object),
+            np.array([[None]]),
+        ],
+    )
+    def test_strings_and_non_real_objects_are_rejected(self, A):
+        with pytest.raises(ValueError, match="real"):
+            numkit.as_square_matrix(A)
+
+    def test_object_array_of_real_numbers_is_converted(self):
+        A = np.array([[1, 0.5], [np.float32(0.25), fractions.Fraction(1, 4)]], dtype=object)
+        assert numkit.as_square_matrix(A).tolist() == [[1.0, 0.5], [0.25, 0.25]]
 
 
 class TestToleranceConfig:
@@ -323,13 +353,75 @@ class TestPrincipalLog:
         with pytest.raises(NegativeRealEigenvalue):
             numkit.principal_log(P, eigenvalues=np.array([1.0, -0.5, 0.2]))
 
+    @staticmethod
+    def scipy_logm(A):
+        # scipy's logm draws from numpy's global generator and warns when it
+        # doubts its accuracy; the comparison needs neither
+        saved = np.random.get_state()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                L = scipy.linalg.logm(A)
+        finally:
+            np.random.set_state(saved)
+        return np.real_if_close(L)
+
+    @staticmethod
+    def seeded_family():
+        def jordan(value, size):
+            return value * np.eye(size) + np.diag(np.ones(size - 1), 1)
+
+        family = [jordan(0.7, 2), jordan(0.3, 3), jordan(2.5, 4), jordan(0.9, 6), blocked_fixture(), SCALED_TRIANGLE]
+        family.append(numkit.expm(np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]])))
+        rng = np.random.default_rng(7)
+        family += [equal_input(rng, n) for n in (2, 3, 4, 6, 8)]
+        # near-defective triangular chains, eigenbasis condition up to about 1e9
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(3, 7))
+            family.append(numkit.expm(triangular_intensity(rng, n, 10 ** rng.uniform(-6.5, -2))))
+        rng = np.random.default_rng(8)
+        family += [numkit.expm(random_intensity(rng, n, hi=2.0)) for n in (2, 3, 5, 8, 8)]
+        return family
+
+    def test_matches_scipy_on_a_seeded_family(self):
+        for A in self.seeded_family():
+            L = numkit.principal_log(A)
+            assert L.dtype == np.float64
+            assert numkit.relative_residual(L, self.scipy_logm(A)) <= 1e-12
+            assert numkit.relative_residual(numkit.expm(L), A) <= 1e-12
+
+    def test_scale_only_shifts_the_diagonal(self):
+        # log(cA) = log(c) I + log(A); the power-of-two scaling keeps the
+        # square roots as few at c = 1e150 as at c = 1
+        L = numkit.principal_log(SCALED_TRIANGLE)
+        for c in (1e-6, 1e3, 1e150):
+            expected = L + np.log(c) * np.eye(3)
+            assert numkit.relative_residual(numkit.principal_log(c * SCALED_TRIANGLE), expected) <= 1e-12
+
+    def test_never_touches_the_global_random_state(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy's global random state was used")
+
+        for name in ("get_state", "set_state", "seed"):
+            monkeypatch.setattr(np.random, name, refuse)
+        numkit.principal_log(blocked_fixture())
+        numkit.primary_root(numkit.expm(GEN_A), 3)
+
+    def test_unconverged_square_roots_raise(self, monkeypatch):
+        monkeypatch.setattr(numkit, "_MAX_SQRT_STEPS", 0)
+        with pytest.raises(IllConditioned, match="did not converge"):
+            numkit.principal_log(blocked_fixture())
+        # within 0.25 of I in the 1-norm the Pade step alone runs
+        near_identity = np.array([[0.9, 0.1], [0.05, 0.95]])
+        assert numkit.relative_residual(numkit.principal_log(near_identity), self.scipy_logm(near_identity)) <= 1e-12
+
 
 class TestGlobalRandomState:
-    """scipy's logm estimates norms with draws from numpy's global generator."""
+    """The library neither reads nor advances numpy's global generator."""
 
     def test_callers_state_is_left_as_it_was(self):
-        bad = numkit.expm(GEN_B) @ numkit.expm(GEN_A)
-        blocked = np.block([[bad, np.zeros((3, 3))], [np.zeros((3, 3)), bad]])
+        blocked = blocked_fixture()
         calls = [
             lambda: embed.check_embeddable(blocked),
             lambda: embed.check_strong_inf_divisible(blocked),
