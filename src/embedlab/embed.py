@@ -654,9 +654,14 @@ def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optio
     parameters ``epsilon = (s-1)/s`` and stochastic ``h`` with
     ``W = s(I - epsilon*h)``; the identity P = (1-epsilon)^m (I - epsilon*h)^-m
     is verified within ``recon_tol``.  Returns None when P has no such
-    representation.  Raises SingularMatrix when P is singular relative to its
-    scale, sigma_min <= entry_tol * sigma_max, so the answer does not change
-    when P is multiplied by a positive constant.
+    representation, in particular when det P < 0, since an inverse-M matrix
+    and its powers have a positive determinant.  Raises SingularMatrix when P
+    is singular relative to its scale, sigma_min <= entry_tol * sigma_max, so
+    the answer does not change when P is multiplied by a positive constant.
+    Raises NegativeRealEigenvalue when det P > 0 but an eigenvalue lies on
+    the closed negative real axis, where the primary root is not real: such
+    a P may still be the mth power of an inverse-M matrix, through a root
+    that is not the primary one.
     """
     P = as_square_matrix(P)
     if not (isinstance(m, (int, np.integer)) and m >= 1):
@@ -664,6 +669,8 @@ def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optio
     n = P.shape[0]
     if numkit._condition(P) * cfg.entry_tol >= 1.0:
         raise SingularMatrix("inverse-M power form needs a nonsingular matrix")
+    if np.linalg.slogdet(P)[0] < 0:
+        return None
     stochastic = is_stochastic(P, cfg)
     root = numkit.primary_root(P, m, cfg)
 

@@ -2,11 +2,12 @@
 
 Eigendecomposition with a canonical eigenvalue ordering, matrix exponential,
 branch-parameterized matrix logarithms with their roots, the principal
-logarithm and primary roots, all pure functions of their inputs.  The
-principal logarithm is inverse scaling and squaring on numpy alone:
-Denman-Beavers square roots, then the Gauss-Legendre form of the [8/8] Pade
-approximant of log(I + Y) (Higham, Functions of Matrices, 2008, Secs. 6.3
-and 11.5).  scipy provides only the exponential.
+logarithm and primary roots, all pure functions of their inputs, on numpy
+alone.  The exponential is scaling and squaring with a degree-13 Pade
+approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).  The principal
+logarithm is inverse scaling and squaring: Denman-Beavers square roots,
+then the Gauss-Legendre form of the [8/8] Pade approximant of log(I + Y)
+(Higham, Functions of Matrices, 2008, Secs. 6.3 and 11.5).
 """
 
 import math
@@ -14,7 +15,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     IllConditioned,
@@ -167,16 +167,111 @@ def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
     )
 
 
+# Degree-13 Pade approximant r = (V - U)^-1 (V + U) of exp (Higham, SIAM J.
+# Matrix Anal. Appl. 26, 2005).  Applied to I, A^2, A^4, A^6 the rows give
+# the parts of U = A (A^6 row0 + row2) and V = A^6 row1 + row3.  Its backward
+# error stays below the unit roundoff for ||A||_1 <= _THETA_13.
+_B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+        129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+        40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_PADE_13 = np.array([
+    [0.0, _B13[9], _B13[11], _B13[13]],
+    [0.0, _B13[8], _B13[10], _B13[12]],
+    [_B13[1], _B13[3], _B13[5], _B13[7]],
+    [_B13[0], _B13[2], _B13[4], _B13[6]],
+])
+_THETA_13 = 5.371920351148152
+# Up to this 1-norm nothing in expm can overflow, so it needs no errstate:
+# each X it squares approximates exp(2^-j A), so ||X||_1 <= e^(2^-j ||A||_1)
+# and every entry of |X| |X| is at most ||X||_1^2 <= e^||A||_1 <= e^700,
+# about 1e304, 1.8e4 times below the largest float; the closed forms of the
+# triangular path stay below ||A||_1 e^||A||_1.
+_EXPM_SAFE_NORM = 700.0
+
+
 def expm(A) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a degree-13 Pade
-    approximant and norm-based scale selection (scipy backend).
+    """Matrix exponential by scaling and squaring: the degree-13 Pade
+    approximant of exp(2^-s A), s = max(0, ceil(log2(||A||_1 / theta_13))),
+    squared s times (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+
+    A diagonal input gives diag(exp(d)) exactly, and a triangular one an
+    exactly triangular result whose diagonal and first off-diagonal are
+    recomputed from their closed forms after each squaring (Al-Mohy and
+    Higham, SIAM J. Matrix Anal. Appl. 31, 2009, Code Fragment 2.1).  Raises
+    Overflow when the result leaves the floating-point range.
     """
     A = as_square_matrix(A)
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = scipy.linalg.expm(A)
-    if not np.isfinite(E).all():
-        raise Overflow("matrix exponential exceeded the floating-point range")
-    return np.asarray(E, dtype=float)
+    if A.shape[0] > 1 and A[0, -1] and A[-1, 0]:
+        lower = upper = False  # both corners nonzero: neither triangular form
+    else:
+        rows, cols = np.nonzero(A)
+        offsets = cols - rows
+        lower, upper = offsets.max(initial=0) <= 0, offsets.min(initial=0) >= 0
+    # exp(A) = exp(A^T)^T, so a lower triangular input is taken as upper
+    transpose = lower and not upper
+    T = A.T if transpose else A
+    norm = _norm1(T)
+    if norm <= _EXPM_SAFE_NORM:
+        E = _expm_upper(T, norm, lower or upper, lower and upper)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = _expm_upper(T, norm, lower or upper, lower and upper)
+        if not np.isfinite(E).all():
+            raise Overflow("matrix exponential exceeded the floating-point range")
+    return E.T if transpose else E
+
+
+def _expm_upper(T, norm, triangular, diagonal):
+    """exp(T) for a T with 1-norm ``norm`` that is upper triangular when
+    ``triangular`` is set and diagonal when ``diagonal`` is."""
+    if diagonal:
+        return np.diag(np.exp(np.diagonal(T)))
+    s = 0 if norm <= _THETA_13 else math.ceil(math.log2(norm / _THETA_13))
+    X = _pade_13(np.ldexp(T, -s) if s else T)
+    if not (triangular and s):
+        for _ in range(s):
+            X = X @ X
+        return np.triu(X) if triangular else X
+    for j in range(s, -1, -1):
+        if j < s:
+            X = X @ X
+        _set_exact_band(X, T, j)
+    return np.triu(X)
+
+
+def _set_exact_band(X, T, j):
+    """Set the diagonal and first superdiagonal of X to those of exp(2^-j T)
+    for an upper triangular T: exp of its 2x2 block [[a, t], [0, b]] has
+    off-diagonal t e^((a+b)/2) sinh((a-b)/2) / ((a-b)/2) (Higham, Functions
+    of Matrices, 2008, (10.42))."""
+    d, t = np.ldexp(np.diagonal(T), -j), np.ldexp(np.diagonal(T, 1), -j)
+    half_sum, half_gap = 0.5 * (d[:-1] + d[1:]), 0.5 * (d[:-1] - d[1:])
+    np.fill_diagonal(X, np.exp(d))
+    np.fill_diagonal(X[:, 1:], t * np.exp(half_sum) * _sinch(half_gap))
+
+
+def _pade_13(A):
+    """The degree-13 Pade approximant of exp(A), from one stack of powers,
+    one product for the four polynomial parts and one solve."""
+    n = A.shape[0]
+    powers = np.empty((4, n, n))
+    powers[0] = np.eye(n)
+    np.matmul(A, A, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[1], powers[2], out=powers[3])
+    parts = (_PADE_13 @ powers.reshape(4, -1)).reshape(2, 2, n, n)
+    pair = powers[3] @ parts[0]
+    pair += parts[1]
+    U = A @ pair[0]
+    V = pair[1]
+    return np.linalg.solve(V - U, V + U)
+
+
+def _sinch(x):
+    """sinh(x) / x, with its limit 1 at 0."""
+    zero = x == 0.0
+    safe = np.where(zero, 1.0, x)
+    return np.where(zero, 1.0, np.sinh(safe) / safe)
 
 
 def cluster_indices(values, tol: float):

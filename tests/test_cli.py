@@ -115,6 +115,12 @@ class TestExitCodes:
         assert done.returncode == 64
         assert done.stderr.startswith("usage error: ") and not done.stdout
 
+    def test_importing_the_package_loads_no_scipy(self):
+        code = "import sys, embedlab, embedlab.cli; sys.exit('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr or "scipy was imported"
+
     def test_format_error_is_65(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{\"n\": 2, \"rows\": [[1, 0]]}")
@@ -145,6 +151,15 @@ class TestCommands:
         assert np.allclose(
             got, [[0.135, 0.233, 0.632], [0, 0.368, 0.632], [0, 0, 1]], atol=5e-4
         )
+
+    def test_expm_matches_scipy(self, tmp_path, capsys):
+        rng = np.random.default_rng(41)
+        dense = rng.standard_normal((5, 5))
+        for k, A in enumerate([GEN_A, GEN_B, dense, 20.0 * dense]):
+            code, report = run(["expm", write_json(tmp_path / f"a{k}.json", A)], capsys)
+            assert code == 0
+            got = np.array(report["result"]["matrix"])
+            assert numkit.relative_residual(got, scipy.linalg.expm(A)) <= 1e-13
 
     def test_logm_principal(self, tmp_path, capsys):
         path = write_json(tmp_path / "trans.json", TRANS_A)

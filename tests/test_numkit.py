@@ -188,6 +188,62 @@ class TestExpm:
         with pytest.raises(Overflow):
             numkit.expm(np.array([[1e4]]))
 
+    @staticmethod
+    def seeded_family():
+        """Dense intensity matrices at n = 2..8 and scales 1e-3..1e2, the
+        ill-conditioned triangular family of ROADMAP item 9, the generator
+        fixtures and a nonnormal 2x2 with a large off-diagonal entry."""
+        rng = np.random.default_rng(31)
+        family = [GEN_A, GEN_B, np.array([[-1.0, 400.0], [0.01, -3.0]])]
+        for n in range(2, 9):
+            R = random_intensity(rng, n)
+            family += [10.0**k * R for k in range(-3, 3)]
+        for _ in range(50):
+            n = int(rng.integers(3, 7))
+            family.append(triangular_intensity(rng, n, 10 ** rng.uniform(-6.5, -2)) + 0.3 * np.eye(n))
+        return family
+
+    def test_matches_scipy_on_a_seeded_family(self):
+        for A in self.seeded_family():
+            assert numkit.relative_residual(numkit.expm(A), scipy.linalg.expm(A)) <= 1e-13
+
+    def test_diagonal_and_one_by_one_inputs_are_exact(self):
+        d = np.array([-3.5, 0.0, 0.7, 2.25])
+        assert np.array_equal(numkit.expm(np.diag(d)), np.diag(np.exp(d)))
+        for x in (-40.0, -1.0, 0.0, 0.3, 9.0):
+            assert np.array_equal(numkit.expm([[x]]), np.exp([[x]]))
+
+    def test_triangular_inputs_give_triangular_results(self):
+        rng = np.random.default_rng(37)
+        for scale in (0.1, 1.0, 40.0):  # unscaled, and squared up to 6 times
+            for n in (2, 3, 6):
+                T = scale * np.triu(rng.standard_normal((n, n)))
+                assert not np.tril(numkit.expm(T), -1).any()
+                assert not np.triu(numkit.expm(T.T), 1).any()
+                assert np.array_equal(numkit.expm(T.T), numkit.expm(T).T)
+
+    def test_squared_triangle_keeps_its_closed_form(self):
+        # after each squaring the diagonal and the off-diagonal of a 2x2
+        # triangle are set from exp's closed form, whatever s is
+        a, b, t = -35.0, 4.0, 60.0
+        E = numkit.expm([[a, t], [0.0, b]])
+        assert E[0, 0] == np.exp(a) and E[1, 1] == np.exp(b) and E[1, 0] == 0.0
+        assert E[0, 1] == pytest.approx(t * (np.exp(a) - np.exp(b)) / (a - b), rel=1e-14)
+
+    def test_large_norm_with_a_finite_result(self):
+        Q = 400.0 * np.array([[-1.0, 1.0], [1.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = numkit.expm(Q)
+        assert np.allclose(E, 0.5, rtol=1e-13, atol=0.0)
+
+    def test_dense_overflow_raises_without_a_warning(self):
+        A = np.full((3, 3), 1e3 / 3) + np.diag([1.0, -2.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow):
+                numkit.expm(A)
+
     def test_intensity_exponentials_stochastic(self):
         rng = np.random.default_rng(1)
         for _ in range(500):
