@@ -11,7 +11,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import NotZMatrix
-from .numkit import DEFAULT_TOL, ToleranceConfig, as_square_matrix
+from .numkit import DEFAULT_TOL, ToleranceConfig, _condition, as_square_matrix
 
 __all__ = [
     "FLAG_NAMES",
@@ -146,8 +146,9 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
     M-matrix membership.  Irreducibility is decided exactly on the zero
     pattern; its witness ``("strongly_connected_components", ncomp, labels)``
     numbers components by their smallest state, from 0, so it is
-    deterministic.  Singular inputs get their inverse-dependent flags set
-    False with witness ``"singular"``.
+    deterministic.  A matrix is singular when sigma_min <= entry_tol *
+    sigma_max; a singular one gets its inverse-dependent flags set False with
+    witness ``"singular"`` and the ``nonsingular`` witness ``("det", det)``.
     """
     A = as_square_matrix(A)
     n = A.shape[0]
@@ -197,13 +198,10 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
             i = int(np.argmax(np.abs(row_sums)))
             wit["intensity_matrix"] = ("row_sum", i, float(row_sums[i]))
 
-    singular = abs(det) <= cfg.entry_tol
-    Ainv = None
-    if not singular:
-        try:
-            Ainv = np.linalg.inv(A)
-        except np.linalg.LinAlgError:
-            singular = True
+    # singular relative to its scale, sigma_min <= entry_tol * sigma_max, so
+    # the flags do not change when A is multiplied by a positive constant
+    singular = _condition(A) * cfg.entry_tol >= 1.0
+    Ainv = None if singular else np.linalg.inv(A)
     flags["nonsingular"] = not singular
     if singular:
         wit["nonsingular"] = ("det", det)

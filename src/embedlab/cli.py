@@ -127,7 +127,9 @@ def _load_matrix(path):
         if path.endswith(".json") or stripped.startswith("{"):
             doc = json.loads(text)
             rows = doc["rows"]
-            n = int(doc.get("n", len(rows)))
+            n = doc.get("n", len(rows))
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise _FormatError(f"declared n must be a JSON integer, got {n!r}")
             M = np.array(rows, dtype=float)
             if M.shape != (n, n):
                 raise _FormatError(f"declared n={n} but rows have shape {M.shape}")

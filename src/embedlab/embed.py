@@ -22,9 +22,12 @@ parent's witness and roots, one reconstruction check each, with
 ``bound_used`` None and ``branches_examined`` 0.
 
 The searched window gives each eigenvalue its branch offsets in one pass,
-the Perron radius and Runnenberg's cone together (``_search_windows``);
-``branch_bound`` states the windows whose tuple counts reports carry.  Only
-real branch selections are built: with distinct eigenvalues a logarithm is
+the Perron radius and Runnenberg's cone together (``_search_windows``), and
+a decision builds it and its real selections once: the search walks them
+and ``bound_used`` counts them.  ``branch_bound`` states the uncut windows,
+for their tuple counts, and ``enumerate_generators`` lists the real
+logarithms of a window through the search's own enumerator.  Only real
+branch selections are built: with distinct eigenvalues a logarithm is
 real exactly when each real eigenvalue is positive and keeps offset 0 and
 each conjugate pair takes offsets (k, -k) (Culver 1966, On the existence
 and uniqueness of the real logarithm of a matrix), so the cost follows the
@@ -117,7 +120,10 @@ class BranchBound:
 
     ``raw_tuple_count`` is the product of the per-eigenvalue counts;
     ``candidate_count`` is the number of those tuples whose logarithm is
-    real (None when not computed).
+    real (Culver 1966).  ``cone_apex`` is log rho when each eigenvalue's
+    offsets are also cut to Runnenberg's cone with that apex, as in every
+    decision's ``bound_used`` (``_search_windows``), and None for an uncut
+    window from ``branch_bound``.
     """
 
     mode: str
@@ -125,7 +131,8 @@ class BranchBound:
     im_high: float
     per_eigenvalue_counts: List[int]
     raw_tuple_count: int
-    candidate_count: Optional[int] = None
+    candidate_count: int
+    cone_apex: Optional[float] = None
 
 
 @dataclass
@@ -171,6 +178,31 @@ def _offset_window(arg: float, lo: float, hi: float) -> range:
     return range(kmin, kmax + 1)
 
 
+def _log_det(det: float) -> float:
+    """log det for a branch window; a det that is not a finite float raises
+    Overflow, one that is not positive SingularDeterminant."""
+    if not math.isfinite(det):
+        raise Overflow("the determinant is not a finite float")
+    if not det > 0:
+        raise SingularDeterminant("branch bounds need det > 0")
+    return math.log(det)
+
+
+def _perron_radius(E: Eigendecomposition, log_det: float) -> float:
+    """The Perron radius n*r + t, r = log rho and t = -log det, that bounds
+    |Im mu| for every eigenvalue mu of the logarithms searched
+    (``_search_windows`` holds the proof)."""
+    return E.n * math.log(abs(E.eigenvalues[0])) - log_det
+
+
+def _bound(mode, lo, hi, windows, blocks, cone_apex=None) -> BranchBound:
+    """The ``BranchBound`` of per-eigenvalue offset ``windows`` within
+    [lo, hi] and their ``_real_blocks``."""
+    counts = [len(window) for window in windows]
+    candidates = math.prod(len(block) for block in blocks)
+    return BranchBound(mode, lo, hi, counts, math.prod(counts), candidates, cone_apex)
+
+
 def branch_bound(E: Eigendecomposition, det: float, mode: str) -> BranchBound:
     """Imaginary-part window for the eigenvalues of a candidate generator.
 
@@ -178,10 +210,11 @@ def branch_bound(E: Eigendecomposition, det: float, mode: str) -> BranchBound:
     paper_one_sided     log det <= Im log lam <= 0  (the paper's window)
     perron_radius       |Im log lam| <= n*r + t,  r = log rho, t = -log det
 
-    Both questions search the Perron radius, each eigenvalue's offsets cut to
-    Runnenberg's cone (``_search_windows``, which holds both proofs);
-    ``bound_used`` reports this bound and does not count the cut.  A det that
-    is not a finite float raises Overflow.
+    The windows are not cut to Runnenberg's cone, so ``cone_apex`` is None.
+    A decision searches the Perron radius with each eigenvalue's offsets cut
+    to that cone (``_search_windows``, which holds both proofs), and its
+    ``bound_used`` counts that searched window, not this one.  A det that is
+    not a finite float raises Overflow.
 
     Israel's window is complete for intensity matrices.  The one-sided window
     is not: a conjugate pair takes offsets (k, -k), whose logarithms cannot
@@ -197,29 +230,16 @@ def branch_bound(E: Eigendecomposition, det: float, mode: str) -> BranchBound:
     """
     if mode not in BOUND_MODES:
         raise ValueError(f"unknown bound mode {mode!r}")
-    if not math.isfinite(det):
-        raise Overflow("the determinant is not a finite float")
-    if not det > 0:
-        raise SingularDeterminant("branch bounds need det > 0")
-    log_det = math.log(det)
+    log_det = _log_det(det)
     if mode == "israel_two_sided":
         lo, hi = -abs(log_det), abs(log_det)
     elif mode == "paper_one_sided":
         lo, hi = min(log_det, 0.0), max(log_det, 0.0)
     else:
-        radius = E.n * math.log(abs(E.eigenvalues[0])) - log_det
+        radius = _perron_radius(E, log_det)
         lo, hi = -radius, radius
-
     windows = _offset_windows(E, lo, hi)
-    counts = [len(window) for window in windows]
-    return BranchBound(
-        mode=mode,
-        im_low=lo,
-        im_high=hi,
-        per_eigenvalue_counts=counts,
-        raw_tuple_count=math.prod(counts),
-        candidate_count=math.prod(len(block) for block in _real_blocks(E, windows)),
-    )
+    return _bound(mode, lo, hi, windows, _real_blocks(E, windows))
 
 
 def _offset_windows(E: Eigendecomposition, lo: float, hi: float) -> List[range]:
@@ -235,7 +255,7 @@ def _search_windows(E: Eigendecomposition, radius: float) -> List[range]:
 
         h = min(radius, (r - log|lam|) cot(pi/n)),  r = log rho = log|lam_0|,
 
-    ``radius`` the Perron radius n*r + t of ``branch_bound`` (t = -log det)
+    ``radius`` the Perron radius n*r + t of ``_perron_radius`` (t = -log det)
     and the second term Runnenberg's (1962) cone with its apex at r.  The
     cone's angle gets 1e-9 of slack and admits |mu - r| <= 1e-9.  The
     spectral-radius position keeps offset 0 alone; the canonical order puts
@@ -311,12 +331,12 @@ def _real_blocks(E: Eigendecomposition, windows: List[range]) -> List[List[Tuple
 
 
 def _candidate_stream(
-    E: Eigendecomposition, windows: List[range], cfg: ToleranceConfig
+    E: Eigendecomposition, blocks: List[List[Tuple[int, ...]]], cfg: ToleranceConfig
 ) -> Iterator[Tuple[BranchSelection, Optional[np.ndarray]]]:
-    """Real branch selections within ``windows`` in lexicographic order with
-    their assembled logarithm, or None when its imaginary residue is not
-    negligible."""
-    for picks in itertools.product(*_real_blocks(E, windows)):
+    """The real branch selections of ``blocks`` (``_real_blocks``) in
+    lexicographic order with their assembled logarithm, or None when its
+    imaginary residue is not negligible."""
+    for picks in itertools.product(*blocks):
         sel = BranchSelection(offsets=tuple(itertools.chain.from_iterable(picks)))
         yield sel, numkit.as_real(numkit.logm_branch(E, sel, cfg), cfg)
 
@@ -324,30 +344,26 @@ def _candidate_stream(
 def enumerate_generators(
     E: Eigendecomposition, bound: BranchBound, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> Iterator[Tuple[BranchSelection, np.ndarray]]:
-    """Yield every branch selection within the bound whose assembled
-    logarithm is real, principal branch first.
+    """Yield every branch selection within the bound's window whose
+    assembled logarithm is real, principal branch first: the candidates a
+    search of that window examines, less those with an imaginary residue.
 
-    Only the selections that Culver's (1966) criterion makes real are built:
-    offset 0 on each positive real eigenvalue and (k, -k) on each conjugate
-    pair; a negative real eigenvalue leaves none.  Eigenvalues must be
-    nonzero.  Repeated eigenvalues are an error except in the diagonalizable
-    all-real-positive case, where the principal branch is the only real
-    primary candidate and is yielded alone.
+    The window is [im_low, im_high] per eigenvalue, cut to Runnenberg's cone
+    when ``bound.cone_apex`` is set (a decision's ``bound_used``).  Only the
+    selections that Culver's (1966) criterion makes real are built: offset 0
+    on each positive real eigenvalue and (k, -k) on each conjugate pair; a
+    negative real eigenvalue leaves none.  That criterion needs distinct
+    nonzero eigenvalues: a zero one raises SingularMatrix and a repeated
+    spectrum RepeatedEigenvalues (decisions resolve those through the
+    principal logarithm, ``_repeated_spectrum_verdict``).
     """
-    lam = E.eigenvalues
-    if np.any(np.abs(lam) <= cfg.entry_tol):
+    if np.any(np.abs(E.eigenvalues) <= cfg.entry_tol):
         raise SingularMatrix("zero eigenvalue: no generator exists")
-    if E.min_pairwise_gap < cfg.distinct_tol:
-        if np.all(np.abs(lam.imag) <= cfg.distinct_tol) and np.all(lam.real > cfg.entry_tol):
-            sel = BranchSelection.principal(E.n)
-            real = numkit.as_real(numkit.logm_branch(E, sel, cfg), cfg)
-            if real is not None:
-                yield sel, real
-                return
-        raise RepeatedEigenvalues(
-            "branch enumeration needs distinct eigenvalues (or a real positive spectrum)"
-        )
-    for sel, real in _candidate_stream(E, _offset_windows(E, bound.im_low, bound.im_high), cfg):
+    if E.is_repeated(cfg):
+        raise RepeatedEigenvalues("branch enumeration needs distinct eigenvalues")
+    cut = bound.cone_apex is not None
+    windows = _search_windows(E, bound.im_high) if cut else _offset_windows(E, bound.im_low, bound.im_high)
+    for sel, real in _candidate_stream(E, _real_blocks(E, windows), cfg):
         if real is not None:
             yield sel, real
 
@@ -382,8 +398,8 @@ def _log_acceptor(target: np.ndarray, cfg: ToleranceConfig):
     return accept
 
 
-def _branch_search(E, windows, accept, cfg):
-    """Scan the real branch selections in ``windows``; return the first
+def _branch_search(E, blocks, accept, cfg):
+    """Scan the real branch selections of ``blocks``; return the first
     accepted log with its selection (both None when none is accepted), the
     number examined and the failure records."""
     negative = [z.real for z in E.eigenvalues.tolist() if z.imag == 0 and z.real < 0]
@@ -392,7 +408,7 @@ def _branch_search(E, windows, accept, cfg):
         return None, None, 0, [{"reason": "negative_real_eigenvalue", "value": negative[0]}]
     examined = 0
     records: List[dict] = []
-    for sel, real in _candidate_stream(E, windows, cfg):
+    for sel, real in _candidate_stream(E, blocks, cfg):
         examined += 1
         if real is None:
             records.append({"branch": sel.offsets, "reason": "complex_candidate"})
@@ -484,9 +500,10 @@ def _decide(A, det, verdicts, cfg, decomposition=None):
     conditions (``decomposition`` as in ``structure.necessary_conditions``),
     one eigendecomposition, then either the search of ``_search_windows``
     (the Perron radius cut to the cone with apex log rho, both from that
-    eigendecomposition) or the repeated-spectrum resolution.  A negative that
-    rests on a failure the acceptor marks borderline is not certified: it
-    ends Undetermined with a trailing ``near_threshold`` record.  The
+    eigendecomposition, built once and counted in ``bound``) or the
+    repeated-spectrum resolution.  A negative that rests on a failure the
+    acceptor marks borderline is not certified: it ends Undetermined with a
+    trailing ``near_threshold`` record.  The
     determinant gates differ between the questions and stay in the public
     entries, which call this after them; ``verdicts`` is the question's
     (positive, negative) pair.  Returns (verdict, witness, examined, records,
@@ -508,8 +525,11 @@ def _decide(A, det, verdicts, cfg, decomposition=None):
         verdict, witness, records, sel = _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg)
         examined, bound = 0, None
     else:
-        bound = branch_bound(eigen, det, "perron_radius")
-        witness, sel, examined, records = _branch_search(eigen, _search_windows(eigen, bound.im_high), accept, cfg)
+        radius = _perron_radius(eigen, _log_det(det))
+        windows = _search_windows(eigen, radius)
+        blocks = _real_blocks(eigen, windows)
+        bound = _bound("perron_radius", -radius, radius, windows, blocks, math.log(abs(eigen.eigenvalues[0])))
+        witness, sel, examined, records = _branch_search(eigen, blocks, accept, cfg)
         if witness is None:
             records.append({"reason": "all_branches_exhausted", "branches": examined})
         verdict = negative if witness is None else positive

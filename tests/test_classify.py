@@ -54,6 +54,16 @@ class TestClassifyMatrix:
         assert report.witnesses["m_matrix"] == "singular"
         assert report.witnesses["inverse_m_matrix"] == "singular"
 
+    def test_singularity_is_relative_to_scale(self):
+        # det 1e-12 is far below entry_tol, yet 1e-4 I is perfectly conditioned
+        report = classify.classify_matrix(1e-4 * np.eye(3))
+        for name in ("nonsingular", "m_matrix", "inverse_m_matrix"):
+            assert report.flags[name], name
+        assert report.det == pytest.approx(1e-12)
+        report = classify.classify_matrix(np.ones((2, 2)))
+        assert not report.flags["nonsingular"]
+        assert report.witnesses["nonsingular"] == ("det", report.det)
+
     def test_every_false_flag_has_a_witness(self):
         rng = np.random.default_rng(10)
         for _ in range(100):

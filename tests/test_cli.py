@@ -127,6 +127,13 @@ class TestExitCodes:
         assert cli.run_cli(["classify", str(p)]) == 65
         assert cli.run_cli(["classify", str(tmp_path / "missing.json")]) == 65
 
+    @pytest.mark.parametrize("n", [2.7, 2.0, True, "2"], ids=["fraction", "float", "bool", "string"])
+    def test_declared_n_must_be_an_integer(self, n, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"n": n, "rows": [[0.9, 0.1], [0.2, 0.8]]}))
+        assert cli.run_cli(["classify", str(p)]) == 65
+        assert capsys.readouterr().out == ""
+
     def test_failing_structure_is_one(self, tmp_path, capsys):
         path = write_json(tmp_path / "zd.json", np.array([[1.0, 1.0], [1.0, 0.0]]))
         code, report = run(["structure", path], capsys)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from embedlab.errors import (
     NotStochastic,
     OffDiagonalZeros,
     Overflow,
+    RepeatedEigenvalues,
     SearchExhausted,
     SingularDeterminant,
     SingularMatrix,
@@ -192,16 +194,17 @@ class TestEnumerateGenerators:
         assert len(candidates) == 1
         assert candidates[0][0].offsets == (0, 0)
 
-    def test_identity_yields_zero(self):
+    def test_identity_is_a_repeated_spectrum(self):
+        # Culver's reality test needs distinct eigenvalues; decisions resolve
+        # a repeated spectrum through the principal logarithm instead
         eigen = numkit.eig(np.eye(3))
-        bound = embed.BranchBound("israel_two_sided", -1.0, 1.0, [1, 1, 1], 1)
-        candidates = list(embed.enumerate_generators(eigen, bound))
-        assert len(candidates) == 1
-        assert np.allclose(candidates[0][1], 0.0)
+        bound = embed.BranchBound("israel_two_sided", -1.0, 1.0, [1, 1, 1], 1, 1)
+        with pytest.raises(RepeatedEigenvalues):
+            list(embed.enumerate_generators(eigen, bound))
 
     def test_singular_spectrum_rejected(self):
         eigen = numkit.eig(np.diag([1.0, 0.0]))
-        bound = embed.BranchBound("israel_two_sided", -1.0, 1.0, [1, 1], 1)
+        bound = embed.BranchBound("israel_two_sided", -1.0, 1.0, [1, 1], 1, 1)
         with pytest.raises(SingularMatrix):
             list(embed.enumerate_generators(eigen, bound))
 
@@ -259,12 +262,12 @@ def brute_force_real_selections(eigen, bound, apex=None):
     return found
 
 
-def cone_windows(eigen, bound):
-    """Each eigenvalue's offset window within the symmetric ``bound`` cut to
-    the Runnenberg cone with apex log rho, as ``_decide`` hands them to the
-    search."""
+def cone_blocks(eigen, bound):
+    """The real selections of each eigenvalue's offset window within the
+    symmetric ``bound`` cut to the Runnenberg cone with apex log rho, as
+    ``_decide`` hands them to the search."""
     assert bound.im_low == -bound.im_high
-    return embed._search_windows(eigen, bound.im_high)
+    return embed._real_blocks(eigen, embed._search_windows(eigen, bound.im_high))
 
 
 class TestRealSelectionEnumeration:
@@ -312,7 +315,7 @@ class TestRealSelectionEnumeration:
                     continue
                 pruned = [
                     (s.offsets, real)
-                    for s, real in embed._candidate_stream(eigen, cone_windows(eigen, bound), CFG)
+                    for s, real in embed._candidate_stream(eigen, cone_blocks(eigen, bound), CFG)
                 ]
                 reference = brute_force_real_selections(eigen, bound, perron_apex(eigen))
                 assert [c for c, _ in pruned] == [c for c, _ in reference]
@@ -336,7 +339,7 @@ class TestRealSelectionEnumeration:
                 done += 1
                 eigen = numkit.eig(P)
                 bound = embed.branch_bound(eigen, det, "perron_radius")
-                stream = embed._candidate_stream(eigen, cone_windows(eigen, bound), CFG)
+                stream = embed._candidate_stream(eigen, cone_blocks(eigen, bound), CFG)
                 assert any(np.allclose(real, R, atol=1e-7) for _, real in stream)
                 assert embed.check_embeddable(P).verdict == embed.EMBEDDABLE
 
@@ -363,7 +366,7 @@ class TestRealSelectionEnumeration:
             done += 1
             eigen = numkit.eig(B)
             bound = embed.branch_bound(eigen, det, "perron_radius")
-            stream = embed._candidate_stream(eigen, cone_windows(eigen, bound), CFG)
+            stream = embed._candidate_stream(eigen, cone_blocks(eigen, bound), CFG)
             assert any(np.allclose(real, -Q, atol=1e-7) for _, real in stream)
             assert embed.check_strong_inf_divisible(B).verdict == embed.STRONGLY_INF_DIVISIBLE
 
@@ -373,7 +376,9 @@ class TestRealSelectionEnumeration:
         assert bound.raw_tuple_count == 32000
         report = embed.check_embeddable(P)
         assert report.verdict in (embed.EMBEDDABLE, embed.NOT_EMBEDDABLE)
-        assert report.bound_used.raw_tuple_count == 32000
+        # the cone cuts Israel's 32,000 tuples to the 16 the search walks
+        assert report.bound_used.raw_tuple_count == 16
+        assert report.bound_used.candidate_count == 4
         assert report.branches_examined <= 10
 
     @pytest.mark.parametrize("a, b", [(-0.2, -0.3), (-0.02, -0.03)])
@@ -396,6 +401,54 @@ class TestRealSelectionEnumeration:
         assert reasons == ["negative_real_eigenvalue", "all_branches_exhausted"]
         # the canonical order puts the larger modulus first
         assert report.failed_conditions[0]["value"] == pytest.approx(b)
+
+
+class TestReportedWindow:
+    """``bound_used`` counts the window the search walks: the Perron radius
+    cut to the cone with apex log rho."""
+
+    def decisions(self, seed, count):
+        # exp of a dense generator and a random chain in turn, 3 to 8 states,
+        # distinct spectra; each asked as a chain and, scaled by c, as a
+        # divisibility input whose cone apex is log c
+        rng = np.random.default_rng(seed)
+        done = 0
+        while done < count:
+            n = int(rng.integers(3, 9))
+            P = numkit.expm(random_intensity(rng, n)) if done % 2 == 0 else random_stochastic(rng, n)
+            c = rng.uniform(0.5, 2.0)
+            if min(np.linalg.det(P), np.linalg.det(c * P)) <= 1e-8 or min_eig_gap(P) < CFG.distinct_tol:
+                continue
+            done += 1
+            yield P, embed.check_embeddable(P)
+            yield c * P, embed.check_strong_inf_divisible(c * P)
+
+    def test_bound_used_counts_the_searched_window(self):
+        hits = exhausted = 0
+        for A, report in self.decisions(46, 80):
+            bound = report.bound_used
+            eigen = numkit.eig(A)
+            log_rho = math.log(abs(eigen.eigenvalues[0]))
+            assert bound.mode == "perron_radius"
+            assert bound.cone_apex == log_rho
+            assert bound.im_low == -bound.im_high
+            assert bound.im_high == pytest.approx(A.shape[0] * log_rho - np.log(np.linalg.det(A)))
+            windows = embed._search_windows(eigen, bound.im_high)
+            assert bound.per_eigenvalue_counts == [len(w) for w in windows]
+            assert bound.raw_tuple_count == math.prod(bound.per_eigenvalue_counts)
+            assert bound.candidate_count == math.prod(len(b) for b in embed._real_blocks(eigen, windows))
+            if report.failed_conditions and report.failed_conditions[-1]["reason"] == "all_branches_exhausted":
+                exhausted += 1
+                assert report.branches_examined == bound.candidate_count
+                # enumerate_generators walks the same window on this bound
+                tried = [r["branch"] for r in report.failed_conditions
+                         if "branch" in r and r["reason"] != "complex_candidate"]
+                assert [s.offsets for s, _ in embed.enumerate_generators(eigen, bound)] == tried
+            else:
+                assert report.verdict in (embed.EMBEDDABLE, embed.STRONGLY_INF_DIVISIBLE)
+                hits += 1
+                assert 1 <= report.branches_examined <= bound.candidate_count
+        assert hits > 20 and exhausted > 20
 
 
 class TestCheckEmbeddable:

@@ -1,6 +1,6 @@
 """Digest of every decision report embedlab gives on the benchmark corpora.
 
-    python3 tools/report_digest.py SRC_DIR
+    python3 tools/report_digest.py SRC_DIR [FIELD ...]
 
 SRC_DIR is the directory that holds the ``embedlab`` package to test (the
 ``src`` directory of a checkout).  The inputs come from this checkout's
@@ -13,9 +13,15 @@ contributes its exception type and message instead.
 
 Prints the number of reports and the sha256 of all of them in order, then
 ``sha256_without_roots``, the same digest with every ``roots_demonstrated``
-left out (trailing sub-reports included).  Run it on two checkouts to show
-that a change leaves every report as it was, or everything but the sample
-roots, whose last bits depend on how they are computed.
+left out (trailing sub-reports included).  Each FIELD named after SRC_DIR
+is a report field to leave out of one more digest, printed last as
+``sha256_without FIELD ... <digest>``; for example
+
+    python3 tools/report_digest.py src bound_used roots_demonstrated
+
+Run it on two checkouts to show that a change leaves every report as it
+was, or everything but the named fields, such as the sample roots, whose
+last bits depend on how they are computed.
 """
 
 import dataclasses
@@ -46,9 +52,9 @@ def report_bits(x, skip=()):
 
 
 def main(argv):
-    if len(argv) != 1:
-        raise SystemExit(f"usage: {Path(__file__).name} SRC_DIR")
-    src = Path(argv[0]).resolve()
+    if not argv:
+        raise SystemExit(f"usage: {Path(__file__).name} SRC_DIR [FIELD ...]")
+    src, fields = Path(argv[0]).resolve(), tuple(argv[1:])
     sys.path.insert(0, str(src))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import corpus
@@ -59,7 +65,10 @@ def main(argv):
         raise SystemExit(f"error: imported embedlab from {embedlab.__file__}, not from {src}")
 
     questions = (embedlab.check_embeddable, embedlab.check_strong_inf_divisible)
-    digest, without_roots = hashlib.sha256(), hashlib.sha256()
+    skips = {"sha256": (), "sha256_without_roots": ("roots_demonstrated",)}
+    if fields:
+        skips["sha256_without " + " ".join(fields)] = fields
+    digests = {name: hashlib.sha256() for name in skips}
     count = 0
     for seed in SEEDS:
         cases = [case for workload in sorted(corpus.WORKLOADS) for case in corpus.build(workload, seed)]
@@ -67,15 +76,15 @@ def main(argv):
             for question in questions:
                 try:
                     report = question(case.matrix)
-                    bits, rootless = report_bits(report), report_bits(report, ("roots_demonstrated",))
+                    bits = {name: report_bits(report, skip) for name, skip in skips.items()}
                 except EmbedlabError as exc:
-                    bits = rootless = (type(exc).__name__, str(exc))
-                digest.update(repr(bits).encode())
-                without_roots.update(repr(rootless).encode())
+                    bits = dict.fromkeys(skips, (type(exc).__name__, str(exc)))
+                for name, digest in digests.items():
+                    digest.update(repr(bits[name]).encode())
                 count += 1
     print(f"reports {count}")
-    print(f"sha256 {digest.hexdigest()}")
-    print(f"sha256_without_roots {without_roots.hexdigest()}")
+    for name, digest in digests.items():
+        print(f"{name} {digest.hexdigest()}")
 
 
 if __name__ == "__main__":
