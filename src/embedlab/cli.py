@@ -130,6 +130,8 @@ def _load_matrix(path):
             n = doc.get("n", len(rows))
             if isinstance(n, bool) or not isinstance(n, int):
                 raise _FormatError(f"declared n must be a JSON integer, got {n!r}")
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for row in rows for x in row):
+                raise _FormatError("matrix entries must be JSON numbers")
             M = np.array(rows, dtype=float)
             if M.shape != (n, n):
                 raise _FormatError(f"declared n={n} but rows have shape {M.shape}")
@@ -143,7 +145,7 @@ def _load_matrix(path):
         return numkit.as_square_matrix(M)
     except _FormatError:
         raise
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise _FormatError(f"bad matrix file {path}: {exc}") from exc
 
 

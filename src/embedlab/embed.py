@@ -16,9 +16,10 @@ principal logarithm exists and its value V Log(Lambda) V^-1.  A positive
 found that way passes the acceptance test of every search hit; negatives on
 that path rest on ``numkit.principal_log``, and what it leaves open is
 Undetermined.  A negative that rests on a failure within the acceptor's
-borderline band is Undetermined too.  Trailing blocks of a divisible
-reducible input are not decided again: their sub-reports are slices of the
-parent's witness and roots, one reconstruction check each, with
+borderline band is Undetermined too.  Every witness is exactly zero at
+the input's off-diagonal structural zeros (``_log_acceptor``), so trailing
+blocks of a divisible reducible input are not decided or checked again:
+their sub-reports are slices of the parent's witness and roots, with
 ``bound_used`` None and ``branches_examined`` 0.
 
 The searched window gives each eigenvalue its branch offsets in one pass,
@@ -40,8 +41,8 @@ construction complete the module.
 
 The sample roots exp(-Q/m) of a divisibility witness found in the
 eigenbasis come from that basis, V diag(exp(mu/m)) V^-1; expm runs for the
-acceptance test, the trailing-block checks, a root that fails its checks,
-and the roots of a witness from ``numkit.principal_log``.
+acceptance test, a root that fails its checks, and the roots of a witness
+from ``numkit.principal_log``, never for a trailing block.
 """
 
 import itertools
@@ -52,7 +53,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import numkit, structure
-from .classify import is_nonnegative, is_stochastic, is_z_matrix
+from .classify import is_nonnegative, is_stochastic, is_z_matrix, structural_pattern
 from .errors import (
     IllConditioned,
     NegativeRealEigenvalue,
@@ -379,9 +380,21 @@ def _log_acceptor(target: np.ndarray, cfg: ToleranceConfig):
     ``_search_windows``), so the one test serves both questions.  An
     off-diagonal failure within 10x the slack is marked borderline, and
     ``_decide`` certifies no negative that rests on one.
+
+    Before both checks L is set to 0.0, in place, at every off-diagonal
+    structural zero of the target (``classify.structural_pattern``, the
+    pattern of ``structure.frobenius_form``).  A logarithm with nonnegative
+    off-diagonal entries is zero there: with s = max(-L_jj), expm(L) >=
+    e^-s (I + L + sI) entrywise, so a zero of expm(L) off the diagonal is a
+    zero of L.  So an accepted L lies exactly on the target's pattern and
+    is block upper triangular in its Frobenius form, and the checks
+    certify that projected L.
     """
+    zeros = ~structural_pattern(target, cfg)
+    np.fill_diagonal(zeros, False)
 
     def accept(L: np.ndarray):
+        L[zeros] = 0.0
         off = _offdiag(L)
         min_off = float(np.min(off)) if off.size else 0.0
         if min_off < -cfg.entry_tol:
@@ -599,13 +612,16 @@ def check_strong_inf_divisible(
     A witness from ``numkit.principal_log`` has no eigenbasis, and its roots
     are expm's.  A repeated spectrum is resolved through the principal
     logarithm alone, and a negative that rests on a borderline failure is
-    Undetermined, as in ``check_embeddable``.  With a witness, -Q's pattern
-    lies inside the input's, so Q and its roots are block upper triangular
-    in the input's Frobenius form and each trailing block is exp(-Q_t) of
-    its slice.  Its sub-report holds Q_t and the sliced roots once one
-    reconstruction check passes, and is Undetermined with that check's
-    record otherwise; no search runs for it, so ``bound_used`` is None and
-    ``branches_examined`` 0, and it carries no recursion.
+    Undetermined, as in ``check_embeddable``.  The acceptor sets the
+    witness to zero at the input's off-diagonal structural zeros, so Q is
+    block upper triangular in the input's Frobenius form, its roots are so
+    up to rounding, and each trailing block B_t is exp(-Q_t) of its slice.  Exactly,
+    exp(-Q_t) - B_t is a diagonal block of exp(-Q) - B, so the slice
+    inherits the parent's reconstruction bound with no check of its own:
+    ||exp(-Q_t) - B_t||_F <= ||exp(-Q) - B||_F <= recon_tol ||B||_F.  Its
+    sub-report holds Q_t and the sliced roots; no search runs for it, so
+    ``bound_used`` is None and ``branches_examined`` 0, and it carries no
+    recursion.
     """
     root_orders = tuple(root_orders)
     if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1 for m in root_orders):
@@ -644,13 +660,8 @@ def check_strong_inf_divisible(
 
     for offset in itertools.accumulate(decomp.block_sizes[:-1]):
         tail = np.ix_(decomp.permutation[offset:], decomp.permutation[offset:])
-        ok, failure = _log_acceptor(decomp.U[offset:, offset:], cfg)(-Q[tail])
-        if ok:
-            sliced = [(order, root[tail]) for order, root in roots]
-            sub = DivisibilityReport(STRONGLY_INF_DIVISIBLE, Q[tail], sliced)
-        else:
-            sub = DivisibilityReport(UNDETERMINED, failed_conditions=[failure])
-        report.recursion.append(sub)
+        sliced = [(order, root[tail]) for order, root in roots]
+        report.recursion.append(DivisibilityReport(STRONGLY_INF_DIVISIBLE, Q[tail], sliced))
     return report
 
 

@@ -134,6 +134,16 @@ class TestExitCodes:
         assert cli.run_cli(["classify", str(p)]) == 65
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "rows", [[["1", "0"], ["0", "1"]], [[True, False], [False, True]], [[10**400, 0], [0, 1]]],
+        ids=["strings", "booleans", "beyond_float"],
+    )
+    def test_entries_must_be_numbers(self, rows, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"rows": rows}))
+        assert cli.run_cli(["classify", str(p)]) == 65
+        assert capsys.readouterr().out == ""
+
     def test_failing_structure_is_one(self, tmp_path, capsys):
         path = write_json(tmp_path / "zd.json", np.array([[1.0, 1.0], [1.0, 0.0]]))
         code, report = run(["structure", path], capsys)

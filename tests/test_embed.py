@@ -21,6 +21,7 @@ from embedlab.errors import (
 )
 from helpers import (
     DIVISIBLE_TRIANGLE,
+    EXP_GEN_A,
     GEN_A,
     GEN_B,
     NONCONVEX_2X2,
@@ -692,9 +693,34 @@ class TestCheckStrongInfDivisible:
                 recon = scipy.linalg.expm(-sub.z_matrix)
                 assert np.linalg.norm(recon - block) <= CFG.recon_tol * np.linalg.norm(block)
 
+    def test_witnesses_lie_on_the_input_zero_pattern(self):
+        # every witness is exactly zero at the input's off-diagonal
+        # structural zeros, for both questions, so each trailing slice
+        # inherits the parent's reconstruction bound
+        rng = np.random.default_rng(39)
+        draws = [numkit.expm(-block_triangular_z(rng, sizes)) for sizes in ((1, 3), (2, 2, 1), (3, 1, 2))]
+        off_zeros = lambda M: ~classify.structural_pattern(M, CFG) & ~np.eye(len(M), dtype=bool)
+        for B in [TRANS_A, DIVISIBLE_TRIANGLE, EXP_GEN_A] + draws:
+            report = embed.check_strong_inf_divisible(B)
+            assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
+            witnesses = [report.z_matrix]
+            if classify.is_stochastic(B, CFG):
+                generated = embed.check_embeddable(B)
+                assert generated.verdict == embed.EMBEDDABLE
+                witnesses.append(-generated.generator)
+            for Q in witnesses:
+                assert np.all(Q[off_zeros(B)] == 0.0)
+                assert structure.zero_pattern_invariance(B, Q) == []
+            decomp = structure.frobenius_form(B)
+            bound = np.linalg.norm(numkit.expm(-report.z_matrix) - B) + 8 * np.finfo(float).eps * np.linalg.norm(B)
+            for t, sub in enumerate(report.recursion, start=1):
+                block = structure.trailing_submatrix(decomp, t)
+                assert np.all(sub.z_matrix[off_zeros(block)] == 0.0)
+                assert np.linalg.norm(numkit.expm(-sub.z_matrix) - block) <= bound
+
     def test_trailing_blocks_cost_no_second_decision(self, monkeypatch):
         # three 1x1 blocks: the only determinants are the gate's and the
-        # trailing conditions', and each block costs one expm
+        # trailing conditions', and a block costs no expm
         B = np.triu(np.full((3, 3), 0.3)) + np.diag([0.4, 0.5, 0.6])
         dets = count_calls(monkeypatch, np.linalg, "det")
         eigs = count_calls(monkeypatch, numkit, "eig")
@@ -705,28 +731,10 @@ class TestCheckStrongInfDivisible:
         assert len(report.recursion) == 2
         assert [M.shape for (M,) in dets] == [(3, 3), (2, 2), (1, 1)]
         assert len(eigs) == 1
-        # the acceptance test, then one check per block; the three roots come
-        # from the witness's eigenbasis in one call
-        assert len(expms) == 1 + 2
+        # the acceptance test alone; the three roots come from the witness's
+        # eigenbasis in one call
+        assert len(expms) == 1
         assert len(roots) == 1
-
-    def test_trailing_slice_failing_its_check_is_undetermined(self, monkeypatch):
-        expected = embed.check_strong_inf_divisible(TRANS_A)
-        residual = numkit.relative_residual
-        # only the trailing blocks, smaller than the input, fail to reconstruct
-        monkeypatch.setattr(
-            numkit, "relative_residual", lambda approx, target: 1.0 if len(target) < 3 else residual(approx, target)
-        )
-        report = embed.check_strong_inf_divisible(TRANS_A)
-        assert len(report.recursion) == 2
-        for sub in report.recursion:
-            assert sub.verdict == embed.UNDETERMINED
-            assert sub.failed_conditions == [{"reason": "reconstruction_failure", "value": 1.0}]
-            assert sub.z_matrix is None
-            assert sub.roots_demonstrated == []
-        assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
-        assert report_bits(report.z_matrix) == report_bits(expected.z_matrix)
-        assert report_bits(report.roots_demonstrated) == report_bits(expected.roots_demonstrated)
 
     @pytest.mark.parametrize(
         "decide, matrix, verdict",
@@ -847,9 +855,9 @@ class TestCheckStrongInfDivisible:
         spectral = [embed.check_strong_inf_divisible(B) for B in draws]
         assert [r.verdict for r in spectral] == [embed.STRONGLY_INF_DIVISIBLE] * 200
         assert 50 <= len(spectral_calls) <= 150
-        # acceptance and one check per trailing block, plus three expm roots
-        # for each witness without an eigenbasis: no fallback fired
-        assert len(expms) == sum(1 + len(r.recursion) for r in spectral) + 3 * (200 - len(spectral_calls))
+        # acceptance, plus three expm roots for each witness without an
+        # eigenbasis: no fallback fired
+        assert len(expms) == 200 + 3 * (200 - len(spectral_calls))
         monkeypatch.setattr(numkit, "branch_roots", lambda E, sel, orders, cfg: [None] * len(orders))
         reference = [embed.check_strong_inf_divisible(B) for B in draws]
         assert [r.verdict for r in reference] == [r.verdict for r in spectral]

@@ -21,7 +21,11 @@ is a report field to leave out of one more digest, printed last as
 
 Run it on two checkouts to show that a change leaves every report as it
 was, or everything but the named fields, such as the sample roots, whose
-last bits depend on how they are computed.
+last bits depend on how they are computed.  For a change that moves only
+witness bits, leave out both witness fields, the embeddability
+``generator`` and the divisibility ``z_matrix``:
+
+    python3 tools/report_digest.py src generator z_matrix
 """
 
 import dataclasses
