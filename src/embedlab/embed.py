@@ -16,11 +16,13 @@ principal logarithm exists and its value V Log(Lambda) V^-1.  A positive
 found that way passes the acceptance test of every search hit; negatives on
 that path rest on ``numkit.principal_log``, and what it leaves open is
 Undetermined.  A negative that rests on a failure within the acceptor's
-borderline band is Undetermined too.  Every witness is exactly zero at
-the input's off-diagonal structural zeros (``_log_acceptor``), so trailing
-blocks of a divisible reducible input are not decided or checked again:
-their sub-reports are slices of the parent's witness and roots, with
-``bound_used`` None and ``branches_examined`` 0.
+borderline band is Undetermined too.  The acceptor tests each candidate
+set to zero at the input's off-diagonal structural zeros (``_log_acceptor``),
+so a witness lies on the input's zero pattern unless only the candidate as
+computed passed.  Trailing blocks of a divisible reducible input are not
+decided or checked again: their sub-reports are slices of the parent's
+witness and roots, with ``bound_used`` None and ``branches_examined`` 0,
+and a block the witness does not leave block triangular is Undetermined.
 
 The searched window gives each eigenvalue its branch offsets in one pass,
 the Perron radius and Runnenberg's cone together (``_search_windows``), and
@@ -147,6 +149,11 @@ class EmbeddabilityReport:
 
 @dataclass
 class DivisibilityReport:
+    """A divisibility decision.  ``recursion`` holds one sub-report per
+    trailing block of the input's Frobenius form, sliced from this report's
+    witness and roots: a sub-report's reconstruction is certified within
+    recon_tol times the norm of this report's input, not its block's."""
+
     verdict: str
     z_matrix: Optional[np.ndarray] = None
     roots_demonstrated: List[Tuple[int, np.ndarray]] = field(default_factory=list)
@@ -384,17 +391,20 @@ def _log_acceptor(target: np.ndarray, cfg: ToleranceConfig):
     Before both checks L is set to 0.0, in place, at every off-diagonal
     structural zero of the target (``classify.structural_pattern``, the
     pattern of ``structure.frobenius_form``).  A logarithm with nonnegative
-    off-diagonal entries is zero there: with s = max(-L_jj), expm(L) >=
-    e^-s (I + L + sI) entrywise, so a zero of expm(L) off the diagonal is a
-    zero of L.  So an accepted L lies exactly on the target's pattern and
-    is block upper triangular in its Frobenius form, and the checks
-    certify that projected L.
+    off-diagonal entries is zero at an exact zero of the target: with
+    s = max(-L_jj), expm(L) >= e^-s (I + L + sI) entrywise, so L_ij <=
+    e^s expm(L)_ij.  A target entry that is below ``entry_tol`` but not
+    zero allows L_ij up to e^s entry_tol, and removing that can cost the
+    reconstruction.  So when the projected L fails and the projection
+    removed anything, L is restored and checked as given, and that check's
+    result and record stand: the projection never rejects an L that the
+    checks accept as given.  An accepted L lies exactly on the target's
+    pattern unless only L as given passed.
     """
     zeros = ~structural_pattern(target, cfg)
     np.fill_diagonal(zeros, False)
 
-    def accept(L: np.ndarray):
-        L[zeros] = 0.0
+    def check(L: np.ndarray):
         off = _offdiag(L)
         min_off = float(np.min(off)) if off.size else 0.0
         if min_off < -cfg.entry_tol:
@@ -407,6 +417,15 @@ def _log_acceptor(target: np.ndarray, cfg: ToleranceConfig):
         if resid > cfg.recon_tol:
             return False, {"reason": "reconstruction_failure", "value": resid}
         return True, None
+
+    def accept(L: np.ndarray):
+        dropped = L[zeros]
+        L[zeros] = 0.0
+        ok, failure = check(L)
+        if ok or not dropped.any():
+            return ok, failure
+        L[zeros] = dropped
+        return check(L)
 
     return accept
 
@@ -612,16 +631,21 @@ def check_strong_inf_divisible(
     A witness from ``numkit.principal_log`` has no eigenbasis, and its roots
     are expm's.  A repeated spectrum is resolved through the principal
     logarithm alone, and a negative that rests on a borderline failure is
-    Undetermined, as in ``check_embeddable``.  The acceptor sets the
-    witness to zero at the input's off-diagonal structural zeros, so Q is
-    block upper triangular in the input's Frobenius form, its roots are so
-    up to rounding, and each trailing block B_t is exp(-Q_t) of its slice.  Exactly,
+    Undetermined, as in ``check_embeddable``.  The acceptor sets each
+    candidate to zero at the input's off-diagonal structural zeros, so a
+    witness it accepts that way is block upper triangular in the input's
+    Frobenius form, its roots are so up to rounding, and each trailing
+    block B_t is exp(-Q_t) of its slice.  Exactly,
     exp(-Q_t) - B_t is a diagonal block of exp(-Q) - B, so the slice
     inherits the parent's reconstruction bound with no check of its own:
-    ||exp(-Q_t) - B_t||_F <= ||exp(-Q) - B||_F <= recon_tol ||B||_F.  Its
-    sub-report holds Q_t and the sliced roots; no search runs for it, so
+    ||exp(-Q_t) - B_t||_F <= ||exp(-Q) - B||_F <= recon_tol ||B||_F, a
+    tolerance relative to the parent's norm, not to B_t's.  Its sub-report
+    holds Q_t and the sliced roots; no search runs for it, so
     ``bound_used`` is None and ``branches_examined`` 0, and it carries no
-    recursion.
+    recursion.  A witness the acceptor took without the projection can be
+    nonzero below a block (Q[tail, head]); that block's sub-report is then
+    Undetermined with a ``witness_not_block_triangular`` record holding the
+    largest such |Q| entry, since its slice inherits nothing.
     """
     root_orders = tuple(root_orders)
     if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1 for m in root_orders):
@@ -659,9 +683,15 @@ def check_strong_inf_divisible(
     report.roots_demonstrated = roots
 
     for offset in itertools.accumulate(decomp.block_sizes[:-1]):
-        tail = np.ix_(decomp.permutation[offset:], decomp.permutation[offset:])
-        sliced = [(order, root[tail]) for order, root in roots]
-        report.recursion.append(DivisibilityReport(STRONGLY_INF_DIVISIBLE, Q[tail], sliced))
+        head, tail = decomp.permutation[:offset], decomp.permutation[offset:]
+        leak = float(np.max(np.abs(Q[np.ix_(tail, head)])))
+        if leak:
+            failed = [{"reason": "witness_not_block_triangular", "value": leak}]
+            report.recursion.append(DivisibilityReport(UNDETERMINED, failed_conditions=failed))
+            continue
+        block = np.ix_(tail, tail)
+        sliced = [(order, root[block]) for order, root in roots]
+        report.recursion.append(DivisibilityReport(STRONGLY_INF_DIVISIBLE, Q[block], sliced))
     return report
 
 

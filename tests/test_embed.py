@@ -694,9 +694,9 @@ class TestCheckStrongInfDivisible:
                 assert np.linalg.norm(recon - block) <= CFG.recon_tol * np.linalg.norm(block)
 
     def test_witnesses_lie_on_the_input_zero_pattern(self):
-        # every witness is exactly zero at the input's off-diagonal
-        # structural zeros, for both questions, so each trailing slice
-        # inherits the parent's reconstruction bound
+        # the witnesses of these inputs are exactly zero at the input's
+        # off-diagonal structural zeros, for both questions, so each
+        # trailing slice inherits the parent's reconstruction bound
         rng = np.random.default_rng(39)
         draws = [numkit.expm(-block_triangular_z(rng, sizes)) for sizes in ((1, 3), (2, 2, 1), (3, 1, 2))]
         off_zeros = lambda M: ~classify.structural_pattern(M, CFG) & ~np.eye(len(M), dtype=bool)
@@ -717,6 +717,67 @@ class TestCheckStrongInfDivisible:
                 block = structure.trailing_submatrix(decomp, t)
                 assert np.all(sub.z_matrix[off_zeros(block)] == 0.0)
                 assert np.linalg.norm(numkit.expm(-sub.z_matrix) - block) <= bound
+
+    @pytest.mark.parametrize(
+        "check, positive",
+        [(embed.check_embeddable, embed.EMBEDDABLE),
+         (embed.check_strong_inf_divisible, embed.STRONGLY_INF_DIVISIBLE)],
+        ids=["embeddability", "divisibility"],
+    )
+    def test_zero_pattern_projection_certifies_no_negative(self, check, positive):
+        # P's (0, 1) entry, about 9.5e-10, counts as a structural zero, but
+        # the generator's rate there is 1.9e-8 (L_ij <= e^s P_ij with s = 20):
+        # the candidate set to zero there misses P by 1.8e-8 relative, so it
+        # is checked again as given, and that check certifies it
+        a = 1.9e-8
+        G = np.array([[-a, a], [20.0 - a, a - 20.0]])
+        P = numkit.expm(G)
+        assert not classify.structural_pattern(P, CFG)[0, 1]
+        assert np.linalg.det(P) > CFG.entry_tol
+        report = check(P)
+        assert report.verdict == positive
+        assert report.failed_conditions == []
+        L = report.generator if positive == embed.EMBEDDABLE else -report.z_matrix
+        assert np.max(np.abs(L - G)) <= 1e-12
+        assert numkit.relative_residual(numkit.expm(L), P) <= CFG.recon_tol
+        if positive == embed.STRONGLY_INF_DIVISIBLE:
+            # the witness is not block triangular in P's Frobenius form, so
+            # the trailing slice inherits no bound and is not certified
+            (sub,) = report.recursion
+            assert sub.verdict == embed.UNDETERMINED
+            assert sub.z_matrix is None and sub.roots_demonstrated == []
+            assert [r["reason"] for r in sub.failed_conditions] == ["witness_not_block_triangular"]
+            assert sub.failed_conditions[0]["value"] == pytest.approx(a)
+
+    def test_small_trailing_block_is_bounded_by_the_parent_norm(self):
+        # the trailing block is about e^-7 of the leading one, so the bound a
+        # slice inherits, recon_tol ||B||_F, is about 10^3 times looser
+        # relative to the block's own norm than a standalone decision's
+        c = 7.0
+        Q = np.array([
+            [1.0, -0.5, -0.2, -0.1],
+            [-0.4, 1.2, -0.1, -0.2],
+            [0.0, 0.0, c + 0.9, -0.3],
+            [0.0, 0.0, -0.6, c + 1.1],
+        ])
+        B = numkit.expm(-Q)
+        report = embed.check_strong_inf_divisible(B)
+        assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
+        decomp = structure.frobenius_form(B)
+        assert decomp.block_sizes == [2, 2]
+        block = structure.trailing_submatrix(decomp, 1)
+        assert np.linalg.norm(B) / np.linalg.norm(block) > 500
+        (sub,) = report.recursion
+        assert sub.verdict == embed.STRONGLY_INF_DIVISIBLE
+        assert np.all(report.z_matrix[2:, :2] == 0.0)
+        eps = np.finfo(float).eps
+        resid = np.linalg.norm(numkit.expm(-sub.z_matrix) - block)
+        assert resid <= np.linalg.norm(numkit.expm(-report.z_matrix) - B) + 8 * eps * np.linalg.norm(B)
+        assert resid <= CFG.recon_tol * np.linalg.norm(B)
+        # the block decided alone reaches the same verdict on its own norm
+        alone = embed.check_strong_inf_divisible(block)
+        assert alone.verdict == embed.STRONGLY_INF_DIVISIBLE
+        assert np.max(np.abs(sub.z_matrix - alone.z_matrix)) <= 1e-12
 
     def test_trailing_blocks_cost_no_second_decision(self, monkeypatch):
         # three 1x1 blocks: the only determinants are the gate's and the
