@@ -401,12 +401,12 @@ def _log_acceptor(target: np.ndarray, cfg: ToleranceConfig):
     checks accept as given.  An accepted L lies exactly on the target's
     pattern unless only L as given passed.
     """
-    zeros = ~structural_pattern(target, cfg)
-    np.fill_diagonal(zeros, False)
+    offdiag = ~np.eye(target.shape[0], dtype=bool)
+    zeros = offdiag & ~structural_pattern(target, cfg)
 
     def check(L: np.ndarray):
-        off = _offdiag(L)
-        min_off = float(np.min(off)) if off.size else 0.0
+        off = L[offdiag]
+        min_off = float(off.min()) if off.size else 0.0
         if min_off < -cfg.entry_tol:
             return False, {
                 "reason": "off_diagonal_negative",
@@ -535,7 +535,9 @@ def _decide(A, det, verdicts, cfg, decomposition=None):
     eigendecomposition, built once and counted in ``bound``) or the
     repeated-spectrum resolution.  A negative that rests on a failure the
     acceptor marks borderline is not certified: it ends Undetermined with a
-    trailing ``near_threshold`` record.  The
+    trailing ``near_threshold`` record.  A search that would have to take the
+    logarithm of an eigenvalue within ``entry_tol`` of zero ends Undetermined
+    with an ``eigenvalue_near_zero`` record holding its modulus.  The
     determinant gates differ between the questions and stay in the public
     entries, which call this after them; ``verdicts`` is the question's
     (positive, negative) pair.  Returns (verdict, witness, examined, records,
@@ -561,7 +563,13 @@ def _decide(A, det, verdicts, cfg, decomposition=None):
         windows = _search_windows(eigen, radius)
         blocks = _real_blocks(eigen, windows)
         bound = _bound("perron_radius", -radius, radius, windows, blocks, math.log(abs(eigen.eigenvalues[0])))
-        witness, sel, examined, records = _branch_search(eigen, blocks, accept, cfg)
+        try:
+            witness, sel, examined, records = _branch_search(eigen, blocks, accept, cfg)
+        except SingularMatrix:
+            # numkit takes no logarithm of an eigenvalue within entry_tol of
+            # zero; the canonical order puts the smallest modulus last
+            smallest = float(abs(eigen.eigenvalues[-1]))
+            return UNDETERMINED, None, 0, [{"reason": "eigenvalue_near_zero", "value": smallest}], bound, None
         if witness is None:
             records.append({"reason": "all_branches_exhausted", "branches": examined})
         verdict = negative if witness is None else positive
@@ -698,7 +706,7 @@ def check_strong_inf_divisible(
 def _root_failure(root: np.ndarray, order: int, B: np.ndarray, cfg: ToleranceConfig) -> Optional[dict]:
     """The record of a sample root that is not nonnegative or whose power
     misses B, None when it passes both checks."""
-    low = float(np.min(root))
+    low = float(root.min())
     if low < -cfg.entry_tol:
         return {"reason": "root_not_nonnegative", "order": order, "value": low}
     if numkit.relative_residual(np.linalg.matrix_power(root, order), B) > 10 * cfg.recon_tol:

@@ -10,6 +10,7 @@ then the Gauss-Legendre form of the [8/8] Pade approximant of log(I + Y)
 (Higham, Functions of Matrices, 2008, Secs. 6.3 and 11.5).
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -62,28 +63,52 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
+_FLOAT64, _COMPLEX128 = np.dtype(np.float64), np.dtype(np.complex128)
+
 
 def as_square_matrix(A) -> np.ndarray:
     """Validate and return ``A`` as a float two-dimensional square array.
 
     Raises ValueError for complex entries (before any conversion drops
     their imaginary parts), strings, object entries that are not real
-    numbers, non-square shapes or non-finite entries.
+    numbers, non-square shapes or non-finite entries.  A float64 square
+    ndarray is copied once, keeping its memory layout, and only its
+    finiteness is checked.
     """
-    M = np.array(A, copy=True)
-    kind = M.dtype.kind
-    if kind not in "biuf" and not (kind == "O" and all(isinstance(x, numbers.Real) for x in M.flat)):
-        raise ValueError(f"matrix entries must be real numbers, got dtype {M.dtype}")
-    M = M.astype(float, copy=False)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
+    if type(A) is np.ndarray and A.dtype is _FLOAT64 and A.ndim == 2 and 0 < A.shape[0] == A.shape[1]:
+        M = A.copy(order="K")
+    else:
+        M = np.array(A, copy=True)
+        kind = M.dtype.kind
+        if kind not in "biuf" and not (kind == "O" and all(isinstance(x, numbers.Real) for x in M.flat)):
+            raise ValueError(f"matrix entries must be real numbers, got dtype {M.dtype}")
+        M = M.astype(float, copy=False)
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+            raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     return M
 
 
 def _frob(M) -> float:
+    """``np.linalg.norm(M, "fro")`` bit for bit: for a 2-D float64 or
+    complex128 ndarray its own fast path, the square root of the dot products
+    of the raveled real and imaginary parts, without its Python layer."""
+    if type(M) is np.ndarray and M.ndim == 2:
+        if M.dtype is _FLOAT64:
+            x = M.ravel(order="K")
+            return math.sqrt(x.dot(x))
+        if M.dtype is _COMPLEX128:
+            x = M.ravel(order="K")
+            re, im = x.real, x.imag
+            return math.sqrt(re.dot(re) + im.dot(im))
     return float(np.linalg.norm(M, "fro"))
+
+
+def _frob_stack(S) -> np.ndarray:
+    """``np.linalg.norm(S, axis=(1, 2))`` of a stack of matrices bit for bit:
+    the expression that function evaluates, without its Python layer."""
+    return np.sqrt(np.add.reduce((S.conj() * S).real, axis=(1, 2)))
 
 
 def relative_residual(approx, target) -> float:
@@ -92,7 +117,7 @@ def relative_residual(approx, target) -> float:
     Falls back to the absolute residual for a zero target.
     """
     scale = _frob(target)
-    resid = float(np.linalg.norm(np.asarray(approx) - np.asarray(target), "fro"))
+    resid = _frob(np.asarray(approx) - np.asarray(target))
     return resid / scale if scale > 0 else resid
 
 
@@ -104,17 +129,23 @@ class Eigendecomposition:
     real part then ascending imaginary part, so the spectral-radius eigenvalue
     of a nonnegative matrix sits at index 0 and exact conjugate pairs are
     adjacent.  ``min_pairwise_gap`` is ``inf`` for 1x1 matrices.
+    ``basis_condition``, the 2-norm condition number of the eigenvector basis
+    (``np.linalg.cond`` of it), is computed on first read: :func:`eig` gates
+    on a bound of it that needs no SVD.
     """
 
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
     inverse_basis: np.ndarray
     min_pairwise_gap: float
-    basis_condition: float
 
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
+
+    @functools.cached_property
+    def basis_condition(self) -> float:
+        return _condition(self.right_eigenvectors)
 
     def is_repeated(self, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
         return self.min_pairwise_gap < cfg.distinct_tol
@@ -124,11 +155,20 @@ class Eigendecomposition:
         return (self.right_eigenvectors * self.eigenvalues) @ self.inverse_basis
 
 
-def _canonical_order(lam: np.ndarray):
-    return sorted(range(len(lam)), key=lambda j: (-abs(lam[j]), -lam[j].real, lam[j].imag))
+def _canonical_order(lam: np.ndarray) -> np.ndarray:
+    """Indices of ``lam`` by descending modulus, then descending real part,
+    then ascending imaginary part; the sort is stable (lexsort's last key is
+    its first), so exact ties keep their order.  The modulus is np.hypot's,
+    which is abs() of a complex scalar bit for bit; np.abs of a complex array
+    can differ from both in the last bit."""
+    return np.lexsort((lam.imag, -lam.real, -np.hypot(lam.real, lam.imag)))
 
 
 _MAX_CONDITION = 1e12  # eigenbasis condition number above which eig gives up
+# ||V||_F ||V^-1||_F bounds cond_2(V) from above, since ||.||_2 <= ||.||_F
+# (Golub and Van Loan, Matrix Computations, Sec. 2.3); up to this bound eig
+# takes no SVD.  The 100x margin covers the O(cond u) rounding of both.
+_CONDITION_BOUND_GATE = 1e-2 * _MAX_CONDITION
 
 
 def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
@@ -136,9 +176,12 @@ def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
 
     Raises IllConditioned when the eigenvector basis cannot reproduce the
     input within ``recon_tol`` or its condition number exceeds
-    ``_MAX_CONDITION`` (defective and near-defective inputs).  Repeated but
-    diagonalizable eigenvalues are not an error; callers inspect
-    ``min_pairwise_gap``.
+    ``_MAX_CONDITION`` (defective and near-defective inputs).  The condition
+    number is taken by an SVD only when the bound ||V||_F ||V^-1||_F on it
+    exceeds 1e-2 ``_MAX_CONDITION``, so the gate decides as the condition
+    number alone would; the error message gives the exact condition number.
+    Repeated but diagonalizable eigenvalues are not an error; callers
+    inspect ``min_pairwise_gap``.
     """
     A = as_square_matrix(A)
     lam, V = np.linalg.eig(A)
@@ -151,19 +194,19 @@ def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
         Vinv = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise IllConditioned("eigenvector basis is singular (defective matrix)") from exc
-    cond = _condition(V)
     recon = (V * lam) @ Vinv
     resid = relative_residual(recon, A)
-    if resid > cfg.recon_tol or cond > _MAX_CONDITION:
-        raise IllConditioned(
-            f"eigenbasis condition {cond:.3g}, reconstruction residual {resid:.3g}"
-        )
+    if resid > cfg.recon_tol or not _frob(V) * _frob(Vinv) <= _CONDITION_BOUND_GATE:
+        cond = _condition(V)
+        if resid > cfg.recon_tol or cond > _MAX_CONDITION:
+            raise IllConditioned(
+                f"eigenbasis condition {cond:.3g}, reconstruction residual {resid:.3g}"
+            )
     return Eigendecomposition(
         eigenvalues=lam,
         right_eigenvectors=V,
         inverse_basis=Vinv,
         min_pairwise_gap=_min_gap(lam),
-        basis_condition=cond,
     )
 
 
@@ -336,7 +379,7 @@ def branch_roots(E: Eigendecomposition, selection, orders, cfg: ToleranceConfig 
     m = np.asarray(orders, dtype=float).reshape(-1, 1)
     stack = (E.right_eigenvectors * np.exp(_branch_logs(E, selection, cfg) / m)[:, None, :]) @ E.inverse_basis
     residue = np.abs(stack.imag).max(axis=(1, 2))
-    threshold = E.n * cfg.entry_tol * (1.0 + np.linalg.norm(stack, axis=(1, 2)))
+    threshold = E.n * cfg.entry_tol * (1.0 + _frob_stack(stack))
     return [root.real.copy() if real else None for root, real in zip(stack, residue <= threshold)]
 
 

@@ -66,6 +66,17 @@ class TestExitCodes:
         assert report["result"]["error"] == "NegativeRealEigenvalue"
         assert report["result"]["verdict"] == "Undetermined"
 
+    def test_eigenvalue_near_zero_is_a_report(self, tmp_path, capsys):
+        # an eigenvalue within entry_tol of zero past the determinant gate
+        # ends the decision Undetermined, with a report and no error payload
+        path = write_json(tmp_path / "near.json", 1e4 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
+        code, report = run(["infdiv", path], capsys)
+        assert code == 2
+        assert "error" not in report["result"]
+        decision = report["result"]["divisibility"]
+        assert decision["verdict"] == "Undetermined"
+        assert [r["reason"] for r in decision["failed_conditions"]] == ["eigenvalue_near_zero"]
+
     def test_usage_error_is_64(self, tmp_path, capsys, monkeypatch):
         path = write_json(tmp_path / "m.json", TRANS_A)
         for argv in (

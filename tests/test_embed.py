@@ -842,10 +842,13 @@ class TestCheckStrongInfDivisible:
         stages = [(numkit, "eig"), (structure, "frobenius_form"), (structure, "necessary_conditions"),
                   (numkit, "expm"), (numkit, "branch_roots")]
         calls = {name: count_calls(monkeypatch, module, name) for module, name in stages}
+        svds = count_calls(monkeypatch, numkit, "_condition")
         report = embed.check_strong_inf_divisible(B)
         assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
         assert len(report.roots_demonstrated) == 3
         assert {name: len(c) for name, c in calls.items()} == {name: 1 for _, name in stages}
+        # a well-conditioned eigenbasis passes eig's Frobenius bound with no SVD
+        assert svds == []
 
     @pytest.mark.parametrize("spoil", ["negative_entry", "complex_residue"])
     def test_rejected_spectral_root_falls_back_to_expm(self, spoil, monkeypatch):
@@ -1167,6 +1170,20 @@ class TestNearThreshold:
         assert report.verdict == negative
         assert [r["reason"] for r in report.failed_conditions] == ["off_diagonal_negative", last]
         assert report.failed_conditions[0]["borderline"] is False
+
+    def test_eigenvalue_near_zero_is_undetermined(self):
+        # det 1e-5 passes the determinant gate, but the eigenvalue 5.0e-10 is
+        # within entry_tol of zero, where numkit takes no logarithm.  B is
+        # divisible: scipy's logarithm is Metzler and reconstructs it, so no
+        # negative may be certified either
+        B = 1e4 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        L = scipy.linalg.logm(B)
+        assert np.min(L[~np.eye(2, dtype=bool)]) > 0
+        assert numkit.relative_residual(scipy.linalg.expm(L), B) < 1e-13
+        report = embed.check_strong_inf_divisible(B)
+        assert report.verdict == embed.UNDETERMINED
+        assert report.failed_conditions == [{"reason": "eigenvalue_near_zero", "value": pytest.approx(5.0e-10, rel=1e-2)}]
+        assert report.branches_examined == 0 and report.z_matrix is None
 
 
 class TestInverseMPowerForm:

@@ -55,13 +55,22 @@ class TestAsSquareMatrix:
 
     @pytest.mark.parametrize(
         "A",
-        [np.array([[0.9, 0.1], [0.2, 0.8]]), np.eye(2, dtype=np.float32), [[1, 0], [0, 2]], [[True, False], [False, True]]],
+        [
+            np.array([[0.9, 0.1], [0.2, 0.8]]),
+            np.array([[0.9, 0.1], [0.2, 0.8]]).T,
+            np.arange(16.0).reshape(4, 4)[::2, ::2],
+            np.eye(2, dtype=np.float32),
+            [[1, 0], [0, 2]],
+            [[True, False], [False, True]],
+        ],
     )
     def test_real_input_becomes_a_float_copy(self, A):
         M = numkit.as_square_matrix(A)
         assert M.dtype == np.float64
         assert np.array_equal(M, np.asarray(A, dtype=float))
         assert not np.shares_memory(M, A)
+        # the memory layout is kept, so norms and products sum in one order
+        assert M.strides == np.array(A, dtype=float, copy=True).strides
 
     @pytest.mark.parametrize(
         "A",
@@ -165,6 +174,118 @@ class TestEig:
             numkit.eig(np.ones((2, 3)))
         with pytest.raises(ValueError):
             numkit.eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def tuple_key_order(lam):
+    """The canonical order as a Python sort over tuple keys, the reference
+    for ``numkit._canonical_order``."""
+    return sorted(range(len(lam)), key=lambda j: (-abs(lam[j]), -lam[j].real, lam[j].imag))
+
+
+def triangular_with_condition(rng, n, kappa):
+    """A permuted upper triangular n x n matrix with distinct diagonal whose
+    unit eigenvector basis has 2-norm condition number kappa (to a relative
+    1/kappa^2): its one off-diagonal entry c = kappa |d_j - d_i| / 2 tilts
+    eigenvector j to an angle theta from e_i with cot(theta / 2) = kappa.
+    The rest of the basis is the identity's, and eig computes it to full
+    relative accuracy, so kappa is what eig's gate sees."""
+    d = rng.uniform(0.5, 2.0, n)
+    T = np.diag(d)
+    i, j = sorted(rng.choice(n, 2, replace=False))
+    T[i, j] = 0.5 * kappa * abs(d[j] - d[i])
+    p = rng.permutation(n)
+    return T[np.ix_(p, p)]
+
+
+class TestConditionGate:
+    def test_gate_decides_as_the_condition_number(self, monkeypatch):
+        # eig takes the SVD only above the Frobenius bound 1e10 and must
+        # raise exactly when the residual or the SVD condition number of its
+        # basis, ordered by the tuple-key sort, says so
+        rng = np.random.default_rng(53)
+        svds = count_calls(monkeypatch, numkit, "_condition")
+        seen = set()
+        for kappa in np.geomspace(1e8, 1e14, 61):
+            A = triangular_with_condition(rng, int(rng.integers(2, 7)), kappa)
+            lam, V = np.linalg.eig(A)
+            lam, V = lam.astype(complex), V.astype(complex)
+            order = tuple_key_order(lam)
+            lam, V = lam[order], V[:, order]
+            Vinv = np.linalg.inv(V)
+            resid = numkit.relative_residual((V * lam) @ Vinv, A)
+            cond = float(np.linalg.cond(V))
+            bound = float(np.linalg.norm(V) * np.linalg.norm(Vinv))
+            svds.clear()
+            try:
+                E = numkit.eig(A)
+            except IllConditioned as exc:
+                assert resid > CFG.recon_tol or cond > 1e12
+                assert f"eigenbasis condition {cond:.3g}," in str(exc)
+                seen.add("raised")
+            else:
+                assert not (resid > CFG.recon_tol or cond > 1e12)
+                seen.add("svd" if bound > 1e10 else "no svd")
+            assert len(svds) == int(resid > CFG.recon_tol or bound > 1e10)
+        assert seen == {"raised", "svd", "no svd"}
+
+    def test_a_typical_basis_takes_no_svd_until_its_condition_is_read(self, monkeypatch):
+        svds = count_calls(monkeypatch, numkit, "_condition")
+        E = numkit.eig(numkit.expm(GEN_A))
+        assert svds == []
+        assert E.basis_condition.hex() == float(np.linalg.cond(E.right_eigenvectors)).hex()
+        assert E.basis_condition == E.basis_condition
+        assert len(svds) == 1
+
+
+class TestNumpyEquivalents:
+    # each fast path must give numpy's own result bit for bit
+    RNG = np.random.default_rng(57)
+    REAL = RNG.normal(size=(5, 5))
+    COMPLEX = REAL + 1j * RNG.normal(size=(5, 5))
+    MATRICES = [REAL, COMPLEX, REAL.T, COMPLEX.T, REAL[::2, 1::2], COMPLEX[1::2, ::2],
+                np.array([[-3.5]]), np.array([[2.0 - 1.5j]]), np.zeros((3, 3)), REAL.astype(np.float32)]
+    IDS = ["real", "complex", "real_T", "complex_T", "real_strided", "complex_strided",
+           "real_1x1", "complex_1x1", "zero", "float32"]
+
+    @pytest.mark.parametrize("M", MATRICES, ids=IDS)
+    def test_frobenius_norm(self, M):
+        assert numkit._frob(M).hex() == float(np.linalg.norm(M, "fro")).hex()
+
+    @pytest.mark.parametrize("M", MATRICES, ids=IDS)
+    def test_relative_residual(self, M):
+        target = np.asarray(M.real, dtype=float) + 0.5
+        scale = float(np.linalg.norm(target, "fro"))
+        expected = float(np.linalg.norm(M - target, "fro")) / scale
+        assert numkit.relative_residual(M, target).hex() == expected.hex()
+        zero = 0 * target
+        assert numkit.relative_residual(M, zero).hex() == float(np.linalg.norm(M - zero, "fro")).hex()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacked_norm(self, dtype):
+        rng = np.random.default_rng(58)
+        S = rng.normal(size=(4, 3, 3)).astype(dtype)
+        if dtype is complex:
+            S += 1j * rng.normal(size=S.shape)
+        for stack in (S, S.transpose(0, 2, 1), S[:, ::2, ::2], S[:1, :1, :1]):
+            assert numkit._frob_stack(stack).tobytes() == np.linalg.norm(stack, axis=(1, 2)).tobytes()
+
+    def test_canonical_order_keeps_exact_ties_as_the_tuple_sort(self):
+        # exact conjugate pairs, equal moduli (0.6 + 0.8i and 1 have modulus
+        # 1.0 exactly, circulant spectra nearly or exactly) and imaginary
+        # parts 0.0 and -0.0, which compare equal, each in shuffled orders;
+        # the rotation spectra fail if the modulus is taken with np.abs
+        crafted = [
+            [1 + 2j, 1 - 2j, -1 + 2j, -1 - 2j, 3.0, -3.0],
+            [1.0, -1.0, 1j, -1j, 0.6 + 0.8j, 0.6 - 0.8j, -0.6 + 0.8j, -0.8 - 0.6j],
+            [complex(0.5, 0.0), complex(0.5, -0.0), complex(-0.0, 0.5), complex(0.0, 0.5), 0.5j, -0.5j],
+        ]
+        rng = np.random.default_rng(59)
+        circulants = [np.linalg.eigvals(scipy.linalg.circulant(rng.uniform(size=n))) for n in range(2, 9)]
+        rotations = [np.linalg.eigvals(np.roll(np.eye(n), 1, axis=1)) for n in range(2, 9)]
+        for spectrum in [np.array(c, dtype=complex) for c in crafted] + circulants + rotations:
+            for _ in range(20):
+                lam = rng.permutation(spectrum.astype(complex))
+                assert numkit._canonical_order(lam).tolist() == tuple_key_order(lam)
 
 
 class TestExpm:

@@ -11,9 +11,13 @@ dtype, shape and bytes and floats in hex, so two runs give the same digest
 only when their reports are bitwise identical; an input that raises
 contributes its exception type and message instead.
 
-Prints the number of reports and the sha256 of all of them in order, then
-``sha256_without_roots``, the same digest with every ``roots_demonstrated``
-left out (trailing sub-reports included).  Each FIELD named after SRC_DIR
+Prints the number of reports, then ``sha256_eig``, the digest of
+``numkit.eig`` on every input (its eigenvalues, eigenvectors, inverse basis,
+``min_pairwise_gap`` and ``basis_condition``, or its exception), which shows
+bit identity of the eigendecomposition in parts no report holds.  Then the
+sha256 of all reports in order, and ``sha256_without_roots``, the same
+digest with every ``roots_demonstrated`` left out (trailing sub-reports
+included).  Each FIELD named after SRC_DIR
 is a report field to leave out of one more digest, printed last as
 ``sha256_without FIELD ... <digest>``; for example
 
@@ -55,6 +59,16 @@ def report_bits(x, skip=()):
     return x.hex() if isinstance(x, float) else x
 
 
+def eig_bits(eig, matrix, errors):
+    """``eig(matrix)`` as nested tuples, or its exception type and message."""
+    try:
+        E = eig(matrix)
+    except errors as exc:
+        return (type(exc).__name__, str(exc))
+    fields = (E.eigenvalues, E.right_eigenvectors, E.inverse_basis, E.min_pairwise_gap, E.basis_condition)
+    return report_bits(fields)
+
+
 def main(argv):
     if not argv:
         raise SystemExit(f"usage: {Path(__file__).name} SRC_DIR [FIELD ...]")
@@ -73,10 +87,12 @@ def main(argv):
     if fields:
         skips["sha256_without " + " ".join(fields)] = fields
     digests = {name: hashlib.sha256() for name in skips}
+    eig_digest = hashlib.sha256()
     count = 0
     for seed in SEEDS:
         cases = [case for workload in sorted(corpus.WORKLOADS) for case in corpus.build(workload, seed)]
         for case in cases + corpus.known_defect_cases(seed):
+            eig_digest.update(repr(eig_bits(embedlab.numkit.eig, case.matrix, EmbedlabError)).encode())
             for question in questions:
                 try:
                     report = question(case.matrix)
@@ -87,6 +103,7 @@ def main(argv):
                     digest.update(repr(bits[name]).encode())
                 count += 1
     print(f"reports {count}")
+    print(f"sha256_eig {eig_digest.hexdigest()}")
     for name, digest in digests.items():
         print(f"{name} {digest.hexdigest()}")
 
