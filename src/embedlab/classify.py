@@ -5,6 +5,7 @@ positive, positive-diagonal, M, inverse-M and nonsingular are only flags
 of ``classify_matrix`` (``FLAG_NAMES`` lists them all).
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -39,12 +40,17 @@ FLAG_NAMES = (
 )
 
 
+@functools.cache
 def _offdiag_mask(n: int) -> np.ndarray:
-    return ~np.eye(n, dtype=bool)
+    """The read-only boolean mask of the off-diagonal entries of an n x n
+    matrix, built once per n."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def is_nonnegative(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return bool(np.min(A) >= -cfg.entry_tol)
+    return bool(np.asanyarray(A).min() >= -cfg.entry_tol)
 
 
 def is_z_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -89,15 +95,14 @@ def strong_components(pattern: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     reaches, the one with the smallest state.
     """
     n = pattern.shape[0]
-    reach = pattern | np.eye(n, dtype=bool)
+    reach = pattern | ~_offdiag_mask(n)
     for _ in range(max(n - 2, 0).bit_length()):
         reach = reach @ reach
     first = (reach & reach.T).argmax(axis=1)  # smallest state of each state's component
-    roots = np.flatnonzero(first == np.arange(n))
-    labels = np.searchsorted(roots, first)
+    roots = (first == np.arange(n)).nonzero()[0]
+    labels = roots.searchsorted(first)
     # blocked[c] counts the remaining components other than c that reach c
-    reaches = reach[roots][:, roots].astype(int)
-    np.fill_diagonal(reaches, 0)
+    reaches = (reach[roots][:, roots] & _offdiag_mask(len(roots))).astype(int)
     blocked = reaches.sum(axis=0)
     order = []
     for _ in range(len(roots)):

@@ -55,7 +55,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import numkit, structure
-from .classify import is_nonnegative, is_stochastic, is_z_matrix, structural_pattern
+from .classify import _offdiag_mask, is_nonnegative, is_stochastic, is_z_matrix, structural_pattern
 from .errors import (
     IllConditioned,
     NegativeRealEigenvalue,
@@ -365,7 +365,7 @@ def enumerate_generators(
     spectrum RepeatedEigenvalues (decisions resolve those through the
     principal logarithm, ``_repeated_spectrum_verdict``).
     """
-    if np.any(np.abs(E.eigenvalues) <= cfg.entry_tol):
+    if (np.abs(E.eigenvalues) <= cfg.entry_tol).any():
         raise SingularMatrix("zero eigenvalue: no generator exists")
     if E.is_repeated(cfg):
         raise RepeatedEigenvalues("branch enumeration needs distinct eigenvalues")
@@ -377,10 +377,53 @@ def enumerate_generators(
 
 
 def _offdiag(M: np.ndarray) -> np.ndarray:
-    return M[~np.eye(M.shape[0], dtype=bool)]
+    return M[_offdiag_mask(M.shape[0])]
 
 
-def _log_acceptor(target: np.ndarray, cfg: ToleranceConfig):
+def _offdiag_zeros(A: np.ndarray, cfg: ToleranceConfig) -> Optional[np.ndarray]:
+    """The off-diagonal structural zeros of A (``classify.structural_pattern``,
+    the pattern of ``structure.frobenius_form``) as a boolean mask, None when
+    A has none."""
+    pattern = structural_pattern(A, cfg)
+    if pattern.all():
+        return None
+    zeros = _offdiag_mask(len(A)) & ~pattern
+    return zeros if zeros.any() else None
+
+
+def _on_pattern(zeros: Optional[np.ndarray], check):
+    """``check`` (which returns (ok, record)) of a matrix M set to 0.0, in
+    place, at ``zeros``; when that fails and the projection removed
+    anything, M is restored and checked as given, and that check's result
+    and record stand, so the projection never rejects an M that ``check``
+    accepts as given.  With no zeros (None) it is ``check`` itself."""
+    if zeros is None:
+        return check
+
+    def projected(M: np.ndarray, *args):
+        dropped = M[zeros]
+        M[zeros] = 0.0
+        ok, record = check(M, *args)
+        if ok or not dropped.any():
+            return ok, record
+        M[zeros] = dropped
+        return check(M, *args)
+
+    return projected
+
+
+# The acceptor takes the residual ||expm(L) - A||_F with no errstate when
+# sqrt(n) ||L||_F <= _RESIDUAL_SAFE_NORM and ||A||_F <= _RESIDUAL_SAFE_SCALE.
+# Then ||L||_1 <= 300, so ||expm(L)||_1 <= e^300 < 2e130 (the argument of
+# numkit._EXPM_SAFE_NORM) and ||expm(L)||_F <= sqrt(n) 2e130: no partial sum
+# of the squares of expm(L) - A exceeds (sqrt(n) 2e130 + 1e150)^2, far below
+# the largest float for any n below 1e38.  Past either bound it is taken
+# under errstate, where an overflow reads as an infinite residual.
+_RESIDUAL_SAFE_NORM = 300.0
+_RESIDUAL_SAFE_SCALE = 1e150
+
+
+def _log_acceptor(target: np.ndarray, zeros: Optional[np.ndarray], cfg: ToleranceConfig):
     """Acceptance test for a real candidate logarithm L of ``target``: L must
     have nonnegative off-diagonal entries and expm(L) must reconstruct the
     target.  For a stochastic target such an L is an intensity matrix (see
@@ -388,21 +431,23 @@ def _log_acceptor(target: np.ndarray, cfg: ToleranceConfig):
     off-diagonal failure within 10x the slack is marked borderline, and
     ``_decide`` certifies no negative that rests on one.
 
-    Before both checks L is set to 0.0, in place, at every off-diagonal
-    structural zero of the target (``classify.structural_pattern``, the
-    pattern of ``structure.frobenius_form``).  A logarithm with nonnegative
-    off-diagonal entries is zero at an exact zero of the target: with
-    s = max(-L_jj), expm(L) >= e^-s (I + L + sI) entrywise, so L_ij <=
-    e^s expm(L)_ij.  A target entry that is below ``entry_tol`` but not
-    zero allows L_ij up to e^s entry_tol, and removing that can cost the
-    reconstruction.  So when the projected L fails and the projection
-    removed anything, L is restored and checked as given, and that check's
-    result and record stand: the projection never rejects an L that the
-    checks accept as given.  An accepted L lies exactly on the target's
-    pattern unless only L as given passed.
+    Before both checks L is set to 0.0, in place, at ``zeros``, the target's
+    off-diagonal structural zeros (``_offdiag_zeros``), through
+    ``_on_pattern``.  A logarithm with nonnegative off-diagonal entries is
+    zero at an exact zero of the target: with s = max(-L_jj), expm(L) >=
+    e^-s (I + L + sI) entrywise, so L_ij <= e^s expm(L)_ij.  A target entry
+    that is below ``entry_tol`` but not zero allows L_ij up to e^s
+    entry_tol, and removing that can cost the reconstruction; L is then
+    checked as given.  An accepted L lies exactly on the target's pattern
+    unless only L as given passed.  The target is not zero (both entries
+    gate on its determinant), so its norm, taken once, divides every
+    residual.
     """
-    offdiag = ~np.eye(target.shape[0], dtype=bool)
-    zeros = offdiag & ~structural_pattern(target, cfg)
+    n = target.shape[0]
+    offdiag = _offdiag_mask(n)
+    scale = numkit._frob(target)
+    # past the scale bound every residual is taken under errstate
+    safe_norm = _RESIDUAL_SAFE_NORM / math.sqrt(n) if scale <= _RESIDUAL_SAFE_SCALE else -1.0
 
     def check(L: np.ndarray):
         off = L[offdiag]
@@ -413,21 +458,18 @@ def _log_acceptor(target: np.ndarray, cfg: ToleranceConfig):
                 "value": min_off,
                 "borderline": min_off >= -10 * cfg.entry_tol,
             }
-        resid = numkit.relative_residual(numkit.expm(L), target)
+        X = numkit.expm(L)
+        if numkit._frob(L) <= safe_norm:
+            resid = numkit._frob(X - target)
+        else:
+            with np.errstate(over="ignore"):
+                resid = numkit._frob(X - target)
+        resid /= scale
         if resid > cfg.recon_tol:
             return False, {"reason": "reconstruction_failure", "value": resid}
         return True, None
 
-    def accept(L: np.ndarray):
-        dropped = L[zeros]
-        L[zeros] = 0.0
-        ok, failure = check(L)
-        if ok or not dropped.any():
-            return ok, failure
-        L[zeros] = dropped
-        return check(L)
-
-    return accept
+    return _on_pattern(zeros, check)
 
 
 def _branch_search(E, blocks, accept, cfg):
@@ -527,7 +569,7 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     return UNDETERMINED, None, records, None
 
 
-def _decide(A, det, verdicts, cfg, decomposition=None):
+def _decide(A, det, zeros, verdicts, cfg, decomposition=None):
     """The decision both questions share: the structural necessary
     conditions (``decomposition`` as in ``structure.necessary_conditions``),
     one eigendecomposition, then either the search of ``_search_windows``
@@ -539,11 +581,12 @@ def _decide(A, det, verdicts, cfg, decomposition=None):
     logarithm of an eigenvalue within ``entry_tol`` of zero ends Undetermined
     with an ``eigenvalue_near_zero`` record holding its modulus.  The
     determinant gates differ between the questions and stay in the public
-    entries, which call this after them; ``verdicts`` is the question's
-    (positive, negative) pair.  Returns (verdict, witness, examined, records,
-    bound), the field order of ``EmbeddabilityReport``, then the witness's
-    spectral form (eigen, selection) when it is eig's V Log(Lambda) V^-1 at
-    that branch selection, None otherwise."""
+    entries, which call this after them; ``zeros`` is A's
+    ``_offdiag_zeros`` and ``verdicts`` the question's (positive, negative)
+    pair.  Returns (verdict, witness, examined, records, bound), the field
+    order of ``EmbeddabilityReport``, then the witness's spectral form
+    (eigen, selection) when it is eig's V Log(Lambda) V^-1 at that branch
+    selection, None otherwise."""
     positive, negative = verdicts
     conditions = structure.necessary_conditions(A, cfg, decomposition=decomposition)
     if conditions.violations:
@@ -554,7 +597,7 @@ def _decide(A, det, verdicts, cfg, decomposition=None):
         eigen = numkit.eig(A, cfg)
     except IllConditioned:
         eigen = None
-    accept = _log_acceptor(A, cfg)
+    accept = _log_acceptor(A, zeros, cfg)
     if eigen is None or eigen.is_repeated(cfg):
         verdict, witness, records, sel = _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg)
         examined, bound = 0, None
@@ -614,7 +657,7 @@ def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityRepo
         failed = [{"reason": "determinant_negative", "value": det}]
         return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
 
-    return EmbeddabilityReport(*_decide(P, det, (EMBEDDABLE, NOT_EMBEDDABLE), cfg)[:5])
+    return EmbeddabilityReport(*_decide(P, det, _offdiag_zeros(P, cfg), (EMBEDDABLE, NOT_EMBEDDABLE), cfg)[:5])
 
 
 def check_strong_inf_divisible(
@@ -630,10 +673,13 @@ def check_strong_inf_divisible(
     the orders m in ``root_orders`` (any iterable of positive integers, read
     once; booleans are not orders): each must be nonnegative and its mth
     power must reconstruct the input, and a failing root makes the verdict
-    Undetermined.  When the witness is -Q = V diag(mu) V^-1 from the
-    decision's eigenbasis (a search hit, or the principal logarithm of a
-    repeated diagonalizable spectrum), the roots are V diag(exp(mu/m)) V^-1,
-    all orders in one product (``numkit.branch_roots``).  A root that is not
+    Undetermined.  Each root is set to zero at the input's off-diagonal
+    structural zeros before its checks and, when that fails, checked as
+    computed (``_on_pattern``, as for the witness).  When the witness is
+    -Q = V diag(mu) V^-1 from the decision's eigenbasis (a search hit, or
+    the principal logarithm of a repeated diagonalizable spectrum), the
+    roots are V diag(exp(mu/m)) V^-1, all orders in one product
+    (``numkit.branch_roots``).  A root that is not
     real within the truncation threshold or fails a check is recomputed as
     expm(-Q/m) and checked again, so the report then rests on the expm root.
     A witness from ``numkit.principal_log`` has no eigenbasis, and its roots
@@ -669,8 +715,9 @@ def check_strong_inf_divisible(
         return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
 
     decomp = structure.frobenius_form(B, cfg)
+    zeros = _offdiag_zeros(B, cfg)
     verdicts = (STRONGLY_INF_DIVISIBLE, NOT_STRONGLY_INF_DIVISIBLE)
-    verdict, witness, examined, records, bound, spectral = _decide(B, det, verdicts, cfg, decomp)
+    verdict, witness, examined, records, bound, spectral = _decide(B, det, zeros, verdicts, cfg, decomp)
     report = DivisibilityReport(verdict, branches_examined=examined, failed_conditions=records,
                                 bound_used=bound)
     if verdict != STRONGLY_INF_DIVISIBLE:
@@ -678,40 +725,52 @@ def check_strong_inf_divisible(
 
     Q = report.z_matrix = -witness
     candidates = numkit.branch_roots(*spectral, root_orders, cfg) if spectral else [None] * len(root_orders)
+    accept_root = _on_pattern(zeros, _root_check(B, cfg))
     roots: List[Tuple[int, np.ndarray]] = []
     for order, root in zip(root_orders, candidates):
-        if root is None or _root_failure(root, order, B, cfg) is not None:
+        if root is None or not accept_root(root, order)[0]:
             root = numkit.expm(-Q / order)
-            failure = _root_failure(root, order, B, cfg)
-            if failure is not None:
+            ok, failure = accept_root(root, order)
+            if not ok:
                 report.failed_conditions.append(failure)
                 report.verdict = UNDETERMINED
                 return report
         roots.append((order, root))
     report.roots_demonstrated = roots
+    if decomp.n_blocks == 1:
+        return report
 
+    # Q and the roots in the Frobenius form's order: each trailing block is
+    # then a contiguous slice, copied so that its sub-report owns it
+    rows, cols = decomp.permutation[:, None], decomp.permutation
+    Q, roots = Q[rows, cols], [(order, root[rows, cols]) for order, root in roots]
     for offset in itertools.accumulate(decomp.block_sizes[:-1]):
-        head, tail = decomp.permutation[:offset], decomp.permutation[offset:]
-        leak = float(np.max(np.abs(Q[np.ix_(tail, head)])))
+        leak = float(np.abs(Q[offset:, :offset]).max())
         if leak:
             failed = [{"reason": "witness_not_block_triangular", "value": leak}]
             report.recursion.append(DivisibilityReport(UNDETERMINED, failed_conditions=failed))
             continue
-        block = np.ix_(tail, tail)
-        sliced = [(order, root[block]) for order, root in roots]
-        report.recursion.append(DivisibilityReport(STRONGLY_INF_DIVISIBLE, Q[block], sliced))
+        sliced = [(order, root[offset:, offset:].copy()) for order, root in roots]
+        report.recursion.append(DivisibilityReport(STRONGLY_INF_DIVISIBLE, Q[offset:, offset:].copy(), sliced))
     return report
 
 
-def _root_failure(root: np.ndarray, order: int, B: np.ndarray, cfg: ToleranceConfig) -> Optional[dict]:
-    """The record of a sample root that is not nonnegative or whose power
-    misses B, None when it passes both checks."""
-    low = float(root.min())
-    if low < -cfg.entry_tol:
-        return {"reason": "root_not_nonnegative", "order": order, "value": low}
-    if numkit.relative_residual(np.linalg.matrix_power(root, order), B) > 10 * cfg.recon_tol:
-        return {"reason": "root_power_mismatch", "order": order}
-    return None
+def _root_check(B: np.ndarray, cfg: ToleranceConfig):
+    """The check of a sample root of order m: (True, None) when it is
+    nonnegative and its mth power reconstructs B within 10 recon_tol,
+    otherwise False with the record of the first check it fails.  ||B||_F is
+    taken once, here; B is not zero, as its determinant is positive."""
+    scale = numkit._frob(B)
+
+    def check(root: np.ndarray, order: int):
+        low = float(root.min())
+        if low < -cfg.entry_tol:
+            return False, {"reason": "root_not_nonnegative", "order": order, "value": low}
+        if numkit._frob(np.linalg.matrix_power(root, order) - B) / scale > 10 * cfg.recon_tol:
+            return False, {"reason": "root_power_mismatch", "order": order}
+        return True, None
+
+    return check
 
 
 def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optional[InverseMRoot]:

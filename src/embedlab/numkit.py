@@ -185,8 +185,8 @@ def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
     """
     A = as_square_matrix(A)
     lam, V = np.linalg.eig(A)
-    lam = lam.astype(complex)
-    V = V.astype(complex)
+    lam = lam.astype(complex, copy=False)
+    V = V.astype(complex, copy=False)
     order = _canonical_order(lam)
     lam = lam[order]
     V = V[:, order]
@@ -247,7 +247,7 @@ def expm(A) -> np.ndarray:
     if A.shape[0] > 1 and A[0, -1] and A[-1, 0]:
         lower = upper = False  # both corners nonzero: neither triangular form
     else:
-        rows, cols = np.nonzero(A)
+        rows, cols = A.nonzero()
         offsets = cols - rows
         lower, upper = offsets.max(initial=0) <= 0, offsets.min(initial=0) >= 0
     # exp(A) = exp(A^T)^T, so a lower triangular input is taken as upper
@@ -293,12 +293,20 @@ def _set_exact_band(X, T, j):
     np.fill_diagonal(X[:, 1:], t * np.exp(half_sum) * _sinch(half_gap))
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """A read-only n x n identity, built once per n."""
+    I = np.eye(n)
+    I.flags.writeable = False
+    return I
+
+
 def _pade_13(A):
     """The degree-13 Pade approximant of exp(A), from one stack of powers,
     one product for the four polynomial parts and one solve."""
     n = A.shape[0]
     powers = np.empty((4, n, n))
-    powers[0] = np.eye(n)
+    powers[0] = _identity(n)
     np.matmul(A, A, out=powers[1])
     np.matmul(powers[1], powers[1], out=powers[2])
     np.matmul(powers[1], powers[2], out=powers[3])
@@ -356,7 +364,7 @@ def _branch_logs(E: Eigendecomposition, selection, cfg: ToleranceConfig) -> np.n
     if offsets.shape != (E.n,):
         raise ValueError(f"expected {E.n} branch offsets, got shape {offsets.shape}")
     lam = E.eigenvalues
-    if np.any(np.abs(lam) <= cfg.entry_tol):
+    if (np.abs(lam) <= cfg.entry_tol).any():
         raise SingularMatrix("zero eigenvalue: matrix has no logarithm")
     if E.min_pairwise_gap < cfg.distinct_tol:
         for cluster in cluster_indices(lam, cfg.distinct_tol):
@@ -386,7 +394,7 @@ def branch_roots(E: Eigendecomposition, selection, orders, cfg: ToleranceConfig 
 def _check_log_preconditions(lam, cfg):
     """Raise unless the eigenvalues ``lam`` admit a real primary logarithm:
     none may be zero or lie on the closed negative real axis."""
-    if np.any(np.abs(lam) <= cfg.entry_tol):
+    if (np.abs(lam) <= cfg.entry_tol).any():
         raise SingularMatrix("zero eigenvalue: no primary logarithm or root")
     on_negative_axis = (lam.real < 0) & (np.abs(lam.imag) <= cfg.entry_tol * (1 + np.abs(lam)))
     if np.any(on_negative_axis):
@@ -486,7 +494,7 @@ def as_real(M, cfg: ToleranceConfig = DEFAULT_TOL):
     M = np.asarray(M)
     if not np.iscomplexobj(M):
         return np.array(M, dtype=float)
-    if np.max(np.abs(M.imag)) <= imag_truncation_threshold(M, cfg):
+    if np.abs(M.imag).max() <= imag_truncation_threshold(M, cfg):
         return np.array(M.real, dtype=float)
     return None
 
@@ -500,9 +508,17 @@ def _condition(V) -> float:
     return np.inf if np.isnan(cond) else cond
 
 
+@functools.cache
+def _index_pairs(n: int):
+    """Index arrays (i, j) of the n(n-1)/2 pairs i < j, built once per n."""
+    return np.triu_indices(n, 1)
+
+
 def _min_gap(values) -> float:
+    """Smallest |lambda_i - lambda_j| over i < j, inf for one value.  Each
+    unordered pair is taken once: |a - b| = |b - a| exactly in floating
+    point, so this is the minimum over every ordered pair bit for bit."""
     if len(values) == 1:
         return np.inf
-    gaps = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    return float(np.min(gaps))
+    i, j = _index_pairs(len(values))
+    return float(np.abs(values[i] - values[j]).min())

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .classify import strong_components, structural_pattern
+from .classify import _offdiag_mask, strong_components, structural_pattern
 from .errors import NotAValidPair, NotMonomial, OutOfRange
 from .numkit import DEFAULT_TOL, ToleranceConfig, as_square_matrix, expm, relative_residual
 
@@ -90,9 +90,9 @@ def frobenius_form(B, cfg: ToleranceConfig = DEFAULT_TOL) -> StructureDecomposit
             permutation=np.arange(len(B)), block_sizes=[len(B)], U=B, diagonal_blocks=[B.copy()]
         )
     labels, comp_order = strong_components(pattern)
-    rank = np.argsort(comp_order)  # position of each component in comp_order
-    order = np.argsort(rank[labels], kind="stable")
-    U = B[np.ix_(order, order)]
+    rank = np.array(comp_order).argsort()  # position of each component in comp_order
+    order = rank[labels].argsort(kind="stable")
+    U = B[order[:, None], order]
     block_sizes = np.bincount(labels)[comp_order].tolist()
     blocks, offset = [], 0
     for size in block_sizes:
@@ -181,27 +181,28 @@ def necessary_conditions(
     n = B.shape[0]
     violations: List[Tuple[str, tuple]] = []
 
-    diag = np.diag(B)
-    for i in np.flatnonzero(diag <= cfg.entry_tol):
-        violations.append(("positive_diagonal", (int(i), float(diag[i]))))
+    diag = B.diagonal()
+    for i in (diag <= cfg.entry_tol).nonzero()[0].tolist():
+        violations.append(("positive_diagonal", (i, float(diag[i]))))
 
     pattern = structural_pattern(B, cfg)
     decomp = frobenius_form(B, cfg) if decomposition is None else decomposition
     if decomp.n_blocks == 1 and n > 1:
-        bad = np.argwhere(B <= cfg.entry_tol)
-        if bad.size:
-            i, j = bad[0]
-            violations.append(("irreducible_implies_positive", (int(i), int(j), float(B[i, j]))))
+        rows, cols = (B <= cfg.entry_tol).nonzero()
+        if rows.size:
+            i, j = int(rows[0]), int(cols[0])
+            violations.append(("irreducible_implies_positive", (i, j, float(B[i, j]))))
     else:
-        offset = 0
-        for b, block in enumerate(decomp.diagonal_blocks):
-            bad = np.argwhere(block <= cfg.entry_tol)
-            if bad.size:
-                i, j = bad[0]
-                violations.append(
-                    ("diagonal_blocks_positive", (b, int(i + offset), int(j + offset), float(block[i, j])))
-                )
-            offset += block.shape[0]
+        # the first entry at most entry_tol of each diagonal block, in
+        # row-major order, from one mask over the blocks of U
+        block_of = [b for b, size in enumerate(decomp.block_sizes) for _ in range(size)]
+        labels = np.array(block_of)
+        rows, cols = ((labels[:, None] == labels) & (decomp.U <= cfg.entry_tol)).nonzero()
+        last = -1
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            if block_of[i] != last:
+                last = block_of[i]
+                violations.append(("diagonal_blocks_positive", (last, i, j, float(decomp.U[i, j]))))
 
     with np.errstate(over="ignore"):
         for t in range(1, decomp.n_blocks):
@@ -209,9 +210,10 @@ def necessary_conditions(
             if sub_det <= cfg.entry_tol:
                 violations.append(("trailing_submatrices_recursive", (t, sub_det)))
 
-    two_step = (pattern.astype(np.int64) @ pattern.astype(np.int64)) > 0
-    for i, j in np.argwhere(two_step & ~pattern & ~np.eye(n, dtype=bool)):
-        violations.append(("zero_pattern_transitive", (int(i), int(j))))
+    two_step = pattern @ pattern  # boolean: some k with pattern[i, k] and pattern[k, j]
+    rows, cols = (two_step & ~pattern & _offdiag_mask(n)).nonzero()
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        violations.append(("zero_pattern_transitive", (i, j)))
 
     return NecessaryConditionReport(passed=not violations, violations=violations)
 

@@ -1,0 +1,102 @@
+"""tools/ab_pairs.py against two stub checkouts whose perfbench/run.py
+prints fixed JSON lines."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py"
+
+# each run appends its side and argv to ../runs.log and prints the metrics
+# of its next entry in values.json
+STUB = '''
+import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parent
+log = here.parent.parent / "runs.log"
+side = here.parent.name
+done = sum(1 for line in log.read_text().splitlines() if line.split()[0] == side) if log.exists() else 0
+with log.open("a") as fh:
+    fh.write(side + " " + " ".join(sys.argv[1:]) + "\\n")
+values = json.loads((here / "values.json").read_text())
+if values == "fail":
+    sys.exit(3)
+trace = sys.argv[sys.argv.index("--trace") + 1]
+metrics = values[trace][done]
+print("a human-readable table line")
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}}))
+'''
+
+SPEC = {
+    "end_to_end": [{"name": "decisions_per_s", "better": "higher"}, {"name": "latency_p50_ms", "better": "lower"}],
+    "per_layer": [{"name": "numkit.calls", "better": "lower"}],
+}
+
+
+def checkout(root: Path, values, spec=True) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB)
+    (root / "perfbench" / "values.json").write_text(json.dumps(values))
+    if spec:
+        (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    return root
+
+
+def run_tool(tmp_path, *extra):
+    argv = [sys.executable, str(TOOL), str(tmp_path / "parent"), str(tmp_path / "change"),
+            "--workload", "infdiv-truth", "--seed", "7", "--pairs", "4", "--seconds", "0.5", *extra]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=120)
+
+
+def summary(stdout: str) -> dict:
+    lines = stdout.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("summary over"))
+    return {line.split()[0]: line.split() for line in lines[start + 2:]}
+
+
+def untraced(rates, p50s):
+    return {"0": [{"decisions_per_s": r, "latency_p50_ms": p, "extra": 1.0} for r, p in zip(rates, p50s)]}
+
+
+def test_pairs_alternate_and_summarize(tmp_path):
+    checkout(tmp_path / "parent", untraced([100, 102, 98, 100], [0.3] * 4))
+    checkout(tmp_path / "change", untraced([110, 101, 99, 112], [0.3] * 4))
+    proc = run_tool(tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    runs = (tmp_path / "runs.log").read_text().splitlines()
+    assert [line.split()[0] for line in runs] == ["parent", "change", "change", "parent"] * 2
+    assert all(line.split()[1:] == ["--workload", "infdiv-truth", "--seed", "7", "--seconds", "0.5",
+                                    "--trace", "0"] for line in runs)
+    assert "pair 2  change first  correct: parent True, change True" in proc.stdout
+    rows = summary(proc.stdout)
+    # parent 98, 100, 100, 102 and change 99, 101, 110, 112: inclusive quartiles
+    assert rows["decisions_per_s"] == ["decisions_per_s", "100", "[", "99.5,", "100.5]",
+                                       "105.5", "[", "100.5,", "110.5]", "+5.5%", "3/4", "yes"]
+    # ties win nothing; a metric BENCHMARK.json does not list has no winner
+    assert rows["latency_p50_ms"][-3:] == ["+0.0%", "0/4", "no"]
+    assert rows["extra"][-2:] == ["-", "no"]
+
+
+def test_trace_runs_summarize_the_per_layer_metrics(tmp_path):
+    layer = lambda calls: {"1": [{"numkit.calls": c} for c in calls]}
+    checkout(tmp_path / "parent", layer([50, 52, 51, 50]))
+    checkout(tmp_path / "change", layer([40, 41, 39, 40]), spec=False)
+    proc = run_tool(tmp_path, "--trace", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert all(line.endswith("--trace 1") for line in (tmp_path / "runs.log").read_text().splitlines())
+    # the direction comes from the parent's BENCHMARK.json when the change has none
+    assert summary(proc.stdout)["numkit.calls"][-3:] == ["-20.8%", "4/4", "yes"]
+
+
+@pytest.mark.parametrize("broken", ["parent", "change"])
+def test_a_failed_run_stops_the_comparison(tmp_path, broken):
+    for side in ("parent", "change"):
+        checkout(tmp_path / side, "fail" if side == broken else untraced([1] * 4, [1] * 4))
+    proc = run_tool(tmp_path)
+    assert proc.returncode != 0
+    assert "gave no result (exit code 3)" in proc.stderr
+    assert "summary over" not in proc.stdout

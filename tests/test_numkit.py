@@ -269,6 +269,26 @@ class TestNumpyEquivalents:
         for stack in (S, S.transpose(0, 2, 1), S[:, ::2, ::2], S[:1, :1, :1]):
             assert numkit._frob_stack(stack).tobytes() == np.linalg.norm(stack, axis=(1, 2)).tobytes()
 
+    def test_min_gap_is_the_masked_minimum(self):
+        # the i < j pairs give the minimum over every ordered pair with the
+        # diagonal masked, bit for bit: one value, exact ties, conjugate
+        # pairs and random spectra, each in shuffled orders
+        def masked(values):
+            if len(values) == 1:
+                return np.inf
+            gaps = np.abs(values[:, None] - values[None, :])
+            np.fill_diagonal(gaps, np.inf)
+            return float(np.min(gaps))
+
+        rng = np.random.default_rng(60)
+        crafted = [[2.0 - 1.5j], [0.5, 0.5], [1.0, 0.3, 1.0, 0.3], [1 + 2j, 1 - 2j, 0.5, -0.3 + 1e-9j, -0.3 - 1e-9j],
+                   [complex(0.0, 0.5), complex(-0.0, 0.5), 3.0]]
+        randoms = [rng.normal(size=n) + 1j * rng.normal(size=n) * (n % 2) for n in range(2, 9)]
+        for spectrum in [np.array(c, dtype=complex) for c in crafted] + randoms:
+            for _ in range(10):
+                lam = rng.permutation(spectrum.astype(complex))
+                assert numkit._min_gap(lam).hex() == masked(lam).hex()
+
     def test_canonical_order_keeps_exact_ties_as_the_tuple_sort(self):
         # exact conjugate pairs, equal moduli (0.6 + 0.8i and 1 have modulus
         # 1.0 exactly, circulant spectra nearly or exactly) and imaginary
