@@ -35,6 +35,9 @@ real exactly when each real eigenvalue is positive and keeps offset 0 and
 each conjugate pair takes offsets (k, -k) (Culver 1966, On the existence
 and uniqueness of the real logarithm of a matrix), so the cost follows the
 number of real candidates rather than the raw product of the windows.
+Each candidate, and each sample root, is the real part of its computed
+value: the selection is real, so the imaginary part is rounding, and no
+imaginary-residue threshold enters a verdict; the acceptor alone judges it.
 Branch candidates are independent pure computations; enumeration order is
 deterministic (principal branch first, then lexicographic over offsets
 sorted by absolute value), so the reported witness is always the most
@@ -340,21 +343,23 @@ def _real_blocks(E: Eigendecomposition, windows: List[range]) -> List[List[Tuple
 
 def _candidate_stream(
     E: Eigendecomposition, blocks: List[List[Tuple[int, ...]]], cfg: ToleranceConfig
-) -> Iterator[Tuple[BranchSelection, Optional[np.ndarray]]]:
+) -> Iterator[Tuple[BranchSelection, np.ndarray]]:
     """The real branch selections of ``blocks`` (``_real_blocks``) in
-    lexicographic order with their assembled logarithm, or None when its
-    imaginary residue is not negligible."""
+    lexicographic order with their assembled logarithm.  Culver's criterion
+    makes each selection's logarithm real, so the imaginary part of the
+    computed one is rounding and its real part is the candidate; the
+    acceptor alone judges it."""
     for picks in itertools.product(*blocks):
         sel = BranchSelection(offsets=tuple(itertools.chain.from_iterable(picks)))
-        yield sel, numkit.as_real(numkit.logm_branch(E, sel, cfg), cfg)
+        yield sel, numkit.logm_branch(E, sel, cfg).real.copy()
 
 
 def enumerate_generators(
     E: Eigendecomposition, bound: BranchBound, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> Iterator[Tuple[BranchSelection, np.ndarray]]:
     """Yield every branch selection within the bound's window whose
-    assembled logarithm is real, principal branch first: the candidates a
-    search of that window examines, less those with an imaginary residue.
+    logarithm is real, with that logarithm, principal branch first: the
+    candidates a search of that window examines.
 
     The window is [im_low, im_high] per eigenvalue, cut to Runnenberg's cone
     when ``bound.cone_apex`` is set (a decision's ``bound_used``).  Only the
@@ -371,9 +376,7 @@ def enumerate_generators(
         raise RepeatedEigenvalues("branch enumeration needs distinct eigenvalues")
     cut = bound.cone_apex is not None
     windows = _search_windows(E, bound.im_high) if cut else _offset_windows(E, bound.im_low, bound.im_high)
-    for sel, real in _candidate_stream(E, _real_blocks(E, windows), cfg):
-        if real is not None:
-            yield sel, real
+    yield from _candidate_stream(E, _real_blocks(E, windows), cfg)
 
 
 def _offdiag(M: np.ndarray) -> np.ndarray:
@@ -484,9 +487,6 @@ def _branch_search(E, blocks, accept, cfg):
     records: List[dict] = []
     for sel, real in _candidate_stream(E, blocks, cfg):
         examined += 1
-        if real is None:
-            records.append({"branch": sel.offsets, "reason": "complex_candidate"})
-            continue
         ok, failure = accept(real)
         if ok:
             return real, sel, examined, records
@@ -548,8 +548,10 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
             lam = eigen.eigenvalues
             numkit._check_log_preconditions(lam, cfg)
             sel = BranchSelection.principal(eigen.n)
-            witness = numkit.as_real(numkit.logm_branch(eigen, sel, cfg), cfg)
-            if witness is not None and accept(witness)[0]:
+            # the principal selection of a spectrum off the closed negative
+            # real axis is real, so its real part is the candidate
+            witness = numkit.logm_branch(eigen, sel, cfg).real.copy()
+            if accept(witness)[0]:
                 return positive, witness, records, sel
             witness = numkit.principal_log(A, cfg)
     except (SingularMatrix, NegativeRealEigenvalue, IllConditioned) as exc:
@@ -679,8 +681,8 @@ def check_strong_inf_divisible(
     -Q = V diag(mu) V^-1 from the decision's eigenbasis (a search hit, or
     the principal logarithm of a repeated diagonalizable spectrum), the
     roots are V diag(exp(mu/m)) V^-1, all orders in one product
-    (``numkit.branch_roots``).  A root that is not
-    real within the truncation threshold or fails a check is recomputed as
+    (``numkit.branch_roots``), whose real parts are the roots, as the
+    witness's selection is real.  A root that fails a check is recomputed as
     expm(-Q/m) and checked again, so the report then rests on the expm root.
     A witness from ``numkit.principal_log`` has no eigenbasis, and its roots
     are expm's.  A repeated spectrum is resolved through the principal
@@ -702,8 +704,8 @@ def check_strong_inf_divisible(
     largest such |Q| entry, since its slice inherits nothing.
     """
     root_orders = tuple(root_orders)
-    if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1 for m in root_orders):
-        raise ValueError("root orders must be positive integers")
+    for m in root_orders:
+        numkit._check_order(m, "root orders")
     B = as_square_matrix(B)
     if not is_nonnegative(B, cfg):
         raise NotNonnegative("input has an entry below -entry_tol")
@@ -724,7 +726,8 @@ def check_strong_inf_divisible(
         return report
 
     Q = report.z_matrix = -witness
-    candidates = numkit.branch_roots(*spectral, root_orders, cfg) if spectral else [None] * len(root_orders)
+    # the witness's selection is real, and so are its basis roots
+    candidates = numkit.branch_roots(*spectral, root_orders, cfg).real.copy() if spectral else [None] * len(root_orders)
     accept_root = _on_pattern(zeros, _root_check(B, cfg))
     roots: List[Tuple[int, np.ndarray]] = []
     for order, root in zip(root_orders, candidates):
@@ -792,8 +795,7 @@ def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optio
     that is not the primary one.
     """
     P = as_square_matrix(P)
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ValueError("power m must be a positive integer")
+    numkit._check_order(m, "power m")
     n = P.shape[0]
     if numkit._condition(P) * cfg.entry_tol >= 1.0:
         raise SingularMatrix("inverse-M power form needs a nonsingular matrix")
@@ -854,8 +856,7 @@ def im_root_approx(
     G = as_square_matrix(generator)
     if P.shape != G.shape:
         raise ValueError("matrix and generator must have matching shapes")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError("starting order n must be a positive integer")
+    numkit._check_order(n, "starting order n")
     if numkit.relative_residual(numkit.expm(G), P) > cfg.recon_tol:
         raise ValueError("exp(generator) does not reconstruct the matrix")
     off = _offdiag(G)

@@ -44,11 +44,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical slacks used by every verdict in the library.
+    """Numerical slacks used by every verdict in the library; the README's
+    tolerance list names the functions that compare each role.
 
-    entry_tol      entrywise nonnegativity / structural-zero slack
-    recon_tol      relative reconstruction tolerance for exp/log round trips
-    distinct_tol   eigenvalue-gap floor below which eigenvalues count as repeated
+    entry_tol      absolute; the sign slack of an entry, row sums within
+                   n*entry_tol, the structural zero, the determinant gates,
+                   relative singularity (sigma_min <= entry_tol*sigma_max),
+                   the zero eigenvalue, the closed negative real axis, a
+                   candidate logarithm's off-diagonal sign (10x borderline
+                   band), a sample root's sign, and the imaginary
+                   truncation threshold of as_real
+    recon_tol      relative reconstruction tolerance: eig's eigenbasis, the
+                   acceptance test, sample-root powers (10x) and the
+                   inverse-M and generator round trips
+    distinct_tol   absolute eigenvalue-gap floor below which eigenvalues
+                   count as repeated, and below which an imaginary part
+                   counts as zero on the repeated-spectrum path
     """
 
     entry_tol: float = 1e-9
@@ -103,12 +114,6 @@ def _frob(M) -> float:
             re, im = x.real, x.imag
             return math.sqrt(re.dot(re) + im.dot(im))
     return float(np.linalg.norm(M, "fro"))
-
-
-def _frob_stack(S) -> np.ndarray:
-    """``np.linalg.norm(S, axis=(1, 2))`` of a stack of matrices bit for bit:
-    the expression that function evaluates, without its Python layer."""
-    return np.sqrt(np.add.reduce((S.conj() * S).real, axis=(1, 2)))
 
 
 def relative_residual(approx, target) -> float:
@@ -349,8 +354,12 @@ def logm_branch(E: Eigendecomposition, selection, cfg: ToleranceConfig = DEFAULT
     principal logarithm.  Offsets that differ inside a repeated
     eigenvalue cluster do not define a primary function and raise
     RepeatedEigenvalues (constant offsets on a cluster stay basis
-    independent and are allowed).  The result is complex; use :func:`as_real`
-    to truncate a small imaginary residue.
+    independent and are allowed).  The result is complex.  When Culver's
+    (1966) criterion makes the selection real (distinct eigenvalues, offset
+    0 on each positive real eigenvalue and (k, -k) on each conjugate pair),
+    its imaginary part is rounding and its real part is the logarithm; for
+    other offsets :func:`as_real` keeps a real part only when the imaginary
+    residue is below its threshold.
     """
     return (E.right_eigenvectors * _branch_logs(E, selection, cfg)) @ E.inverse_basis
 
@@ -375,20 +384,17 @@ def _branch_logs(E: Eigendecomposition, selection, cfg: ToleranceConfig) -> np.n
     return np.log(lam) + 2j * np.pi * offsets
 
 
-def branch_roots(E: Eigendecomposition, selection, orders, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
+def branch_roots(E: Eigendecomposition, selection, orders, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The roots exp(L/m) = V diag(exp(mu_j/m)) V^-1 of the branch logarithm
     L = V diag(mu_j) V^-1 of :func:`logm_branch`, one per order m in
-    ``orders``, from one stacked product (evaluation by diagonalization;
-    Higham, Functions of Matrices, 2008, Sec. 4.5).  Its error grows with the
-    condition number of V, so callers check what they use.  A root is real
-    when its imaginary residue is below :func:`imag_truncation_threshold`, as
-    in :func:`as_real`, and None otherwise.
+    ``orders``, as one complex stack from one product (evaluation by
+    diagonalization; Higham, Functions of Matrices, 2008, Sec. 4.5).  Like
+    :func:`logm_branch` the result is complex: a real selection gives real
+    roots up to rounding, whose error grows with the condition number of V,
+    so callers take the real parts and check what they use.
     """
     m = np.asarray(orders, dtype=float).reshape(-1, 1)
-    stack = (E.right_eigenvectors * np.exp(_branch_logs(E, selection, cfg) / m)[:, None, :]) @ E.inverse_basis
-    residue = np.abs(stack.imag).max(axis=(1, 2))
-    threshold = E.n * cfg.entry_tol * (1.0 + _frob_stack(stack))
-    return [root.real.copy() if real else None for root, real in zip(stack, residue <= threshold)]
+    return (E.right_eigenvectors * np.exp(_branch_logs(E, selection, cfg) / m)[:, None, :]) @ E.inverse_basis
 
 
 def _check_log_preconditions(lam, cfg):
@@ -465,6 +471,13 @@ def principal_log(A, cfg: ToleranceConfig = DEFAULT_TOL, *, eigenvalues=None) ->
     return 2.0**k * np.tensordot(_GL_WEIGHTS, terms, 1) + (e * math.log(2.0)) * I
 
 
+def _check_order(m, name: str) -> None:
+    """Raise ValueError unless ``m``, the parameter ``name``, is a positive
+    integer (a Python or numpy int); a boolean is not an order."""
+    if isinstance(m, bool) or not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise ValueError(f"{name}: expected a positive integer, got {m!r}")
+
+
 def primary_root(A, n: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Primary nth root: exp of the principal logarithm divided by ``n``.
 
@@ -472,8 +485,7 @@ def primary_root(A, n: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     an eigenvalue lies on the closed negative real axis.
     """
     A = as_square_matrix(A)
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError("root order n must be a positive integer")
+    _check_order(n, "root order n")
     if n == 1:
         _check_log_preconditions(np.linalg.eigvals(A), cfg)
         return A.copy()
@@ -483,7 +495,8 @@ def primary_root(A, n: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def imag_truncation_threshold(M, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Size- and magnitude-scaled threshold below which an imaginary residue
-    counts as roundoff: ``n * entry_tol * (1 + ||M||_F)``."""
+    counts as roundoff: ``n * entry_tol * (1 + ||M||_F)``.  No decision uses
+    it: a decision builds only real selections and takes their real parts."""
     M = np.asarray(M)
     return M.shape[0] * cfg.entry_tol * (1.0 + _frob(M))
 

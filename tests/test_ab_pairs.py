@@ -11,21 +11,26 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py"
 
 # each run appends its side and argv to ../runs.log and prints the metrics
-# of its next entry in values.json
+# of its next entry in values.json; values given as {"first": [...],
+# "second": [...]} are read by whether the run goes first in its pair
 STUB = '''
 import json, sys
 from pathlib import Path
 here = Path(__file__).resolve().parent
 log = here.parent.parent / "runs.log"
 side = here.parent.name
-done = sum(1 for line in log.read_text().splitlines() if line.split()[0] == side) if log.exists() else 0
+runs = [line.split()[0] for line in log.read_text().splitlines()] if log.exists() else []
+done = runs.count(side)
 with log.open("a") as fh:
     fh.write(side + " " + " ".join(sys.argv[1:]) + "\\n")
 values = json.loads((here / "values.json").read_text())
 if values == "fail":
     sys.exit(3)
 trace = sys.argv[sys.argv.index("--trace") + 1]
-metrics = values[trace][done]
+metrics = values[trace]
+if isinstance(metrics, dict):
+    metrics = metrics["first" if len(runs) % 2 == 0 else "second"]
+metrics = metrics[done]
 print("a human-readable table line")
 print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
                   "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}}))
@@ -58,6 +63,13 @@ def summary(stdout: str) -> dict:
     return {line.split()[0]: line.split() for line in lines[start + 2:]}
 
 
+def by_order(stdout: str) -> dict:
+    lines = stdout.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("by run order"))
+    end = next(k for k, line in enumerate(lines) if line.startswith("summary over"))
+    return {line.split()[0]: line.split()[1:] for line in lines[start + 2:end]}
+
+
 def untraced(rates, p50s):
     return {"0": [{"decisions_per_s": r, "latency_p50_ms": p, "extra": 1.0} for r, p in zip(rates, p50s)]}
 
@@ -79,6 +91,9 @@ def test_pairs_alternate_and_summarize(tmp_path):
     # ties win nothing; a metric BENCHMARK.json does not list has no winner
     assert rows["latency_p50_ms"][-3:] == ["+0.0%", "0/4", "no"]
     assert rows["extra"][-2:] == ["-", "no"]
+    # pairs 1 and 3 ran the parent first (+10.0%, +1.0%), pairs 2 and 4 the
+    # change (-1.0%, +12.0%)
+    assert by_order(proc.stdout)["decisions_per_s"] == ["2/2", "+5.5%", "1/2", "+5.5%"]
 
 
 def test_trace_runs_summarize_the_per_layer_metrics(tmp_path):
@@ -100,3 +115,20 @@ def test_a_failed_run_stops_the_comparison(tmp_path, broken):
     assert proc.returncode != 0
     assert "gave no result (exit code 3)" in proc.stderr
     assert "summary over" not in proc.stdout
+
+
+def test_run_order_is_reported_apart(tmp_path):
+    # the change reads 110 when it runs first in a pair and 95 when second,
+    # the parent 100 either way: the summary calls the +2.5% clear, and only
+    # the split by run order shows that run order made it
+    checkout(tmp_path / "parent", untraced([100] * 4, [0.3] * 4))
+    change = {"0": {side: untraced([rate] * 4, [0.3] * 4)["0"] for side, rate in (("first", 110), ("second", 95))}}
+    checkout(tmp_path / "change", change)
+    proc = run_tool(tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = by_order(proc.stdout)
+    # pairs 1 and 3 ran the parent first, pairs 2 and 4 the change
+    assert rows["decisions_per_s"] == ["0/2", "-5.0%", "2/2", "+10.0%"]
+    assert rows["latency_p50_ms"] == ["0/2", "+0.0%", "0/2", "+0.0%"]
+    assert rows["extra"] == ["-", "+0.0%", "-", "+0.0%"]
+    assert summary(proc.stdout)["decisions_per_s"][-3:] == ["+2.5%", "2/4", "yes"]

@@ -209,6 +209,19 @@ class TestEnumerateGenerators:
         with pytest.raises(SingularMatrix):
             list(embed.enumerate_generators(eigen, bound))
 
+    @pytest.mark.xfail(strict=True, raises=SingularMatrix, reason=(
+        "ROADMAP item 1: the zero-eigenvalue gate |lam| <= entry_tol is absolute, so "
+        "eigenvalues 1e-10, 3.7e-11 and 1.4e-11 of a nonsingular input count as zero"))
+    def test_scaled_nonsingular_input_enumerates(self):
+        # log(c P) = log P + log(c) I on every branch, so the principal
+        # candidate of 1e-10 P is GEN_A shifted by log(1e-10)
+        P = 1e-10 * TRANS_A
+        eigen = numkit.eig(P)
+        bound = embed.branch_bound(eigen, float(np.linalg.det(P)), "israel_two_sided")
+        sel, candidate = next(embed.enumerate_generators(eigen, bound))
+        assert sel.offsets == (0, 0, 0)
+        assert np.allclose(candidate, GEN_A + math.log(1e-10) * np.eye(3), atol=1e-8)
+
     def test_yielded_selections_satisfy_reality_structure(self):
         rng = np.random.default_rng(31)
         checked = 0
@@ -442,8 +455,7 @@ class TestReportedWindow:
                 exhausted += 1
                 assert report.branches_examined == bound.candidate_count
                 # enumerate_generators walks the same window on this bound
-                tried = [r["branch"] for r in report.failed_conditions
-                         if "branch" in r and r["reason"] != "complex_candidate"]
+                tried = [r["branch"] for r in report.failed_conditions if "branch" in r]
                 assert [s.offsets for s, _ in embed.enumerate_generators(eigen, bound)] == tried
             else:
                 assert report.verdict in (embed.EMBEDDABLE, embed.STRONGLY_INF_DIVISIBLE)
@@ -951,7 +963,7 @@ class TestCheckStrongInfDivisible:
         # a well-conditioned eigenbasis passes eig's Frobenius bound with no SVD
         assert svds == []
 
-    @pytest.mark.parametrize("spoil", ["negative_entry", "complex_residue"])
+    @pytest.mark.parametrize("spoil", ["negative_entry"])
     def test_rejected_spectral_root_falls_back_to_expm(self, spoil, monkeypatch):
         # a root from the eigenbasis that fails a check is recomputed with
         # expm, so the report prints exactly the expm root
@@ -961,8 +973,6 @@ class TestCheckStrongInfDivisible:
 
         def spoiled(*args):
             roots = branch_roots(*args)
-            if spoil == "complex_residue":
-                return [None] * len(roots)
             for root in roots:
                 root[0, 1] = -1.0
             return roots
@@ -1023,7 +1033,8 @@ class TestCheckStrongInfDivisible:
         # acceptance, plus three expm roots for each witness without an
         # eigenbasis: no fallback fired
         assert len(expms) == 200 + 3 * (200 - len(spectral_calls))
-        monkeypatch.setattr(numkit, "branch_roots", lambda E, sel, orders, cfg: [None] * len(orders))
+        # basis roots that fail every check send each root to expm
+        monkeypatch.setattr(numkit, "branch_roots", lambda E, sel, orders, cfg: np.full((len(orders), E.n, E.n), -1.0))
         reference = [embed.check_strong_inf_divisible(B) for B in draws]
         assert [r.verdict for r in reference] == [r.verdict for r in spectral]
         for ours, theirs in zip(spectral, reference):
@@ -1152,6 +1163,36 @@ class TestEmbeddabilityIsDivisibility:
                 assert classify.is_intensity_matrix(gen.generator, CFG)
         assert len(seen) == 63
         assert {"positive", "negative"} <= set(seen)
+
+    @pytest.mark.parametrize(
+        "decide, matrix, verdict",
+        [
+            (embed.check_embeddable, TRANS_A, embed.EMBEDDABLE),
+            (embed.check_strong_inf_divisible,
+             numkit.expm(-(0.5 * np.eye(3) - random_intensity(np.random.default_rng(45), 3))),
+             embed.STRONGLY_INF_DIVISIBLE),
+            (embed.check_strong_inf_divisible, equal_input(np.random.default_rng(46), 4),
+             embed.STRONGLY_INF_DIVISIBLE),
+        ],
+        ids=["embeddability", "divisibility", "repeated-spectrum"],
+    )
+    def test_imaginary_residue_of_a_real_selection_is_rounding(self, decide, matrix, verdict, monkeypatch):
+        # a decision builds only selections whose logarithm is real (Culver
+        # 1966), so the imaginary part of a computed candidate is rounding,
+        # even far above numkit.as_real's threshold: the candidate is its
+        # real part and only the acceptor judges it.  The report is the
+        # unpatched one bit for bit, roots and witness included
+        expected = decide(matrix)
+        assert expected.verdict == verdict
+        logm_branch = numkit.logm_branch
+
+        def with_residue(E, selection, cfg=CFG):
+            L = logm_branch(E, selection, cfg) + 1e-6j
+            assert numkit.as_real(L, cfg) is None
+            return L
+
+        monkeypatch.setattr(numkit, "logm_branch", with_residue)
+        assert report_bits(decide(matrix)) == report_bits(expected)
 
 
 def scipy_accepts(P, L, intensity):
@@ -1378,6 +1419,22 @@ class TestInverseMPowerForm:
         # det = 1 lies far above entry_tol, but sigma_min / sigma_max is 2.5e-13
         with pytest.raises(SingularMatrix):
             embed.inverse_m_power_form(1e6 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]]), 1)
+
+
+ORDER_PARAMETERS = {
+    "root orders": lambda m: embed.check_strong_inf_divisible(DIVISIBLE_TRIANGLE, root_orders=(2, m)),
+    "power m": lambda m: embed.inverse_m_power_form(TRANS_A, m),
+    "root order n": lambda m: numkit.primary_root(TRANS_A, m),
+    "starting order n": lambda m: embed.im_root_approx(TRANS_A, GEN_A, n=m),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 0, -1, 2.0, "2"], ids=repr)
+@pytest.mark.parametrize("name", list(ORDER_PARAMETERS))
+def test_every_order_parameter_takes_positive_integers_only(name, bad):
+    # one check for all four: a boolean is not an order, though True == 1
+    with pytest.raises(ValueError, match=f"^{name}: expected a positive integer, got {bad!r}$"):
+        ORDER_PARAMETERS[name](bad)
 
 
 class TestImRootApprox:

@@ -260,15 +260,6 @@ class TestNumpyEquivalents:
         zero = 0 * target
         assert numkit.relative_residual(M, zero).hex() == float(np.linalg.norm(M - zero, "fro")).hex()
 
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_stacked_norm(self, dtype):
-        rng = np.random.default_rng(58)
-        S = rng.normal(size=(4, 3, 3)).astype(dtype)
-        if dtype is complex:
-            S += 1j * rng.normal(size=S.shape)
-        for stack in (S, S.transpose(0, 2, 1), S[:, ::2, ::2], S[:1, :1, :1]):
-            assert numkit._frob_stack(stack).tobytes() == np.linalg.norm(stack, axis=(1, 2)).tobytes()
-
     def test_min_gap_is_the_masked_minimum(self):
         # the i < j pairs give the minimum over every ordered pair with the
         # diagonal masked, bit for bit: one value, exact ties, conjugate
@@ -473,19 +464,23 @@ class TestBranchRoots:
             e = numkit.eig(P)
             L = numkit.logm_branch(e, [0] * n)
             roots = numkit.branch_roots(e, [0] * n, (1, 2, 3, 7))
+            assert roots.dtype == complex and roots.shape == (4, n, n)
             for m, root in zip((1, 2, 3, 7), roots):
                 expected = numkit.expm(np.real(L) / m)
-                assert root.dtype == float and root.flags.c_contiguous
                 assert numkit.relative_residual(root, expected) <= 1e-12
             assert numkit.relative_residual(roots[0], P) <= 1e-12
 
-    def test_nonreal_root_is_none(self):
-        # offsets (1, 0) on the real spectrum {2, 0.5}: exp(pi i) makes the
-        # square root real, exp(2 pi i / 3) and exp(pi i / 2) do not
+    def test_nonreal_selection_keeps_its_imaginary_part(self):
+        # the roots are complex, like logm_branch: offsets (1, 0) on the real
+        # spectrum {2, 0.5} give the real square root diag(-sqrt 2, sqrt 0.5)
+        # since exp(pi i) = -1, and the nonreal cube and fourth roots
+        # diag(exp(2 pi i / m) 2^(1/m), 0.5^(1/m)), imaginary parts intact
         e = numkit.eig(np.diag([2.0, 0.5]))
-        square, *rest = numkit.branch_roots(e, [1, 0], (2, 3, 4))
-        assert rest == [None, None]
-        assert np.allclose(square, np.diag([-np.sqrt(2.0), np.sqrt(0.5)]), atol=1e-14)
+        roots = numkit.branch_roots(e, [1, 0], (2, 3, 4))
+        for m, root in zip((2, 3, 4), roots):
+            expected = np.diag([np.exp(2j * np.pi / m) * 2.0 ** (1 / m), 0.5 ** (1 / m)])
+            assert np.allclose(root, expected, atol=1e-14)
+        assert np.abs(roots[1:].imag).max() > 0.5
         # (k, -k) on a conjugate pair keeps them real
         rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
         e = numkit.eig(numkit.expm(0.5 * rotation))
@@ -494,7 +489,7 @@ class TestBranchRoots:
 
     def test_no_orders_no_roots(self):
         e = numkit.eig(np.diag([2.0, 0.5]))
-        assert numkit.branch_roots(e, [0, 0], ()) == []
+        assert numkit.branch_roots(e, [0, 0], ()).shape == (0, 2, 2)
 
     def test_selection_is_validated_as_for_logm_branch(self):
         e = numkit.eig(np.eye(3))

@@ -1,6 +1,10 @@
+import re
 import types
+from pathlib import Path
 
 import embedlab
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_public_names():
@@ -70,3 +74,15 @@ def test_public_names():
         "trailing_submatrix",
         "zero_pattern_invariance",
     ]
+
+
+def test_readme_lists_every_failure_reason():
+    # the README's failure-record table names exactly the reasons the
+    # library writes, each once
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Failure records\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([a-z_]+)` \|", section, flags=re.M)
+    source = "".join(path.read_text() for path in sorted((ROOT / "src" / "embedlab").glob("*.py")))
+    emitted = set(re.findall(r'"reason": "([a-z_]+)"', source))
+    assert len(listed) == len(set(listed)) == 16
+    assert set(listed) == emitted

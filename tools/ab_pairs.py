@@ -11,7 +11,11 @@ read from the JSON object on the last line of its output.
 Prints each pair's metrics (parent, change, relative change), then, per
 metric, the median and quartiles of each side, the relative change of the
 medians, the pairs the change won and whether the change's median is better
-than the parent's by more than the parent's interquartile range.  Which way
+than the parent's by more than the parent's interquartile range.  Before
+that summary, per metric, the pairs the change won and the median of the
+per-pair relative changes, once over the pairs the parent ran first and once
+over those the change ran first: a gap between the two shows how far run
+order moves a pair.  Which way
 is better comes from ``BENCHMARK.json`` of the change, or of the parent when
 the change has none; a metric it does not list shows no winner.  With
 ``--trace 1`` the runs report the per-layer metrics instead of the
@@ -70,14 +74,18 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
+def common_names(pairs: list) -> list:
+    """The metrics both sides report in every pair, in the parent's order."""
+    return [name for name in pairs[0][0] if all(name in p and name in c for p, c in pairs)]
+
+
 def summarize(pairs: list, better_way: dict) -> list:
     """One row per metric both sides report in every pair: (name, parent
     median, q1, q3, change median, q1, q3, relative change, won, clear).
     ``pairs`` holds (parent metrics, change metrics) per pair; ``won`` is
     None and ``clear`` False for a metric with no known direction."""
-    names = [name for name in pairs[0][0] if all(name in p and name in c for p, c in pairs)]
     rows = []
-    for name in names:
+    for name in common_names(pairs):
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
         direction = better_way.get(name)
@@ -86,6 +94,26 @@ def summarize(pairs: list, better_way: dict) -> list:
         won = sum(better(c, p, direction) for p, c in zip(parent, change)) if direction else None
         clear = better(cm, pm, direction) and abs(cm - pm) > pq[1] - pq[0]
         rows.append((name, pm, *pq, cm, *cq, relative(cm, pm), won, clear))
+    return rows
+
+
+def by_run_order(pairs: list, better_way: dict) -> list:
+    """One row per metric both sides report in every pair: (name, then for
+    the pairs the parent ran first and for those the change ran first, each
+    a tuple (won, pairs, median relative change)).  ``pairs`` alternate as
+    ``main`` runs them, the parent first in the first pair; ``won`` is None
+    for a metric with no known direction, and the median is "-" over no
+    pair with a nonzero parent."""
+    rows = []
+    for name in common_names(pairs):
+        direction = better_way.get(name)
+        groups = []
+        for ordered in (pairs[0::2], pairs[1::2]):
+            group = [(p[name], c[name]) for p, c in ordered]
+            won = sum(better(c, p, direction) for p, c in group) if direction else None
+            changes = [c / p - 1 for p, c in group if p]
+            groups.append((won, len(group), f"{statistics.median(changes):+.1%}" if changes else "-"))
+        rows.append((name, *groups))
     return rows
 
 
@@ -120,11 +148,19 @@ def main(argv=None):
                 print(f"  {name:<40} {value:>14.6g} {change[name]:>14.6g}  {relative(change[name], value):>8}")
         sys.stdout.flush()
 
+    better_way = directions(roots["change"], roots["parent"])
+    print(f"by run order over {len(pairs)} pairs: won = pairs where the change is better; change = median "
+          "of the per-pair relative changes")
+    print(f"  {'metric':<40} {'parent first: won':>18} {'change':>8} {'change first: won':>18} {'change':>8}")
+    for name, *groups in by_run_order(pairs, better_way):
+        cells = [f"{'-' if won is None else f'{won}/{count}':>18} {median:>8}" for won, count, median in groups]
+        print(f"  {name:<40} {' '.join(cells)}")
+
     print(f"summary over {len(pairs)} pairs: median [q1, q3] per side; won = pairs where the change is "
           "better; clear = change median better by more than the parent's q3 - q1")
     print(f"  {'metric':<40} {'parent':>12} {'[q1, q3]':>27} {'change':>12} {'[q1, q3]':>27} "
           f"{'change':>8} {'won':>6} {'clear':>5}")
-    for name, pm, p1, p3, cm, c1, c3, rel, won, clear in summarize(pairs, directions(roots["change"], roots["parent"])):
+    for name, pm, p1, p3, cm, c1, c3, rel, won, clear in summarize(pairs, better_way):
         won_text = "-" if won is None else f"{won}/{len(pairs)}"
         print(f"  {name:<40} {pm:>12.6g} [{p1:>12.6g}, {p3:>12.6g}] {cm:>12.6g} [{c1:>12.6g}, {c3:>12.6g}] "
               f"{rel:>8} {won_text:>6} {'yes' if clear else 'no':>5}")
