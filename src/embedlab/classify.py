@@ -12,7 +12,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import NotZMatrix
-from .numkit import DEFAULT_TOL, ToleranceConfig, _condition, as_square_matrix
+from .numkit import DEFAULT_TOL, ToleranceConfig, as_square_matrix, structural_pattern
+from .numkit import _nonnegative, _positive, _row_sums_within, _singular
 
 __all__ = [
     "FLAG_NAMES",
@@ -50,14 +51,14 @@ def _offdiag_mask(n: int) -> np.ndarray:
 
 
 def is_nonnegative(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return bool(np.asanyarray(A).min() >= -cfg.entry_tol)
+    return bool(_nonnegative(np.asanyarray(A).min(), cfg))
 
 
 def is_z_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Off-diagonal entries at most ``entry_tol``."""
     A = np.asarray(A)
     off = A[_offdiag_mask(A.shape[0])]
-    return bool(off.size == 0 or np.max(off) <= cfg.entry_tol)
+    return bool(off.size == 0 or _nonnegative(-np.max(off), cfg))
 
 
 def is_intensity_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -65,9 +66,9 @@ def is_intensity_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     A = np.asarray(A)
     n = A.shape[0]
     off = A[_offdiag_mask(n)]
-    if off.size and np.min(off) < -cfg.entry_tol:
+    if off.size and not _nonnegative(np.min(off), cfg):
         return False
-    return bool(np.max(np.abs(A.sum(axis=1))) <= n * cfg.entry_tol)
+    return bool(_row_sums_within(np.max(np.abs(A.sum(axis=1))), n, cfg))
 
 
 def is_stochastic(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -75,12 +76,7 @@ def is_stochastic(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     A = np.asarray(A)
     if not is_nonnegative(A, cfg):
         return False
-    return bool(np.max(np.abs(A.sum(axis=1) - 1.0)) <= A.shape[0] * cfg.entry_tol)
-
-
-def structural_pattern(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Boolean pattern of entries beyond the structural-zero threshold."""
-    return np.abs(np.asarray(A)) > cfg.entry_tol
+    return bool(_row_sums_within(np.max(np.abs(A.sum(axis=1) - 1.0)), A.shape[0], cfg))
 
 
 def strong_components(pattern: np.ndarray) -> Tuple[np.ndarray, List[int]]:
@@ -170,13 +166,13 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
         i, j = np.unravel_index(int(np.argmin(A)), A.shape)
         wit["nonnegative"] = (int(i), int(j), float(A[i, j]))
 
-    flags["strictly_positive"] = bool(np.min(A) > cfg.entry_tol)
+    flags["strictly_positive"] = bool(_positive(np.min(A), cfg))
     if not flags["strictly_positive"]:
         i, j = np.unravel_index(int(np.argmin(A)), A.shape)
         wit["strictly_positive"] = (int(i), int(j), float(A[i, j]))
 
     diag = np.diag(A)
-    flags["positive_diagonal"] = bool(np.min(diag) > cfg.entry_tol)
+    flags["positive_diagonal"] = bool(_positive(np.min(diag), cfg))
     if not flags["positive_diagonal"]:
         i = int(np.argmin(diag))
         wit["positive_diagonal"] = (i, i, float(diag[i]))
@@ -197,7 +193,7 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
     if not flags["intensity_matrix"]:
         masked = np.where(off, A, np.inf)
         i, j = np.unravel_index(int(np.argmin(masked)), A.shape)
-        if n > 1 and A[i, j] < -cfg.entry_tol:
+        if n > 1 and not _nonnegative(A[i, j], cfg):
             wit["intensity_matrix"] = (int(i), int(j), float(A[i, j]))
         else:
             i = int(np.argmax(np.abs(row_sums)))
@@ -205,7 +201,7 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
 
     # singular relative to its scale, sigma_min <= entry_tol * sigma_max, so
     # the flags do not change when A is multiplied by a positive constant
-    singular = _condition(A) * cfg.entry_tol >= 1.0
+    singular = _singular(A, cfg)
     Ainv = None if singular else np.linalg.inv(A)
     flags["nonsingular"] = not singular
     if singular:
@@ -223,7 +219,7 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
         elif not flags["z_matrix"]:
             wit["m_matrix"] = ("not_z_matrix", wit.get("z_matrix"))
         else:
-            viol = _first_violation(Ainv, np.ones_like(Ainv, bool), Ainv >= -cfg.entry_tol)
+            viol = _first_violation(Ainv, np.ones_like(Ainv, bool), _nonnegative(Ainv, cfg))
             wit["m_matrix"] = ("inverse_entry_negative", viol)
 
         # the inverse of A^-1 is A itself, so inverse-M needs only the
@@ -244,6 +240,13 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
         wit["irreducible"] = ("strongly_connected_components", len(order), labels.tolist())
 
     return ClassReport(flags=flags, witnesses=wit, det=det, spectral_radius=rho)
+
+
+# nonneg_eigvec_of_z stops its power iteration at a residual of
+# _POWER_ITERATION_TOL (1 + rho), and takes the dense eigenvector instead
+# when the best residual stays above _EIGVEC_FALLBACK_TOL (1 + rho)
+_POWER_ITERATION_TOL = 1e-12
+_EIGVEC_FALLBACK_TOL = 1e-10
 
 
 def nonneg_eigvec_of_z(Q, cfg: ToleranceConfig = DEFAULT_TOL) -> Tuple[np.ndarray, float]:
@@ -269,7 +272,7 @@ def nonneg_eigvec_of_z(Q, cfg: ToleranceConfig = DEFAULT_TOL) -> Tuple[np.ndarra
     v = np.full(n, 1.0 / n)
     best_v, best_res = v, np.inf
     shifted = M + np.eye(n)
-    target = 1e-12 * (1.0 + rho)
+    target = _POWER_ITERATION_TOL * (1.0 + rho)
     for _ in range(200 + 20 * n):
         w = shifted @ v
         s = w.sum()
@@ -283,7 +286,7 @@ def nonneg_eigvec_of_z(Q, cfg: ToleranceConfig = DEFAULT_TOL) -> Tuple[np.ndarra
             break
 
     # fall back to the dense eigenvector when iteration stalls
-    if best_res > 1e-10 * (1.0 + rho):
+    if best_res > _EIGVEC_FALLBACK_TOL * (1.0 + rho):
         vals, vecs = np.linalg.eig(M)
         j = int(np.argmin(np.abs(vals - rho)))
         cand = vecs[:, j].real
@@ -293,7 +296,7 @@ def nonneg_eigvec_of_z(Q, cfg: ToleranceConfig = DEFAULT_TOL) -> Tuple[np.ndarra
         if s > 0:
             cand = cand / s
             res = float(np.max(np.abs(M @ cand - rho * cand)))
-            if res < best_res and np.min(cand) >= -cfg.entry_tol:
+            if res < best_res and _nonnegative(np.min(cand), cfg):
                 best_v, best_res = cand, res
 
     v = np.clip(best_v, 0.0, None)

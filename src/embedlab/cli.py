@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 import time
 
@@ -30,8 +29,6 @@ EXIT_NEGATIVE = 1
 EXIT_UNDETERMINED = 2
 EXIT_USAGE = 64
 EXIT_FORMAT = 65
-
-TOL_ENV_VAR = "EMBEDLAB_TOL"
 
 
 class _UsageError(Exception):
@@ -150,19 +147,8 @@ def _load_matrix(path):
 
 
 def _tolerances(args) -> ToleranceConfig:
-    """``numkit.DEFAULT_TOL`` with ``entry_tol`` from ``--tol`` or else from
-    the environment; the environment value is checked even when ``--tol``
-    overrides it."""
-    entry_tol = args.tol
-    env = os.environ.get(TOL_ENV_VAR)
-    if env is not None:
-        try:
-            env_tol = _positive_float(env)
-        except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"{TOL_ENV_VAR}: {exc}") from None
-        if entry_tol is None:
-            entry_tol = env_tol
-    return numkit.DEFAULT_TOL if entry_tol is None else ToleranceConfig(entry_tol=entry_tol)
+    """``numkit.DEFAULT_TOL``, with ``entry_tol`` from ``--tol`` when given."""
+    return numkit.DEFAULT_TOL if args.tol is None else ToleranceConfig(entry_tol=args.tol)
 
 
 def _json_default(obj):

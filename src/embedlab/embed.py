@@ -16,7 +16,9 @@ principal logarithm exists and its value V Log(Lambda) V^-1.  A positive
 found that way passes the acceptance test of every search hit; negatives on
 that path rest on ``numkit.principal_log``, and what it leaves open is
 Undetermined.  A negative that rests on a failure within the acceptor's
-borderline band is Undetermined too.  The acceptor tests each candidate
+borderline band is Undetermined too, and a reconstruction failure is never
+evidence: a search that holds one tries ``numkit.principal_log`` through the
+acceptor, and is Undetermined when that fails too.  The acceptor tests each candidate
 set to zero at the input's off-diagonal structural zeros (``_log_acceptor``),
 so a witness lies on the input's zero pattern unless only the candidate as
 computed passed.  Trailing blocks of a divisible reducible input are not
@@ -58,7 +60,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import numkit, structure
-from .classify import _offdiag_mask, is_nonnegative, is_stochastic, is_z_matrix, structural_pattern
+from .classify import _offdiag_mask, is_nonnegative, is_stochastic, is_z_matrix
 from .errors import (
     IllConditioned,
     NegativeRealEigenvalue,
@@ -71,7 +73,7 @@ from .errors import (
     SingularDeterminant,
     SingularMatrix,
 )
-from .numkit import DEFAULT_TOL, Eigendecomposition, ToleranceConfig, as_square_matrix
+from .numkit import DEFAULT_TOL, Eigendecomposition, ToleranceConfig, as_square_matrix, structural_pattern
 
 __all__ = [
     "BOUND_MODES",
@@ -102,6 +104,11 @@ NOT_STRONGLY_INF_DIVISIBLE = "NotStronglyInfDivisible"
 UNDETERMINED = "Undetermined"
 
 _TWO_PI = 2.0 * math.pi
+# slack of a branch offset window's closed ends, in turns (_offset_window)
+_OFFSET_SLACK = 1e-12
+# slack of Runnenberg's cone: added to its angle, and the radius about its
+# apex it admits whatever the angle (_search_windows)
+_CONE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -182,10 +189,10 @@ class InverseMRoot:
 
 
 def _offset_window(arg: float, lo: float, hi: float) -> range:
-    """Integers k with lo <= arg + 2*pi*k <= hi (tiny slack on the closed ends)."""
-    eps = 1e-12
-    kmin = math.ceil((lo - arg) / _TWO_PI - eps)
-    kmax = math.floor((hi - arg) / _TWO_PI + eps)
+    """Integers k with lo <= arg + 2*pi*k <= hi (``_OFFSET_SLACK`` on the
+    closed ends)."""
+    kmin = math.ceil((lo - arg) / _TWO_PI - _OFFSET_SLACK)
+    kmax = math.floor((hi - arg) / _TWO_PI + _OFFSET_SLACK)
     return range(kmin, kmax + 1)
 
 
@@ -268,9 +275,9 @@ def _search_windows(E: Eigendecomposition, radius: float) -> List[range]:
 
     ``radius`` the Perron radius n*r + t of ``_perron_radius`` (t = -log det)
     and the second term Runnenberg's (1962) cone with its apex at r.  The
-    cone's angle gets 1e-9 of slack and admits |mu - r| <= 1e-9.  The
-    spectral-radius position keeps offset 0 alone; the canonical order puts
-    rho first, so no later log|lam| exceeds r.
+    cone's angle gets ``_CONE_SLACK`` of slack and admits |mu - r| <=
+    ``_CONE_SLACK``.  The spectral-radius position keeps offset 0 alone; the
+    canonical order puts rho first, so no later log|lam| exceeds r.
 
     Both bounds hold for any real logarithm L with nonnegative off-diagonal
     entries, so exhausting this window is a proof.  Such an L has a real
@@ -300,13 +307,12 @@ def _search_windows(E: Eigendecomposition, radius: float) -> List[range]:
     L1 = N1 = 0.  A computed witness meets this up to rounding only: its row
     sums are not tested and carry the rounding error of the computed log.
     """
-    slack = 1e-9
     apex = math.log(abs(E.eigenvalues[0]))
-    cot = math.tan(math.pi * (0.5 - 1.0 / E.n) + slack)
+    cot = math.tan(math.pi * (0.5 - 1.0 / E.n) + _CONE_SLACK)
     windows = [range(1)]
     for z, arg in zip(E.eigenvalues[1:].tolist(), np.angle(E.eigenvalues[1:]).tolist()):
         re = math.log(abs(z)) - apex
-        h = min(radius, max(-re * cot, math.sqrt(max(slack * slack - re * re, 0.0))))
+        h = min(radius, max(-re * cot, math.sqrt(max(_CONE_SLACK * _CONE_SLACK - re * re, 0.0))))
         windows.append(_offset_window(arg, -h, h))
     return windows
 
@@ -370,8 +376,7 @@ def enumerate_generators(
     spectrum RepeatedEigenvalues (decisions resolve those through the
     principal logarithm, ``_repeated_spectrum_verdict``).
     """
-    if (np.abs(E.eigenvalues) <= cfg.entry_tol).any():
-        raise SingularMatrix("zero eigenvalue: no generator exists")
+    numkit._require_nonzero_eigenvalues(E.eigenvalues, cfg, "no generator exists")
     if E.is_repeated(cfg):
         raise RepeatedEigenvalues("branch enumeration needs distinct eigenvalues")
     cut = bound.cone_apex is not None
@@ -455,12 +460,9 @@ def _log_acceptor(target: np.ndarray, zeros: Optional[np.ndarray], cfg: Toleranc
     def check(L: np.ndarray):
         off = L[offdiag]
         min_off = float(off.min()) if off.size else 0.0
-        if min_off < -cfg.entry_tol:
-            return False, {
-                "reason": "off_diagonal_negative",
-                "value": min_off,
-                "borderline": min_off >= -10 * cfg.entry_tol,
-            }
+        borderline = numkit._candidate_sign_failure(min_off, cfg)
+        if borderline is not None:
+            return False, {"reason": "off_diagonal_negative", "value": min_off, "borderline": borderline}
         X = numkit.expm(L)
         if numkit._frob(L) <= safe_norm:
             resid = numkit._frob(X - target)
@@ -468,7 +470,7 @@ def _log_acceptor(target: np.ndarray, zeros: Optional[np.ndarray], cfg: Toleranc
             with np.errstate(over="ignore"):
                 resid = numkit._frob(X - target)
         resid /= scale
-        if resid > cfg.recon_tol:
+        if numkit._reconstruction_fails(resid, cfg):
             return False, {"reason": "reconstruction_failure", "value": resid}
         return True, None
 
@@ -500,10 +502,10 @@ def _primary_log_is_only_real_log(A: np.ndarray, lam: np.ndarray, cfg: Tolerance
     must be the principal primary one: all eigenvalues real positive and each
     repeated eigenvalue confined to a single Jordan block (geometric
     multiplicity one)."""
-    if np.any(np.abs(lam.imag) > cfg.distinct_tol) or np.any(lam.real <= cfg.entry_tol):
+    if np.any(numkit._nonreal(lam, cfg)) or not np.all(numkit._positive(lam.real, cfg)):
         return False
     n = A.shape[0]
-    for cluster in numkit.cluster_indices(lam, cfg.distinct_tol):
+    for cluster in numkit._eigenvalue_clusters(lam, cfg):
         if len(cluster) > 1:
             value = float(np.mean(lam[cluster].real))
             rank = int(np.linalg.matrix_rank(A - value * np.eye(n)))
@@ -533,7 +535,8 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     one is rejected or there is none, so every failure record and every
     negative rests on it: a passing one certifies a positive verdict
     outright; a failing one is conclusive only when it is the sole
-    real-logarithm candidate.  Without an eigenbasis the spectrum is taken
+    real-logarithm candidate and its failure is not a reconstruction
+    failure, which is rounding (``_without_rounding_evidence``).  Without an eigenbasis the spectrum is taken
     once, for its precondition and that last test.  The other real
     logarithms of a repeated spectrum are not enumerated, so anything else
     is Undetermined.
@@ -562,7 +565,8 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
             return positive, witness, records, None
         failure["branch"] = "principal_primary"
         records.append(failure)
-        if _primary_log_is_only_real_log(A, lam, cfg):
+        # a reconstruction failure is rounding, never evidence (_without_rounding_evidence)
+        if failure["reason"] != "reconstruction_failure" and _primary_log_is_only_real_log(A, lam, cfg):
             records.append({"reason": "primary_log_is_only_candidate"})
             return negative, None, records, None
 
@@ -571,13 +575,39 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     return UNDETERMINED, None, records, None
 
 
+def _without_rounding_evidence(A, accept, records, positive, cfg):
+    """(verdict, witness) of an exhausted search whose ``records`` hold a
+    ``reconstruction_failure``; the records this adds go to ``records``.
+    Such a failure is rounding, not evidence: Culver's real selection L = V diag(mu) V^-1 has
+    exp(L) = V Lambda V^-1 exactly, and eig certified V Lambda V^-1 within
+    recon_tol of A, so the residual of the computed L measures only the
+    kappa(V) u error of L and expm's own (Higham, Functions of Matrices,
+    2008, Sec. 4.5).  ``numkit.principal_log`` goes through the same
+    acceptor: accepted, it is the witness of a positive verdict; otherwise
+    its failure is recorded and the verdict is Undetermined, with a last
+    ``reconstruction_failure_not_evidence`` record."""
+    try:
+        witness = numkit.principal_log(A, cfg)
+    except (SingularMatrix, NegativeRealEigenvalue, IllConditioned) as exc:
+        records.append({"reason": "principal_log_unavailable", "detail": str(exc)})
+    else:
+        ok, failure = accept(witness)
+        if ok:
+            return positive, witness
+        records.append(dict(failure, branch="principal_primary"))
+    records.append({"reason": "reconstruction_failure_not_evidence"})
+    return UNDETERMINED, None
+
+
 def _decide(A, det, zeros, verdicts, cfg, decomposition=None):
     """The decision both questions share: the structural necessary
     conditions (``decomposition`` as in ``structure.necessary_conditions``),
     one eigendecomposition, then either the search of ``_search_windows``
     (the Perron radius cut to the cone with apex log rho, both from that
     eigendecomposition, built once and counted in ``bound``) or the
-    repeated-spectrum resolution.  A negative that rests on a failure the
+    repeated-spectrum resolution.  An exhausted search whose records hold a
+    reconstruction failure certifies no negative
+    (``_without_rounding_evidence``).  A negative that rests on a failure the
     acceptor marks borderline is not certified: it ends Undetermined with a
     trailing ``near_threshold`` record.  A search that would have to take the
     logarithm of an eigenvalue within ``entry_tol`` of zero ends Undetermined
@@ -618,6 +648,8 @@ def _decide(A, det, zeros, verdicts, cfg, decomposition=None):
         if witness is None:
             records.append({"reason": "all_branches_exhausted", "branches": examined})
         verdict = negative if witness is None else positive
+        if verdict == negative and any(record["reason"] == "reconstruction_failure" for record in records):
+            verdict, witness = _without_rounding_evidence(A, accept, records, positive, cfg)
     if verdict == negative and any(record.get("borderline") for record in records):
         verdict = UNDETERMINED
         records.append({"reason": "near_threshold"})
@@ -639,11 +671,14 @@ def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityRepo
     logarithm of a stochastic matrix is an intensity matrix, so the
     witness's row sums are zero up to rounding; they are not tested.
     Exhausting the candidates proves non-embeddability when eigenvalues are
-    distinct.  Repeated eigenvalues are resolved through the principal
-    logarithm, taken from the decision's eigenbasis when the spectrum is
-    diagonalizable: it is the witness when it passes, a failing one proves
-    non-embeddability only when it is the sole real logarithm, and otherwise
-    the verdict is Undetermined.  A negative that rests on a borderline
+    distinct, unless a candidate failed its reconstruction: that is
+    rounding, so the principal logarithm is tried and, when it fails too,
+    the verdict is Undetermined.  Repeated eigenvalues are resolved through
+    the principal logarithm, taken from the decision's eigenbasis when the
+    spectrum is diagonalizable: it is the witness when it passes, a failing
+    one proves non-embeddability only when it is the sole real logarithm and
+    fails by more than its reconstruction, and otherwise the verdict is
+    Undetermined.  A negative that rests on a borderline
     failure is Undetermined, with a last ``near_threshold`` record.
     """
     P = as_square_matrix(P)
@@ -652,7 +687,7 @@ def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityRepo
 
     with np.errstate(over="ignore"):
         det = float(np.linalg.det(P))
-    if abs(det) <= cfg.entry_tol:
+    if numkit._det_below_gate(abs(det), cfg):
         failed = [{"reason": "determinant_near_singular", "value": det}]
         return EmbeddabilityReport(verdict=UNDETERMINED, failed_conditions=failed)
     if det < 0:
@@ -686,14 +721,14 @@ def check_strong_inf_divisible(
     expm(-Q/m) and checked again, so the report then rests on the expm root.
     A witness from ``numkit.principal_log`` has no eigenbasis, and its roots
     are expm's.  A repeated spectrum is resolved through the principal
-    logarithm alone, and a negative that rests on a borderline failure is
-    Undetermined, as in ``check_embeddable``.  The acceptor sets each
-    candidate to zero at the input's off-diagonal structural zeros, so a
-    witness it accepts that way is block upper triangular in the input's
-    Frobenius form, its roots are so up to rounding, and each trailing
-    block B_t is exp(-Q_t) of its slice.  Exactly,
-    exp(-Q_t) - B_t is a diagonal block of exp(-Q) - B, so the slice
-    inherits the parent's reconstruction bound with no check of its own:
+    logarithm alone, and a negative that rests on a borderline failure or a
+    reconstruction failure is Undetermined, as in ``check_embeddable``.  The
+    acceptor sets each candidate to zero at the input's off-diagonal
+    structural zeros, so a witness it accepts that way is block upper
+    triangular in the input's Frobenius form, its roots are so up to
+    rounding, and each trailing block B_t is exp(-Q_t) of its slice.
+    Exactly, exp(-Q_t) - B_t is a diagonal block of exp(-Q) - B, so the
+    slice inherits the parent's reconstruction bound with no check of its own:
     ||exp(-Q_t) - B_t||_F <= ||exp(-Q) - B||_F <= recon_tol ||B||_F, a
     tolerance relative to the parent's norm, not to B_t's.  Its sub-report
     holds Q_t and the sliced roots; no search runs for it, so
@@ -712,7 +747,7 @@ def check_strong_inf_divisible(
 
     with np.errstate(over="ignore"):
         det = float(np.linalg.det(B))
-    if det <= cfg.entry_tol:
+    if numkit._det_below_gate(det, cfg):
         failed = [{"reason": "determinant_not_positive", "value": det}]
         return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
 
@@ -767,9 +802,9 @@ def _root_check(B: np.ndarray, cfg: ToleranceConfig):
 
     def check(root: np.ndarray, order: int):
         low = float(root.min())
-        if low < -cfg.entry_tol:
+        if numkit._root_negative(low, cfg):
             return False, {"reason": "root_not_nonnegative", "order": order, "value": low}
-        if numkit._frob(np.linalg.matrix_power(root, order) - B) / scale > 10 * cfg.recon_tol:
+        if numkit._reconstruction_fails(numkit._frob(np.linalg.matrix_power(root, order) - B) / scale, cfg, 10):
             return False, {"reason": "root_power_mismatch", "order": order}
         return True, None
 
@@ -797,7 +832,7 @@ def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optio
     P = as_square_matrix(P)
     numkit._check_order(m, "power m")
     n = P.shape[0]
-    if numkit._condition(P) * cfg.entry_tol >= 1.0:
+    if numkit._singular(P, cfg):
         raise SingularMatrix("inverse-M power form needs a nonsingular matrix")
     if np.linalg.slogdet(P)[0] < 0:
         return None
@@ -817,7 +852,7 @@ def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optio
         return InverseMRoot(root=root)
 
     s = float(np.max(np.diag(W)))
-    if abs(s - 1.0) <= n * cfg.entry_tol:
+    if numkit._row_sums_within(abs(s - 1.0), n, cfg):
         # boundary P = I: epsilon 0 and any stochastic factor; identity by convention
         return InverseMRoot(root=root, epsilon=0.0, h=np.eye(n))
     K = s * np.eye(n) - W
@@ -828,7 +863,7 @@ def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optio
     recon = (1.0 - epsilon) ** m * np.linalg.matrix_power(
         np.linalg.inv(np.eye(n) - epsilon * H), m
     )
-    if numkit.relative_residual(recon, P) > cfg.recon_tol:
+    if numkit._reconstruction_fails(numkit.relative_residual(recon, P), cfg):
         return None
     return InverseMRoot(root=root, epsilon=epsilon, h=H)
 
@@ -857,10 +892,10 @@ def im_root_approx(
     if P.shape != G.shape:
         raise ValueError("matrix and generator must have matching shapes")
     numkit._check_order(n, "starting order n")
-    if numkit.relative_residual(numkit.expm(G), P) > cfg.recon_tol:
+    if numkit._reconstruction_fails(numkit.relative_residual(numkit.expm(G), P), cfg):
         raise ValueError("exp(generator) does not reconstruct the matrix")
     off = _offdiag(G)
-    if off.size == 0 or np.min(off) <= cfg.entry_tol:
+    if off.size == 0 or not numkit._positive(np.min(off), cfg):
         raise OffDiagonalZeros("generator off-diagonal entries must be strictly positive")
     order = int(n)
     while order <= n_max:

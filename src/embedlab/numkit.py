@@ -7,7 +7,9 @@ alone.  The exponential is scaling and squaring with a degree-13 Pade
 approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).  The principal
 logarithm is inverse scaling and squaring: Denman-Beavers square roots,
 then the Gauss-Legendre form of the [8/8] Pade approximant of log(I + Y)
-(Higham, Functions of Matrices, 2008, Secs. 6.3 and 11.5).
+(Higham, Functions of Matrices, 2008, Secs. 6.3 and 11.5).  The tolerances
+live here too, with every comparison against them: one threshold helper per
+role, listed in ``_THRESHOLDS``.
 """
 
 import functools
@@ -44,22 +46,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical slacks used by every verdict in the library; the README's
-    tolerance list names the functions that compare each role.
+    """Numerical slacks used by every verdict in the library.  Each field is
+    compared only inside the threshold helpers listed in ``_THRESHOLDS``, one
+    per role; the README's threshold table has one row per helper.
 
-    entry_tol      absolute; the sign slack of an entry, row sums within
-                   n*entry_tol, the structural zero, the determinant gates,
-                   relative singularity (sigma_min <= entry_tol*sigma_max),
-                   the zero eigenvalue, the closed negative real axis, a
-                   candidate logarithm's off-diagonal sign (10x borderline
-                   band), a sample root's sign, and the imaginary
-                   truncation threshold of as_real
-    recon_tol      relative reconstruction tolerance: eig's eigenbasis, the
-                   acceptance test, sample-root powers (10x) and the
-                   inverse-M and generator round trips
-    distinct_tol   absolute eigenvalue-gap floor below which eigenvalues
-                   count as repeated, and below which an imaginary part
-                   counts as zero on the repeated-spectrum path
+    entry_tol      the entry, sign, determinant and eigenvalue slack
+    recon_tol      relative reconstruction tolerance
+    distinct_tol   absolute eigenvalue gap, and the imaginary part of a
+                   real eigenvalue on the repeated-spectrum path
     """
 
     entry_tol: float = 1e-9
@@ -73,6 +67,128 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+# The threshold helpers.  Each docstring is one row of the README's threshold
+# table: what it compares, the scale it is relative to, its source and
+# whether a certified negative verdict may rest on it.  Every helper keeps
+# the comparison and direction its callers made before it existed, so a NaN
+# gets the answer it got then.
+
+
+def _nonnegative(x, cfg: ToleranceConfig):
+    """Sign slack: ``x >= -entry_tol`` for an entry, or a least entry, that
+    counts as nonnegative (a Z-matrix passes its negated largest
+    off-diagonal entry).  Absolute; library default.  No verdict rests on
+    it: it refuses inputs and sets class flags."""
+    return x >= -cfg.entry_tol
+
+
+def _positive(x, cfg: ToleranceConfig):
+    """Strictly positive: ``x > entry_tol``, and its complement, for entries
+    and for the real parts of a repeated spectrum.  Absolute; library
+    default.  A certified negative rests on it through the positive-diagonal
+    and irreducible-implies-positive necessary conditions."""
+    return x > cfg.entry_tol
+
+
+def structural_pattern(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Structural zero: the boolean pattern ``|A_ij| > entry_tol`` of entries
+    that are not structural zeros.  Absolute; library default.  A certified
+    negative rests on it through the Frobenius form and the zero-pattern
+    necessary condition."""
+    return np.abs(np.asarray(A)) > cfg.entry_tol
+
+
+def _row_sums_within(deviation, n: int, cfg: ToleranceConfig):
+    """Row sums: ``deviation <= n * entry_tol`` for the largest deviation of
+    an n x n matrix's row sums from 1 (stochastic) or 0 (intensity).
+    Absolute, times n; library default.  No verdict rests on it: it
+    refuses inputs."""
+    return deviation <= n * cfg.entry_tol
+
+
+def _det_below_gate(det, cfg: ToleranceConfig):
+    """Determinant gate: ``det <= entry_tol``, for |det P| (Undetermined), for
+    det B (NotStronglyInfDivisible) and for a trailing block's determinant.
+    Absolute; library default.  A certified negative rests on it."""
+    return det <= cfg.entry_tol
+
+
+def _singular(A, cfg: ToleranceConfig):
+    """Relative singularity: ``cond_2(A) * entry_tol >= 1``, that is
+    sigma_min <= entry_tol * sigma_max.  Relative to sigma_max; library
+    default.  No verdict rests on it: it sets class flags and refuses the
+    inverse-M power form."""
+    return _condition(A) * cfg.entry_tol >= 1.0
+
+
+def _require_nonzero_eigenvalues(lam, cfg: ToleranceConfig, consequence: str) -> None:
+    """Zero eigenvalue: raise SingularMatrix, ``zero eigenvalue:
+    <consequence>``, when some ``|lambda| <= entry_tol``.  Absolute; library
+    default.  No verdict rests on it: a decision ends Undetermined."""
+    if (np.abs(lam) <= cfg.entry_tol).any():
+        raise SingularMatrix(f"zero eigenvalue: {consequence}")
+
+
+def _on_negative_axis(lam, cfg: ToleranceConfig):
+    """Closed negative real axis: ``Re lambda < 0`` and ``|Im lambda| <=
+    entry_tol * (1 + |lambda|)`` per eigenvalue, where the primary logarithm
+    is not real.  Relative to 1 + |lambda|; library default.  No verdict
+    rests on it: a decision ends Undetermined."""
+    return (lam.real < 0) & (np.abs(lam.imag) <= cfg.entry_tol * (1 + np.abs(lam)))
+
+
+def _candidate_sign_failure(x, cfg: ToleranceConfig):
+    """A candidate logarithm's off-diagonal sign: None when its least
+    off-diagonal entry ``x`` is not below ``-entry_tol``, else whether the
+    failure is borderline, ``x >= -10 entry_tol``.  Absolute; library
+    default.  A certified negative rests on a failure that is not
+    borderline."""
+    if x < -cfg.entry_tol:
+        return x >= -10 * cfg.entry_tol
+    return None
+
+
+def _root_negative(x, cfg: ToleranceConfig):
+    """A sample root's sign: ``x < -entry_tol`` for its least entry.
+    Absolute; library default.  No verdict rests on it: the root fails and
+    the verdict is Undetermined."""
+    return x < -cfg.entry_tol
+
+
+def _reconstruction_fails(residual, cfg: ToleranceConfig, factor: int = 1):
+    """Reconstruction: ``residual > factor * recon_tol`` for a relative
+    Frobenius residual; ``factor`` is 10 for a sample root's mth power.
+    Relative to the target's norm; library default, above the kappa(V) u
+    rounding of a computed logarithm (Higham, Functions of Matrices, 2008,
+    Sec. 4.5).  No verdict rests on it: a candidate's failure is rounding."""
+    return residual > factor * cfg.recon_tol
+
+
+def _eigenvalue_clusters(lam, cfg: ToleranceConfig):
+    """Eigenvalue clusters: ``cluster_indices`` of ``lam`` at width
+    ``distinct_tol``, the gap of ``Eigendecomposition.is_repeated``.
+    Absolute; library default.  A certified negative rests on it through
+    ``primary_log_is_only_candidate``."""
+    return cluster_indices(lam, cfg.distinct_tol)
+
+
+def _nonreal(lam, cfg: ToleranceConfig):
+    """A nonreal eigenvalue on the repeated-spectrum path: ``|Im lambda| >
+    distinct_tol``.  Absolute; library default.  A certified negative rests
+    on it through ``primary_log_is_only_candidate``."""
+    return np.abs(lam.imag) > cfg.distinct_tol
+
+
+def imag_truncation_threshold(M, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Imaginary truncation: the threshold ``n * entry_tol * (1 + ||M||_F)``
+    below which ``as_real`` counts an imaginary residue as roundoff.
+    Relative to 1 + ||M||_F, times n; library default.  No decision uses
+    it: a decision builds only real selections and takes their real parts."""
+    M = np.asarray(M)
+    return M.shape[0] * cfg.entry_tol * (1.0 + _frob(M))
+
 
 _FLOAT64, _COMPLEX128 = np.dtype(np.float64), np.dtype(np.complex128)
 
@@ -153,11 +269,21 @@ class Eigendecomposition:
         return _condition(self.right_eigenvectors)
 
     def is_repeated(self, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+        """Eigenvalue gap: ``min_pairwise_gap < distinct_tol``.  Absolute;
+        library default.  A repeated spectrum takes the principal logarithm,
+        where a certified negative rests on ``primary_log_is_only_candidate``."""
         return self.min_pairwise_gap < cfg.distinct_tol
 
     def reconstruct(self) -> np.ndarray:
         """V diag(lambda) V^-1 (complex)."""
         return (self.right_eigenvectors * self.eigenvalues) @ self.inverse_basis
+
+
+# Every comparison with a ToleranceConfig field, one helper per role
+_THRESHOLDS = (_nonnegative, _positive, structural_pattern, _row_sums_within, _det_below_gate, _singular,
+               _require_nonzero_eigenvalues, _on_negative_axis, _candidate_sign_failure, _root_negative,
+               _reconstruction_fails, Eigendecomposition.is_repeated, _eigenvalue_clusters, _nonreal,
+               imag_truncation_threshold)
 
 
 def _canonical_order(lam: np.ndarray) -> np.ndarray:
@@ -201,9 +327,9 @@ def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
         raise IllConditioned("eigenvector basis is singular (defective matrix)") from exc
     recon = (V * lam) @ Vinv
     resid = relative_residual(recon, A)
-    if resid > cfg.recon_tol or not _frob(V) * _frob(Vinv) <= _CONDITION_BOUND_GATE:
+    if _reconstruction_fails(resid, cfg) or not _frob(V) * _frob(Vinv) <= _CONDITION_BOUND_GATE:
         cond = _condition(V)
-        if resid > cfg.recon_tol or cond > _MAX_CONDITION:
+        if _reconstruction_fails(resid, cfg) or cond > _MAX_CONDITION:
             raise IllConditioned(
                 f"eigenbasis condition {cond:.3g}, reconstruction residual {resid:.3g}"
             )
@@ -276,15 +402,14 @@ def _expm_upper(T, norm, triangular, diagonal):
         return np.diag(np.exp(np.diagonal(T)))
     s = 0 if norm <= _THETA_13 else math.ceil(math.log2(norm / _THETA_13))
     X = _pade_13(np.ldexp(T, -s) if s else T)
-    if not (triangular and s):
-        for _ in range(s):
-            X = X @ X
-        return np.triu(X) if triangular else X
     for j in range(s, -1, -1):
         if j < s:
             X = X @ X
-        _set_exact_band(X, T, j)
-    return np.triu(X)
+        if triangular and s:  # the exact band of exp(2^-j T), after each squaring
+            _set_exact_band(X, T, j)
+    if triangular:
+        X[_index_pairs(len(X))[::-1]] = 0.0  # np.triu(X) in place: the strictly lower part
+    return X
 
 
 def _set_exact_band(X, T, j):
@@ -292,10 +417,11 @@ def _set_exact_band(X, T, j):
     for an upper triangular T: exp of its 2x2 block [[a, t], [0, b]] has
     off-diagonal t e^((a+b)/2) sinh((a-b)/2) / ((a-b)/2) (Higham, Functions
     of Matrices, 2008, (10.42))."""
-    d, t = np.ldexp(np.diagonal(T), -j), np.ldexp(np.diagonal(T, 1), -j)
+    d, t = np.ldexp(T.diagonal(), -j), np.ldexp(T.diagonal(1), -j)
     half_sum, half_gap = 0.5 * (d[:-1] + d[1:]), 0.5 * (d[:-1] - d[1:])
-    np.fill_diagonal(X, np.exp(d))
-    np.fill_diagonal(X[:, 1:], t * np.exp(half_sum) * _sinch(half_gap))
+    # steps of n + 1 through X.flat from 0 and 1: np.fill_diagonal of X and X[:, 1:]
+    X.flat[:: len(X) + 1] = np.exp(d)
+    X.flat[1 :: len(X) + 1] = t * np.exp(half_sum) * _sinch(half_gap)
 
 
 @functools.cache
@@ -373,10 +499,9 @@ def _branch_logs(E: Eigendecomposition, selection, cfg: ToleranceConfig) -> np.n
     if offsets.shape != (E.n,):
         raise ValueError(f"expected {E.n} branch offsets, got shape {offsets.shape}")
     lam = E.eigenvalues
-    if (np.abs(lam) <= cfg.entry_tol).any():
-        raise SingularMatrix("zero eigenvalue: matrix has no logarithm")
-    if E.min_pairwise_gap < cfg.distinct_tol:
-        for cluster in cluster_indices(lam, cfg.distinct_tol):
+    _require_nonzero_eigenvalues(lam, cfg, "matrix has no logarithm")
+    if E.is_repeated(cfg):
+        for cluster in _eigenvalue_clusters(lam, cfg):
             if len({int(offsets[j]) for j in cluster}) > 1:
                 raise RepeatedEigenvalues(
                     "offsets differ inside a repeated eigenvalue cluster"
@@ -400,10 +525,8 @@ def branch_roots(E: Eigendecomposition, selection, orders, cfg: ToleranceConfig 
 def _check_log_preconditions(lam, cfg):
     """Raise unless the eigenvalues ``lam`` admit a real primary logarithm:
     none may be zero or lie on the closed negative real axis."""
-    if (np.abs(lam) <= cfg.entry_tol).any():
-        raise SingularMatrix("zero eigenvalue: no primary logarithm or root")
-    on_negative_axis = (lam.real < 0) & (np.abs(lam.imag) <= cfg.entry_tol * (1 + np.abs(lam)))
-    if np.any(on_negative_axis):
+    _require_nonzero_eigenvalues(lam, cfg, "no primary logarithm or root")
+    if np.any(_on_negative_axis(lam, cfg)):
         raise NegativeRealEigenvalue(
             "eigenvalue on the closed negative real axis: primary function is not real"
         )
@@ -415,6 +538,10 @@ def _check_log_preconditions(lam, cfg):
 # 1e-9 and 1e9 together 63, and a 2x2 Jordan block at 2e-9 about 100.
 _MAX_SQRT_STEPS = 500
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+# ||X - I||_1 up to which the [8/8] Pade approximant of log(I + Y) has a
+# truncation error below the unit roundoff (Higham, SIAM J. Matrix Anal.
+# Appl. 22, 2001)
+_LOG_PADE_RADIUS = 0.25
 # 8-point Gauss-Legendre nodes and weights, moved from [-1, 1] to [0, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
@@ -454,7 +581,7 @@ def principal_log(A, cfg: ToleranceConfig = DEFAULT_TOL, *, eigenvalues=None) ->
     I = np.eye(n)
     e = round(float(np.mean(np.log2(np.abs(lam)))))
     X, k, steps = np.ldexp(A, -e), 0, 0
-    while not _norm1(X - I) <= 0.25:
+    while not _norm1(X - I) <= _LOG_PADE_RADIUS:
         M = X
         converged = False
         while not converged:
@@ -491,14 +618,6 @@ def primary_root(A, n: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         return A.copy()
     R = expm(principal_log(A, cfg) / n)
     return R
-
-
-def imag_truncation_threshold(M, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Size- and magnitude-scaled threshold below which an imaginary residue
-    counts as roundoff: ``n * entry_tol * (1 + ||M||_F)``.  No decision uses
-    it: a decision builds only real selections and takes their real parts."""
-    M = np.asarray(M)
-    return M.shape[0] * cfg.entry_tol * (1.0 + _frob(M))
 
 
 def as_real(M, cfg: ToleranceConfig = DEFAULT_TOL):

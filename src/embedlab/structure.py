@@ -13,9 +13,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .classify import _offdiag_mask, strong_components, structural_pattern
+from .classify import _offdiag_mask, strong_components
 from .errors import NotAValidPair, NotMonomial, OutOfRange
-from .numkit import DEFAULT_TOL, ToleranceConfig, as_square_matrix, expm, relative_residual
+from .numkit import DEFAULT_TOL, ToleranceConfig, as_square_matrix, expm, relative_residual, structural_pattern
+from .numkit import _det_below_gate, _positive, _reconstruction_fails
 
 __all__ = [
     "StructureDecomposition",
@@ -131,7 +132,7 @@ def zero_pattern_invariance(
     Q = as_square_matrix(Q)
     if B.shape != Q.shape:
         raise ValueError("B and Q must have matching shapes")
-    if relative_residual(expm(-Q), B) > cfg.recon_tol:
+    if _reconstruction_fails(relative_residual(expm(-Q), B), cfg):
         raise NotAValidPair("exp(-Q) does not reconstruct B within recon_tol")
     n = B.shape[0]
     theta = float(np.max(np.diag(Q)))
@@ -174,7 +175,7 @@ def necessary_conditions(
     above ``entry_tol``) passes at once: none of the five can fire on it.
     """
     B = as_square_matrix(B)
-    if (B > cfg.entry_tol).all():
+    if _positive(B, cfg).all():
         # strictly positive: a positive diagonal, one irreducible block, no
         # trailing submatrix and no structural zero, so nothing can fire
         return NecessaryConditionReport(passed=True, violations=[])
@@ -182,13 +183,13 @@ def necessary_conditions(
     violations: List[Tuple[str, tuple]] = []
 
     diag = B.diagonal()
-    for i in (diag <= cfg.entry_tol).nonzero()[0].tolist():
+    for i in (~_positive(diag, cfg)).nonzero()[0].tolist():
         violations.append(("positive_diagonal", (i, float(diag[i]))))
 
     pattern = structural_pattern(B, cfg)
     decomp = frobenius_form(B, cfg) if decomposition is None else decomposition
     if decomp.n_blocks == 1 and n > 1:
-        rows, cols = (B <= cfg.entry_tol).nonzero()
+        rows, cols = (~_positive(B, cfg)).nonzero()
         if rows.size:
             i, j = int(rows[0]), int(cols[0])
             violations.append(("irreducible_implies_positive", (i, j, float(B[i, j]))))
@@ -197,7 +198,7 @@ def necessary_conditions(
         # row-major order, from one mask over the blocks of U
         block_of = [b for b, size in enumerate(decomp.block_sizes) for _ in range(size)]
         labels = np.array(block_of)
-        rows, cols = ((labels[:, None] == labels) & (decomp.U <= cfg.entry_tol)).nonzero()
+        rows, cols = ((labels[:, None] == labels) & ~_positive(decomp.U, cfg)).nonzero()
         last = -1
         for i, j in zip(rows.tolist(), cols.tolist()):
             if block_of[i] != last:
@@ -207,7 +208,7 @@ def necessary_conditions(
     with np.errstate(over="ignore"):
         for t in range(1, decomp.n_blocks):
             sub_det = float(np.linalg.det(trailing_submatrix(decomp, t)))
-            if sub_det <= cfg.entry_tol:
+            if _det_below_gate(sub_det, cfg):
                 violations.append(("trailing_submatrices_recursive", (t, sub_det)))
 
     two_step = pattern @ pattern  # boolean: some k with pattern[i, k] and pattern[k, j]
@@ -227,12 +228,12 @@ def monomial_conjugate(B, L, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if B.shape != L.shape:
         raise ValueError("B and L must have matching shapes")
     n = L.shape[0]
-    pattern = np.abs(L) > cfg.entry_tol
+    pattern = structural_pattern(L, cfg)
     if not (np.all(pattern.sum(axis=0) == 1) and np.all(pattern.sum(axis=1) == 1)):
         raise NotMonomial("expected exactly one nonzero entry per row and column")
     cols = np.argmax(pattern, axis=1)
     values = L[np.arange(n), cols]
-    if np.any(values <= cfg.entry_tol):
+    if not np.all(_positive(values, cfg)):
         raise NotMonomial("monomial entries must be strictly positive")
     Linv = np.zeros_like(L)
     Linv[cols, np.arange(n)] = 1.0 / values

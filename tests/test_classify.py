@@ -191,3 +191,28 @@ class TestNonnegEigvecOfZ:
             assert np.min(v) >= -CFG.entry_tol
             assert np.sum(v) == pytest.approx(1.0)
             assert np.max(np.abs(Q @ v - lam * v)) <= 1e-8
+
+
+class TestPredicatesOnNonFiniteEntries:
+    # the predicates compare through numkit's threshold helpers; on NaN and
+    # infinite entries they answer as the direct comparisons below do
+    @staticmethod
+    def reference(A, tol):
+        n = A.shape[0]
+        off = A[~np.eye(n, dtype=bool)]
+        nonnegative = bool(A.min() >= -tol)
+        z_matrix = bool(off.size == 0 or np.max(off) <= tol)
+        intensity = not (off.size and np.min(off) < -tol) and bool(np.max(np.abs(A.sum(axis=1))) <= n * tol)
+        stochastic = nonnegative and bool(np.max(np.abs(A.sum(axis=1) - 1.0)) <= n * tol)
+        return nonnegative, z_matrix, intensity, stochastic, (np.abs(A) > tol).tobytes()
+
+    def test_answers_match_the_direct_comparisons(self):
+        rng = np.random.default_rng(7)
+        values = [np.nan, np.inf, -np.inf, 0.0, -1e-9, -2e-9, 1e-9, 2e-9, 0.5, -0.5, 1.0]
+        for _ in range(2000):
+            A = rng.choice(values, size=(int(rng.integers(1, 4)),) * 2)
+            with np.errstate(invalid="ignore"):  # inf - inf in a row sum
+                ours = (classify.is_nonnegative(A, CFG), classify.is_z_matrix(A, CFG),
+                        classify.is_intensity_matrix(A, CFG), classify.is_stochastic(A, CFG),
+                        classify.structural_pattern(A, CFG).tobytes())
+                assert ours == self.reference(A, CFG.entry_tol), A

@@ -77,7 +77,7 @@ class TestExitCodes:
         assert decision["verdict"] == "Undetermined"
         assert [r["reason"] for r in decision["failed_conditions"]] == ["eigenvalue_near_zero"]
 
-    def test_usage_error_is_64(self, tmp_path, capsys, monkeypatch):
+    def test_usage_error_is_64(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", TRANS_A)
         for argv in (
             ["no-such-command", "x.json"],
@@ -96,9 +96,6 @@ class TestExitCodes:
             assert cli.run_cli(argv) == 64, argv
             captured = capsys.readouterr()
             assert captured.err.startswith("usage error: ") and not captured.out, argv
-        monkeypatch.setenv(cli.TOL_ENV_VAR, "-1")
-        assert cli.run_cli(["embed", path]) == 64
-        assert capsys.readouterr().err.startswith("usage error: ")
 
     def test_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch):
         path = write_json(tmp_path / "m.json", TRANS_A)
@@ -112,7 +109,7 @@ class TestExitCodes:
         # every other test shares this process and its parser; this one
         # runs `python -m embedlab.cli` as a user would
         path = write_json(tmp_path / "m.json", TRANS_A)
-        env = {k: v for k, v in os.environ.items() if k != cli.TOL_ENV_VAR}
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
 
         def main(*args):
@@ -358,20 +355,6 @@ class TestReportContract:
         _, report = run(["classify", path, "--tol", "1e-6"], capsys)
         assert report["tolerances"]["entry_tol"] == 1e-6
 
-    def test_tol_env_var(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.TOL_ENV_VAR, "1e-5")
-        path = write_json(tmp_path / "m.json", np.eye(2))
-        _, report = run(["classify", path], capsys)
-        assert report["tolerances"]["entry_tol"] == 1e-5
-        # an explicit flag wins over the environment
-        _, report = run(["classify", path, "--tol", "1e-4"], capsys)
-        assert report["tolerances"]["entry_tol"] == 1e-4
-
-    def test_no_override_uses_the_library_default(self, monkeypatch):
-        monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+    def test_no_override_uses_the_library_default(self):
         args = cli._build_parser().parse_args(["classify", "m.json"])
         assert cli._tolerances(args) is numkit.DEFAULT_TOL
-        # a malformed environment value is refused even under --tol
-        monkeypatch.setenv(cli.TOL_ENV_VAR, "-1")
-        with pytest.raises(cli._UsageError):
-            cli._tolerances(cli._build_parser().parse_args(["classify", "m.json", "--tol", "1e-4"]))

@@ -60,22 +60,46 @@ def report_bits(x):
     return x.hex() if isinstance(x, float) else x
 
 
-def shifted_triangular_generators():
-    """The 200 generators R + 0.3 I, R = triangular_intensity(rng, n, g) with
-    n in 3..6 and g = 10^U(-6.5, -2) from default_rng(5): the first draws of
-    ROADMAP item 9's divisibility probe."""
+@functools.cache
+def triangular_generators():
+    """The 2,000 generators R = triangular_intensity(rng, n, g) with n in
+    3..6 and g = 10^U(-6.5, -2) from default_rng(5): the draws of ROADMAP
+    item 9's probe.  Read-only, as the list is shared."""
     rng = np.random.default_rng(5)
     generators = []
-    for _ in range(200):
+    for _ in range(2000):
         n = int(rng.integers(3, 7))
         R = triangular_intensity(rng, n, 10 ** rng.uniform(-6.5, -2))
-        generators.append(R + 0.3 * np.eye(n))
+        R.flags.writeable = False
+        generators.append(R)
     return generators
 
 
-# draws of shifted_triangular_generators() whose numkit.expm is wrongly
-# called NotStronglyInfDivisible (ROADMAP item 9)
+def shifted_triangular_generators():
+    """The first 200 generators of ``triangular_generators`` plus 0.3 I: the
+    draws of ROADMAP item 9's divisibility probe."""
+    return [R + 0.3 * np.eye(len(R)) for R in triangular_generators()[:200]]
+
+
+# draws of shifted_triangular_generators() whose numkit.expm the search once
+# called NotStronglyInfDivisible on a reconstruction failure alone
 ITEM_9_FLIPS = (86,)
+# draws of triangular_generators() whose numkit.expm the search once called
+# NotEmbeddable on a reconstruction failure alone, with residuals of 1.02e-8
+# to 1.71e-8; numkit's principal log is their generator
+ITEM_9_EMBEDDABLE = (196, 550, 735, 1490, 1834)
+
+
+def shifted_principal_log(monkeypatch):
+    """Make numkit.principal_log return its logarithm minus 1e-6 I: the
+    off-diagonal entries keep their signs, and exp of it misses the input by
+    about 1e-6 relative, a reconstruction failure."""
+    principal_log = numkit.principal_log
+
+    def shifted(A, cfg=CFG, **kwargs):
+        return principal_log(A, cfg, **kwargs) - 1e-6 * np.eye(len(A))
+
+    monkeypatch.setattr(numkit, "principal_log", shifted)
 
 
 def block_triangular_z(rng, sizes):
@@ -1043,14 +1067,12 @@ class TestCheckStrongInfDivisible:
             for (_, root), (_, expected) in zip(ours.roots_demonstrated, theirs.roots_demonstrated):
                 assert np.linalg.norm(root - expected) <= 1e-7 * np.linalg.norm(expected)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 9: a reconstruction residual of order cond(V) u, 1.1e-8, "
-        "is judged against the absolute recon_tol 1e-8 and gives a wrong negative"))
     @pytest.mark.parametrize("draw", ITEM_9_FLIPS)
     def test_ill_conditioned_draw_from_numkit_bits_is_divisible(self, draw):
         # the same generator as above, exponentiated by numkit: its last bits
-        # move the acceptance residual across recon_tol, as scipy's expm also
-        # does when it judges this input
+        # move the acceptance residual of the one candidate, 1.1e-8, across
+        # recon_tol; that failure is rounding, and numkit's principal log is
+        # the witness
         B = numkit.expm(shifted_triangular_generators()[draw])
         assert embed.check_strong_inf_divisible(B).verdict == embed.STRONGLY_INF_DIVISIBLE
 
@@ -1277,6 +1299,51 @@ class TestRepeatedSpectrum:
             reasons = [r["reason"] for r in report.failed_conditions]
             assert reasons == ["principal_log_unavailable", "repeated_eigenvalues"]
             assert "did not converge" in report.failed_conditions[0]["detail"]
+
+
+class TestReconstructionFailureIsNotEvidence:
+    @pytest.mark.parametrize("draw", ITEM_9_EMBEDDABLE)
+    def test_ill_conditioned_chain_is_embeddable(self, draw):
+        # the search's one candidate misses recon_tol by the kappa(V) u
+        # rounding of its eigenbasis; numkit's principal log passes the same
+        # acceptor and is the generator
+        P = numkit.expm(triangular_generators()[draw])
+        report = embed.check_embeddable(P)
+        assert report.verdict == embed.EMBEDDABLE
+        assert [r["reason"] for r in report.failed_conditions] == ["reconstruction_failure", "all_branches_exhausted"]
+        assert 1e-8 < report.failed_conditions[0]["value"] < 2e-8
+        assert report.branches_examined == 1
+        assert report_bits(report.generator) == report_bits(numkit.principal_log(P))
+
+    @pytest.mark.parametrize("check", [embed.check_embeddable, embed.check_strong_inf_divisible])
+    @pytest.mark.parametrize("failure", ["reconstruction_failure", "principal_log_unavailable"])
+    def test_failing_principal_log_leaves_the_search_undetermined(self, check, failure, monkeypatch):
+        # draw 196 and the divisibility draw 86 each end on a lone
+        # reconstruction failure; with the principal log rejected too, or
+        # unavailable, nothing certifies either answer
+        P = numkit.expm(triangular_generators()[196] if check is embed.check_embeddable
+                        else shifted_triangular_generators()[ITEM_9_FLIPS[0]])
+        if failure == "reconstruction_failure":
+            shifted_principal_log(monkeypatch)
+        else:
+            monkeypatch.setattr(numkit, "_MAX_SQRT_STEPS", 0)
+        report = check(P)
+        assert report.verdict == embed.UNDETERMINED
+        reasons = [r["reason"] for r in report.failed_conditions]
+        assert reasons == ["reconstruction_failure", "all_branches_exhausted", failure,
+                           "reconstruction_failure_not_evidence"]
+        if failure == "reconstruction_failure":
+            assert report.failed_conditions[2]["branch"] == "principal_primary"
+
+    @pytest.mark.parametrize("check", [embed.check_embeddable, embed.check_strong_inf_divisible])
+    def test_sole_principal_log_failing_by_rounding_is_undetermined(self, check, monkeypatch):
+        # the defective input's principal log is its only real logarithm; a
+        # reconstruction failure of it is no evidence, so no negative follows
+        shifted_principal_log(monkeypatch)
+        report = check(numkit.expm(np.array(TestNearThreshold.DEFECTIVE)))
+        assert report.verdict == embed.UNDETERMINED
+        reasons = [r["reason"] for r in report.failed_conditions]
+        assert reasons == ["reconstruction_failure", "repeated_eigenvalues"]
 
 
 class TestNearThreshold:

@@ -1,8 +1,10 @@
+import ast
 import re
 import types
 from pathlib import Path
 
 import embedlab
+from embedlab import numkit
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -84,5 +86,42 @@ def test_readme_lists_every_failure_reason():
     listed = re.findall(r"^\| `([a-z_]+)` \|", section, flags=re.M)
     source = "".join(path.read_text() for path in sorted((ROOT / "src" / "embedlab").glob("*.py")))
     emitted = set(re.findall(r'"reason": "([a-z_]+)"', source))
-    assert len(listed) == len(set(listed)) == 16
+    assert len(listed) == len(set(listed)) == 17
     assert set(listed) == emitted
+
+
+def test_tolerances_are_compared_only_in_the_threshold_helpers():
+    # every read of a ToleranceConfig field in the library lies inside a
+    # function listed in numkit._THRESHOLDS
+    helpers = {(fn.__module__, fn.__qualname__) for fn in numkit._THRESHOLDS}
+    fields = {"entry_tol", "recon_tol", "distinct_tol"}
+    reads = []
+
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Attribute) and child.attr in fields and isinstance(child.ctx, ast.Load):
+                reads.append((module, scope, child.lineno))
+            walk(child, module, inner)
+
+    for path in sorted((ROOT / "src" / "embedlab").glob("*.py")):
+        walk(ast.parse(path.read_text()), f"embedlab.{path.stem}", "")
+    assert {(module, scope) for module, scope, _ in reads} == helpers
+    assert [read for read in reads if read[:2] not in helpers] == []
+
+
+def test_readme_tabulates_every_threshold_helper():
+    # the README's threshold table has one row per helper of
+    # numkit._THRESHOLDS, and its constants table names existing constants
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Thresholds\n", 1)[1].split("\n## ", 1)[0]
+    # a constant's name is in capitals, a helper's is not
+    helpers = re.findall(r"^\| `numkit\.(?!_[A-Z])([A-Za-z_.]+)` \|", section, flags=re.M)
+    assert len(helpers) == len(set(helpers)) == len(numkit._THRESHOLDS)
+    assert set(helpers) == {fn.__qualname__ for fn in numkit._THRESHOLDS}
+    constants = re.findall(r"^\| `(numkit|embed|classify)\.(_[A-Z0-9_]+)` \|", section, flags=re.M)
+    assert len(constants) == 13
+    for module, name in constants:
+        assert hasattr(getattr(embedlab, module), name), name
