@@ -152,12 +152,11 @@ def _tolerances(args) -> ToleranceConfig:
 
 
 def _json_default(obj):
-    """What ``json`` cannot encode itself: arrays (complex ones as real and
-    imaginary parts), numpy scalars, dataclasses field by field, and the repr
-    of anything else."""
+    """What ``json`` cannot encode itself: real arrays, numpy scalars,
+    dataclasses field by field, and the repr of anything else.  No payload
+    holds a complex array: ``logm`` prints ``numkit.as_real``'s float array
+    or an error, and every report array is real."""
     if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return {"real": obj.real.tolist(), "imag": obj.imag.tolist()}
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()

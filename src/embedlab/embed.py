@@ -514,6 +514,25 @@ def _primary_log_is_only_real_log(A: np.ndarray, lam: np.ndarray, cfg: Tolerance
     return True
 
 
+def _principal_witness(A, accept, records, cfg, eigenvalues=None):
+    """``numkit.principal_log`` of A when the acceptor ``accept`` takes it,
+    else None with the reason appended to ``records``: a
+    ``principal_log_unavailable`` record when A has no real principal
+    logarithm or its square roots do not converge, otherwise the acceptor's
+    failure record with ``branch`` ``principal_primary``.  ``eigenvalues``
+    is passed on to ``numkit.principal_log``."""
+    try:
+        witness = numkit.principal_log(A, cfg, eigenvalues=eigenvalues)
+    except (SingularMatrix, NegativeRealEigenvalue, IllConditioned) as exc:
+        records.append({"reason": "principal_log_unavailable", "detail": str(exc)})
+        return None
+    ok, failure = accept(witness)
+    if ok:
+        return witness
+    records.append(dict(failure, branch="principal_primary"))
+    return None
+
+
 def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     """Resolve a repeated or ill-conditioned spectrum into (verdict, witness,
     records, selection); ``eigen`` is A's eigendecomposition, None when eig
@@ -532,71 +551,44 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     with the same certificate as any search hit (real, nonnegative off the
     diagonal, and expm reconstructs A within recon_tol).
     ``numkit.principal_log``, which needs no eigenbasis, runs only when that
-    one is rejected or there is none, so every failure record and every
-    negative rests on it: a passing one certifies a positive verdict
-    outright; a failing one is conclusive only when it is the sole
-    real-logarithm candidate and its failure is not a reconstruction
-    failure, which is rounding (``_without_rounding_evidence``).  Without an eigenbasis the spectrum is taken
-    once, for its precondition and that last test.  The other real
-    logarithms of a repeated spectrum are not enumerated, so anything else
-    is Undetermined.
+    one is rejected or there is none (``_principal_witness``), so every
+    failure record and every negative rests on it: a passing one certifies a
+    positive verdict outright; a failing one is conclusive only when it is
+    the sole real-logarithm candidate and its failure is not a
+    reconstruction failure, which is rounding (see ``_decide``).  Without an
+    eigenbasis the spectrum is taken once, for its precondition and that
+    last test.  The other real logarithms of a repeated spectrum are not
+    enumerated, so anything else is Undetermined.
     """
     positive, negative = verdicts
     records: List[dict] = []
     try:
-        if eigen is None:
-            lam = np.linalg.eigvals(A)
-            witness = numkit.principal_log(A, cfg, eigenvalues=lam)
-        else:
-            lam = eigen.eigenvalues
-            numkit._check_log_preconditions(lam, cfg)
+        if eigen is not None:
+            numkit._check_log_preconditions(eigen.eigenvalues, cfg)
             sel = BranchSelection.principal(eigen.n)
             # the principal selection of a spectrum off the closed negative
             # real axis is real, so its real part is the candidate
             witness = numkit.logm_branch(eigen, sel, cfg).real.copy()
             if accept(witness)[0]:
                 return positive, witness, records, sel
-            witness = numkit.principal_log(A, cfg)
-    except (SingularMatrix, NegativeRealEigenvalue, IllConditioned) as exc:
+    except (SingularMatrix, NegativeRealEigenvalue) as exc:
         records.append({"reason": "principal_log_unavailable", "detail": str(exc)})
     else:
-        ok, failure = accept(witness)
-        if ok:
+        lam = np.linalg.eigvals(A) if eigen is None else eigen.eigenvalues
+        # principal_log reads only eigvals' own spectrum, which eig's need
+        # not match bit for bit, so with an eigenbasis it takes its own
+        witness = _principal_witness(A, accept, records, cfg, lam if eigen is None else None)
+        if witness is not None:
             return positive, witness, records, None
-        failure["branch"] = "principal_primary"
-        records.append(failure)
-        # a reconstruction failure is rounding, never evidence (_without_rounding_evidence)
-        if failure["reason"] != "reconstruction_failure" and _primary_log_is_only_real_log(A, lam, cfg):
+        # a reconstruction failure is rounding, never evidence (_decide)
+        conclusive = records[-1]["reason"] not in ("principal_log_unavailable", "reconstruction_failure")
+        if conclusive and _primary_log_is_only_real_log(A, lam, cfg):
             records.append({"reason": "primary_log_is_only_candidate"})
             return negative, None, records, None
 
     detail = "non-principal real logarithms of a repeated spectrum are not enumerated"
     records.append({"reason": "repeated_eigenvalues", "detail": detail})
     return UNDETERMINED, None, records, None
-
-
-def _without_rounding_evidence(A, accept, records, positive, cfg):
-    """(verdict, witness) of an exhausted search whose ``records`` hold a
-    ``reconstruction_failure``; the records this adds go to ``records``.
-    Such a failure is rounding, not evidence: Culver's real selection L = V diag(mu) V^-1 has
-    exp(L) = V Lambda V^-1 exactly, and eig certified V Lambda V^-1 within
-    recon_tol of A, so the residual of the computed L measures only the
-    kappa(V) u error of L and expm's own (Higham, Functions of Matrices,
-    2008, Sec. 4.5).  ``numkit.principal_log`` goes through the same
-    acceptor: accepted, it is the witness of a positive verdict; otherwise
-    its failure is recorded and the verdict is Undetermined, with a last
-    ``reconstruction_failure_not_evidence`` record."""
-    try:
-        witness = numkit.principal_log(A, cfg)
-    except (SingularMatrix, NegativeRealEigenvalue, IllConditioned) as exc:
-        records.append({"reason": "principal_log_unavailable", "detail": str(exc)})
-    else:
-        ok, failure = accept(witness)
-        if ok:
-            return positive, witness
-        records.append(dict(failure, branch="principal_primary"))
-    records.append({"reason": "reconstruction_failure_not_evidence"})
-    return UNDETERMINED, None
 
 
 def _decide(A, det, zeros, verdicts, cfg, decomposition=None):
@@ -606,19 +598,26 @@ def _decide(A, det, zeros, verdicts, cfg, decomposition=None):
     (the Perron radius cut to the cone with apex log rho, both from that
     eigendecomposition, built once and counted in ``bound``) or the
     repeated-spectrum resolution.  An exhausted search whose records hold a
-    reconstruction failure certifies no negative
-    (``_without_rounding_evidence``).  A negative that rests on a failure the
-    acceptor marks borderline is not certified: it ends Undetermined with a
-    trailing ``near_threshold`` record.  A search that would have to take the
-    logarithm of an eigenvalue within ``entry_tol`` of zero ends Undetermined
-    with an ``eigenvalue_near_zero`` record holding its modulus.  The
-    determinant gates differ between the questions and stay in the public
-    entries, which call this after them; ``zeros`` is A's
-    ``_offdiag_zeros`` and ``verdicts`` the question's (positive, negative)
-    pair.  Returns (verdict, witness, examined, records, bound), the field
-    order of ``EmbeddabilityReport``, then the witness's spectral form
-    (eigen, selection) when it is eig's V Log(Lambda) V^-1 at that branch
-    selection, None otherwise."""
+    reconstruction failure certifies no negative: such a failure is
+    rounding, not evidence.  Culver's real selection L = V diag(mu) V^-1 has
+    exp(L) = V Lambda V^-1 exactly, and eig certified V Lambda V^-1 within
+    recon_tol of A, so the residual of the computed L measures only the
+    kappa(V) u error of L and expm's own (Higham, Functions of Matrices,
+    2008, Sec. 4.5).  ``numkit.principal_log`` then goes through the same
+    acceptor (``_principal_witness``): accepted, it is the witness of a
+    positive verdict; otherwise the verdict is Undetermined, with a last
+    ``reconstruction_failure_not_evidence`` record.  A negative that rests
+    on a failure the acceptor marks borderline is not certified: it ends
+    Undetermined with a trailing ``near_threshold`` record.  A search that
+    would have to take the logarithm of an eigenvalue within ``entry_tol``
+    of zero ends Undetermined with an ``eigenvalue_near_zero`` record
+    holding its modulus.  The determinant gates differ between the
+    questions and stay in the public entries, which call this after them;
+    ``zeros`` is A's ``_offdiag_zeros`` and ``verdicts`` the question's
+    (positive, negative) pair.  Returns (verdict, witness, examined,
+    records, bound), the field order of ``EmbeddabilityReport``, then the
+    witness's spectral form (eigen, selection) when it is eig's
+    V Log(Lambda) V^-1 at that branch selection, None otherwise."""
     positive, negative = verdicts
     conditions = structure.necessary_conditions(A, cfg, decomposition=decomposition)
     if conditions.violations:
@@ -649,7 +648,10 @@ def _decide(A, det, zeros, verdicts, cfg, decomposition=None):
             records.append({"reason": "all_branches_exhausted", "branches": examined})
         verdict = negative if witness is None else positive
         if verdict == negative and any(record["reason"] == "reconstruction_failure" for record in records):
-            verdict, witness = _without_rounding_evidence(A, accept, records, positive, cfg)
+            verdict, witness = positive, _principal_witness(A, accept, records, cfg)
+            if witness is None:
+                verdict = UNDETERMINED
+                records.append({"reason": "reconstruction_failure_not_evidence"})
     if verdict == negative and any(record.get("borderline") for record in records):
         verdict = UNDETERMINED
         records.append({"reason": "near_threshold"})
@@ -802,7 +804,7 @@ def _root_check(B: np.ndarray, cfg: ToleranceConfig):
 
     def check(root: np.ndarray, order: int):
         low = float(root.min())
-        if numkit._root_negative(low, cfg):
+        if not numkit._nonnegative(low, cfg):
             return False, {"reason": "root_not_nonnegative", "order": order, "value": low}
         if numkit._reconstruction_fails(numkit._frob(np.linalg.matrix_power(root, order) - B) / scale, cfg, 10):
             return False, {"reason": "root_power_mismatch", "order": order}

@@ -15,7 +15,7 @@ role, listed in ``_THRESHOLDS``.
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class ToleranceConfig:
     """Numerical slacks used by every verdict in the library.  Each field is
     compared only inside the threshold helpers listed in ``_THRESHOLDS``, one
     per role; the README's threshold table has one row per helper.
+    ``entry_tol`` is the one setting; the other two are fixed.
 
     entry_tol      the entry, sign, determinant and eigenvalue slack
     recon_tol      relative reconstruction tolerance
@@ -57,8 +58,8 @@ class ToleranceConfig:
     """
 
     entry_tol: float = 1e-9
-    recon_tol: float = 1e-8
-    distinct_tol: float = 1e-7
+    recon_tol: float = field(default=1e-8, init=False)
+    distinct_tol: float = field(default=1e-7, init=False)
 
     def __post_init__(self):
         for name in ("entry_tol", "recon_tol", "distinct_tol"):
@@ -73,14 +74,16 @@ DEFAULT_TOL = ToleranceConfig()
 # table: what it compares, the scale it is relative to, its source and
 # whether a certified negative verdict may rest on it.  Every helper keeps
 # the comparison and direction its callers made before it existed, so a NaN
-# gets the answer it got then.
+# gets the answer it got then, except that the certificate checks fail
+# closed: a NaN is not nonnegative and fails its reconstruction.
 
 
 def _nonnegative(x, cfg: ToleranceConfig):
     """Sign slack: ``x >= -entry_tol`` for an entry, or a least entry, that
     counts as nonnegative (a Z-matrix passes its negated largest
-    off-diagonal entry).  Absolute; library default.  No verdict rests on
-    it: it refuses inputs and sets class flags."""
+    off-diagonal entry, a sample root its least entry).  Absolute; library
+    default.  No verdict rests on it: it refuses inputs and sets class
+    flags, and a root that fails it makes the verdict Undetermined."""
     return x >= -cfg.entry_tol
 
 
@@ -150,20 +153,14 @@ def _candidate_sign_failure(x, cfg: ToleranceConfig):
     return None
 
 
-def _root_negative(x, cfg: ToleranceConfig):
-    """A sample root's sign: ``x < -entry_tol`` for its least entry.
-    Absolute; library default.  No verdict rests on it: the root fails and
-    the verdict is Undetermined."""
-    return x < -cfg.entry_tol
-
-
 def _reconstruction_fails(residual, cfg: ToleranceConfig, factor: int = 1):
-    """Reconstruction: ``residual > factor * recon_tol`` for a relative
-    Frobenius residual; ``factor`` is 10 for a sample root's mth power.
-    Relative to the target's norm; library default, above the kappa(V) u
-    rounding of a computed logarithm (Higham, Functions of Matrices, 2008,
-    Sec. 4.5).  No verdict rests on it: a candidate's failure is rounding."""
-    return residual > factor * cfg.recon_tol
+    """Reconstruction: ``not residual <= factor * recon_tol`` for a relative
+    Frobenius residual, so a NaN residual fails; ``factor`` is 10 for a
+    sample root's mth power.  Relative to the target's norm; library
+    default, above the kappa(V) u rounding of a computed logarithm (Higham,
+    Functions of Matrices, 2008, Sec. 4.5).  No verdict rests on it: a
+    candidate's failure is rounding."""
+    return not residual <= factor * cfg.recon_tol
 
 
 def _eigenvalue_clusters(lam, cfg: ToleranceConfig):
@@ -281,9 +278,8 @@ class Eigendecomposition:
 
 # Every comparison with a ToleranceConfig field, one helper per role
 _THRESHOLDS = (_nonnegative, _positive, structural_pattern, _row_sums_within, _det_below_gate, _singular,
-               _require_nonzero_eigenvalues, _on_negative_axis, _candidate_sign_failure, _root_negative,
-               _reconstruction_fails, Eigendecomposition.is_repeated, _eigenvalue_clusters, _nonreal,
-               imag_truncation_threshold)
+               _require_nonzero_eigenvalues, _on_negative_axis, _candidate_sign_failure, _reconstruction_fails,
+               Eigendecomposition.is_repeated, _eigenvalue_clusters, _nonreal, imag_truncation_threshold)
 
 
 def _canonical_order(lam: np.ndarray) -> np.ndarray:

@@ -37,7 +37,13 @@ print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
 '''
 
 SPEC = {
-    "end_to_end": [{"name": "decisions_per_s", "better": "higher"}, {"name": "latency_p50_ms", "better": "lower"}],
+    "end_to_end": [
+        {"name": "decisions_per_s", "better": "higher", "bound": 0.25},
+        {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
+        {"name": "latency_p90_ms", "better": "lower", "bound": 0.25},
+        {"name": "answered_share", "better": "higher", "bound": 0.05},
+        {"name": "peak_rss_mib", "better": "lower", "bound": 0.1},
+    ],
     "per_layer": [{"name": "numkit.calls", "better": "lower"}],
 }
 
@@ -87,10 +93,11 @@ def test_pairs_alternate_and_summarize(tmp_path):
     rows = summary(proc.stdout)
     # parent 98, 100, 100, 102 and change 99, 101, 110, 112: inclusive quartiles
     assert rows["decisions_per_s"] == ["decisions_per_s", "100", "[", "99.5,", "100.5]",
-                                       "105.5", "[", "100.5,", "110.5]", "+5.5%", "3/4", "yes"]
+                                       "105.5", "[", "100.5,", "110.5]", "+5.5%", "3/4", "yes", "ok"]
     # ties win nothing; a metric BENCHMARK.json does not list has no winner
-    assert rows["latency_p50_ms"][-3:] == ["+0.0%", "0/4", "no"]
-    assert rows["extra"][-2:] == ["-", "no"]
+    # and no gate
+    assert rows["latency_p50_ms"][-4:] == ["+0.0%", "0/4", "no", "ok"]
+    assert rows["extra"][-3:] == ["-", "no", "-"]
     # pairs 1 and 3 ran the parent first (+10.0%, +1.0%), pairs 2 and 4 the
     # change (-1.0%, +12.0%)
     assert by_order(proc.stdout)["decisions_per_s"] == ["2/2", "+5.5%", "1/2", "+5.5%"]
@@ -103,8 +110,9 @@ def test_trace_runs_summarize_the_per_layer_metrics(tmp_path):
     proc = run_tool(tmp_path, "--trace", "1")
     assert proc.returncode == 0, proc.stderr
     assert all(line.endswith("--trace 1") for line in (tmp_path / "runs.log").read_text().splitlines())
-    # the direction comes from the parent's BENCHMARK.json when the change has none
-    assert summary(proc.stdout)["numkit.calls"][-3:] == ["-20.8%", "4/4", "yes"]
+    # the direction comes from the parent's BENCHMARK.json when the change
+    # has none; a per-layer metric has no bound, so no gate
+    assert summary(proc.stdout)["numkit.calls"][-4:] == ["-20.8%", "4/4", "yes", "-"]
 
 
 @pytest.mark.parametrize("broken", ["parent", "change"])
@@ -131,4 +139,25 @@ def test_run_order_is_reported_apart(tmp_path):
     assert rows["decisions_per_s"] == ["0/2", "-5.0%", "2/2", "+10.0%"]
     assert rows["latency_p50_ms"] == ["0/2", "+0.0%", "0/2", "+0.0%"]
     assert rows["extra"] == ["-", "+0.0%", "-", "+0.0%"]
-    assert summary(proc.stdout)["decisions_per_s"][-3:] == ["+2.5%", "2/4", "yes"]
+    assert summary(proc.stdout)["decisions_per_s"][-4:] == ["+2.5%", "2/4", "yes", "ok"]
+
+
+def test_the_gate_reads_each_end_to_end_bound(tmp_path):
+    noisy = [40.0, 100.0, 160.0, 100.0]  # inclusive quartiles 85 and 115: a spread of 0.3 of the median
+    parent = {"decisions_per_s": [100.0] * 4, "latency_p50_ms": noisy, "latency_p90_ms": noisy,
+              "answered_share": [1.0] * 4, "peak_rss_mib": noisy, "numkit.calls": [10] * 4}
+    change = {
+        "decisions_per_s": [70.0] * 4,  # 30% worse than the parent, beyond the 25% bound
+        "latency_p50_ms": [100.0] * 4,  # no worse, but the parent spreads beyond the bound
+        "latency_p90_ms": [30.0] * 4,  # as noisy a parent, but every change run beats every parent run
+        "answered_share": [0.96] * 4,  # 4% worse, within the 5% bound
+        "peak_rss_mib": [200.0] * 4,  # worse by more than the bound: the parent's spread does not hide it
+        "numkit.calls": [20] * 4,  # a per-layer metric has no bound
+    }
+    for side, values in (("parent", parent), ("change", change)):
+        checkout(tmp_path / side, {"0": [{name: v[k] for name, v in values.items()} for k in range(4)]})
+    proc = run_tool(tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    gates = {name: row[-1] for name, row in summary(proc.stdout).items()}
+    assert gates == {"decisions_per_s": "worse", "latency_p50_ms": "unresolved", "latency_p90_ms": "ok",
+                     "answered_share": "ok", "peak_rss_mib": "worse", "numkit.calls": "-"}

@@ -987,10 +987,11 @@ class TestCheckStrongInfDivisible:
         # a well-conditioned eigenbasis passes eig's Frobenius bound with no SVD
         assert svds == []
 
-    @pytest.mark.parametrize("spoil", ["negative_entry"])
+    @pytest.mark.parametrize("spoil", ["negative_entry", "nan_entry"])
     def test_rejected_spectral_root_falls_back_to_expm(self, spoil, monkeypatch):
         # a root from the eigenbasis that fails a check is recomputed with
-        # expm, so the report prints exactly the expm root
+        # expm, so the report prints exactly the expm root; a NaN entry
+        # fails the checks too, since they fail closed
         B = numkit.expm(-(0.5 * np.eye(3) - random_intensity(np.random.default_rng(45), 3)))
         expected = embed.check_strong_inf_divisible(B)
         branch_roots = numkit.branch_roots
@@ -998,7 +999,7 @@ class TestCheckStrongInfDivisible:
         def spoiled(*args):
             roots = branch_roots(*args)
             for root in roots:
-                root[0, 1] = -1.0
+                root[0, 1] = -1.0 if spoil == "negative_entry" else np.nan
             return roots
 
         monkeypatch.setattr(numkit, "branch_roots", spoiled)

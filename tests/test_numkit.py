@@ -97,10 +97,16 @@ class TestToleranceConfig:
         assert CFG.recon_tol == 1e-8
         assert CFG.distinct_tol == 1e-7
 
-    @pytest.mark.parametrize("name", ["entry_tol", "recon_tol", "distinct_tol"])
+    @pytest.mark.parametrize("name", ["entry_tol"])
     def test_positivity_enforced(self, name):
         with pytest.raises(ValueError):
             numkit.ToleranceConfig(**{name: 0.0})
+
+    def test_entry_tol_is_the_only_setting(self):
+        # recon_tol and distinct_tol are fixed: neither is a keyword
+        for name in ("recon_tol", "distinct_tol"):
+            with pytest.raises(TypeError):
+                numkit.ToleranceConfig(**{name: 1e-6})
 
 
 class TestEig:

@@ -10,16 +10,21 @@ read from the JSON object on the last line of its output.
 
 Prints each pair's metrics (parent, change, relative change), then, per
 metric, the median and quartiles of each side, the relative change of the
-medians, the pairs the change won and whether the change's median is better
-than the parent's by more than the parent's interquartile range.  Before
-that summary, per metric, the pairs the change won and the median of the
-per-pair relative changes, once over the pairs the parent ran first and once
-over those the change ran first: a gap between the two shows how far run
-order moves a pair.  Which way
-is better comes from ``BENCHMARK.json`` of the change, or of the parent when
-the change has none; a metric it does not list shows no winner.  With
-``--trace 1`` the runs report the per-layer metrics instead of the
-end-to-end ones, and the same tables cover those.
+medians, the pairs the change won, whether the change's median is better
+than the parent's by more than the parent's interquartile range, and the
+gate of each end-to-end metric, read with its ``bound`` from
+``BENCHMARK.json``: ``worse`` when the change's median is worse than the
+parent's by more than the bound (relative to the parent's median),
+``unresolved`` when the parent's (q3 - q1) / |median| exceeds the bound and
+not every change run beats every parent run, ``ok`` otherwise, and ``-``
+for a metric with no bound.  Before that summary, per metric, the pairs the
+change won and the median of the per-pair relative changes, once over the
+pairs the parent ran first and once over those the change ran first: a gap
+between the two shows how far run order moves a pair.  Which way is better,
+and each bound, come from ``BENCHMARK.json`` of the change, or of the
+parent when the change has none; a metric it does not list shows no
+winner.  With ``--trace 1`` the runs report the per-layer metrics instead
+of the end-to-end ones, and the same tables cover those.
 
 Standard library only, so it runs with any interpreter that runs the
 benchmark.  Exits non-zero when a run fails or prints no result line.
@@ -48,13 +53,14 @@ def run_once(root: Path, args) -> tuple:
         raise SystemExit(f"error: run in {root} gave no result ({exc}):\n{proc.stderr.strip()}")
 
 
-def directions(*roots: Path) -> dict:
-    """Metric name -> "higher" or "lower" from the first BENCHMARK.json found."""
+def metric_specs(*roots: Path) -> dict:
+    """Metric name -> its entry in the first BENCHMARK.json found: "better"
+    ("higher" or "lower") and, for an end-to-end metric, "bound"."""
     for root in roots:
         path = root / "BENCHMARK.json"
         if path.is_file():
             spec = json.loads(path.read_text())
-            return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+            return {m["name"]: m for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
     return {}
 
 
@@ -79,25 +85,44 @@ def common_names(pairs: list) -> list:
     return [name for name in pairs[0][0] if all(name in p and name in c for p, c in pairs)]
 
 
-def summarize(pairs: list, better_way: dict) -> list:
+def gate(parent: list, change: list, direction, bound) -> str:
+    """The benchmark's bound on one metric over the runs of each side:
+    "worse", "unresolved" or "ok" as the module describes, "-" without a
+    bound or a direction."""
+    if bound is None or direction not in ("higher", "lower"):
+        return "-"
+    pm, cm = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent)
+    margin = bound * abs(pm)
+    if (pm - cm if direction == "higher" else cm - pm) > margin:
+        return "worse"
+    if q3 - q1 > margin and not all(better(c, p, direction) for c in change for p in parent):
+        return "unresolved"
+    return "ok"
+
+
+def summarize(pairs: list, specs: dict) -> list:
     """One row per metric both sides report in every pair: (name, parent
-    median, q1, q3, change median, q1, q3, relative change, won, clear).
-    ``pairs`` holds (parent metrics, change metrics) per pair; ``won`` is
-    None and ``clear`` False for a metric with no known direction."""
+    median, q1, q3, change median, q1, q3, relative change, won, clear,
+    gate).  ``pairs`` holds (parent metrics, change metrics) per pair;
+    ``won`` is None and ``clear`` False for a metric with no known
+    direction."""
     rows = []
     for name in common_names(pairs):
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
-        direction = better_way.get(name)
+        spec = specs.get(name, {})
+        direction = spec.get("better")
         pm, cm = statistics.median(parent), statistics.median(change)
         pq, cq = quartiles(parent), quartiles(change)
         won = sum(better(c, p, direction) for p, c in zip(parent, change)) if direction else None
         clear = better(cm, pm, direction) and abs(cm - pm) > pq[1] - pq[0]
-        rows.append((name, pm, *pq, cm, *cq, relative(cm, pm), won, clear))
+        verdict = gate(parent, change, direction, spec.get("bound"))
+        rows.append((name, pm, *pq, cm, *cq, relative(cm, pm), won, clear, verdict))
     return rows
 
 
-def by_run_order(pairs: list, better_way: dict) -> list:
+def by_run_order(pairs: list, specs: dict) -> list:
     """One row per metric both sides report in every pair: (name, then for
     the pairs the parent ran first and for those the change ran first, each
     a tuple (won, pairs, median relative change)).  ``pairs`` alternate as
@@ -106,7 +131,7 @@ def by_run_order(pairs: list, better_way: dict) -> list:
     pair with a nonzero parent."""
     rows = []
     for name in common_names(pairs):
-        direction = better_way.get(name)
+        direction = specs.get(name, {}).get("better")
         groups = []
         for ordered in (pairs[0::2], pairs[1::2]):
             group = [(p[name], c[name]) for p, c in ordered]
@@ -148,22 +173,23 @@ def main(argv=None):
                 print(f"  {name:<40} {value:>14.6g} {change[name]:>14.6g}  {relative(change[name], value):>8}")
         sys.stdout.flush()
 
-    better_way = directions(roots["change"], roots["parent"])
+    specs = metric_specs(roots["change"], roots["parent"])
     print(f"by run order over {len(pairs)} pairs: won = pairs where the change is better; change = median "
           "of the per-pair relative changes")
     print(f"  {'metric':<40} {'parent first: won':>18} {'change':>8} {'change first: won':>18} {'change':>8}")
-    for name, *groups in by_run_order(pairs, better_way):
+    for name, *groups in by_run_order(pairs, specs):
         cells = [f"{'-' if won is None else f'{won}/{count}':>18} {median:>8}" for won, count, median in groups]
         print(f"  {name:<40} {' '.join(cells)}")
 
     print(f"summary over {len(pairs)} pairs: median [q1, q3] per side; won = pairs where the change is "
-          "better; clear = change median better by more than the parent's q3 - q1")
+          "better; clear = change median better by more than the parent's q3 - q1; gate = the metric's "
+          "bound from BENCHMARK.json (worse, unresolved or ok)")
     print(f"  {'metric':<40} {'parent':>12} {'[q1, q3]':>27} {'change':>12} {'[q1, q3]':>27} "
-          f"{'change':>8} {'won':>6} {'clear':>5}")
-    for name, pm, p1, p3, cm, c1, c3, rel, won, clear in summarize(pairs, better_way):
+          f"{'change':>8} {'won':>6} {'clear':>5} {'gate':>10}")
+    for name, pm, p1, p3, cm, c1, c3, rel, won, clear, verdict in summarize(pairs, specs):
         won_text = "-" if won is None else f"{won}/{len(pairs)}"
         print(f"  {name:<40} {pm:>12.6g} [{p1:>12.6g}, {p3:>12.6g}] {cm:>12.6g} [{c1:>12.6g}, {c3:>12.6g}] "
-              f"{rel:>8} {won_text:>6} {'yes' if clear else 'no':>5}")
+              f"{rel:>8} {won_text:>6} {'yes' if clear else 'no':>5} {verdict:>10}")
 
 
 if __name__ == "__main__":
