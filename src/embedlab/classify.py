@@ -11,6 +11,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from . import numkit
 from .errors import NotZMatrix
 from .numkit import DEFAULT_TOL, ToleranceConfig, as_square_matrix, structural_pattern
 from .numkit import _nonnegative, _positive, _row_sums_within, _singular
@@ -157,8 +158,8 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
     flags: Dict[str, bool] = {}
     wit: Dict[str, object] = {}
 
-    det = float(np.linalg.det(A))
-    eigvals = np.linalg.eigvals(A)
+    det = float(numkit._lapack_det(A))
+    eigvals = numkit._lapack_eigvals(A)
     rho = float(np.max(np.abs(eigvals)))
 
     flags["nonnegative"] = is_nonnegative(A, cfg)
@@ -202,7 +203,7 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
     # singular relative to its scale, sigma_min <= entry_tol * sigma_max, so
     # the flags do not change when A is multiplied by a positive constant
     singular = _singular(A, cfg)
-    Ainv = None if singular else np.linalg.inv(A)
+    Ainv = None if singular else numkit._lapack_inv(A)
     flags["nonsingular"] = not singular
     if singular:
         wit["nonsingular"] = ("det", det)
@@ -264,7 +265,7 @@ def nonneg_eigvec_of_z(Q, cfg: ToleranceConfig = DEFAULT_TOL) -> Tuple[np.ndarra
     theta = float(np.max(np.diag(Q))) + float(np.linalg.norm(Q, np.inf)) + 1.0
     M = theta * np.eye(n) - Q
     np.clip(M, 0.0, None, out=M)  # tolerance slack may leave tiny negatives
-    rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+    rho = float(np.max(np.abs(numkit._lapack_eigvals(M))))
     lam = theta - rho
 
     # power iteration on M + I stays inside the nonnegative cone and the
@@ -287,7 +288,7 @@ def nonneg_eigvec_of_z(Q, cfg: ToleranceConfig = DEFAULT_TOL) -> Tuple[np.ndarra
 
     # fall back to the dense eigenvector when iteration stalls
     if best_res > _EIGVEC_FALLBACK_TOL * (1.0 + rho):
-        vals, vecs = np.linalg.eig(M)
+        vals, vecs = numkit._lapack_eig(M)
         j = int(np.argmin(np.abs(vals - rho)))
         cand = vecs[:, j].real
         if cand.sum() < 0:

@@ -421,14 +421,14 @@ def _on_pattern(zeros: Optional[np.ndarray], check):
 
 
 # The acceptor takes the residual ||expm(L) - A||_F with no errstate when
-# sqrt(n) ||L||_F <= _RESIDUAL_SAFE_NORM and ||A||_F <= _RESIDUAL_SAFE_SCALE.
-# Then ||L||_1 <= 300, so ||expm(L)||_1 <= e^300 < 2e130 (the argument of
-# numkit._EXPM_SAFE_NORM) and ||expm(L)||_F <= sqrt(n) 2e130: no partial sum
-# of the squares of expm(L) - A exceeds (sqrt(n) 2e130 + 1e150)^2, far below
-# the largest float for any n below 1e38.  Past either bound it is taken
-# under errstate, where an overflow reads as an infinite residual.
+# sqrt(n) ||L||_F <= _RESIDUAL_SAFE_NORM and ||A||_F <=
+# numkit._RESIDUAL_SAFE_SCALE.  Then ||L||_1 <= 300, so ||expm(L)||_1 <=
+# e^300 < 2e130 (the argument of numkit._EXPM_SAFE_NORM) and ||expm(L)||_F <=
+# sqrt(n) 2e130: no partial sum of the squares of expm(L) - A exceeds
+# (sqrt(n) 2e130 + 1e150)^2, far below the largest float for any n below
+# 1e38.  Past either bound it is taken under errstate, where an overflow
+# reads as an infinite residual.
 _RESIDUAL_SAFE_NORM = 300.0
-_RESIDUAL_SAFE_SCALE = 1e150
 
 
 def _log_acceptor(target: np.ndarray, zeros: Optional[np.ndarray], cfg: ToleranceConfig):
@@ -455,7 +455,7 @@ def _log_acceptor(target: np.ndarray, zeros: Optional[np.ndarray], cfg: Toleranc
     offdiag = _offdiag_mask(n)
     scale = numkit._frob(target)
     # past the scale bound every residual is taken under errstate
-    safe_norm = _RESIDUAL_SAFE_NORM / math.sqrt(n) if scale <= _RESIDUAL_SAFE_SCALE else -1.0
+    safe_norm = _RESIDUAL_SAFE_NORM / math.sqrt(n) if scale <= numkit._RESIDUAL_SAFE_SCALE else -1.0
 
     def check(L: np.ndarray):
         off = L[offdiag]
@@ -574,7 +574,7 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     except (SingularMatrix, NegativeRealEigenvalue) as exc:
         records.append({"reason": "principal_log_unavailable", "detail": str(exc)})
     else:
-        lam = np.linalg.eigvals(A) if eigen is None else eigen.eigenvalues
+        lam = numkit._lapack_eigvals(A) if eigen is None else eigen.eigenvalues
         # principal_log reads only eigvals' own spectrum, which eig's need
         # not match bit for bit, so with an eigenbasis it takes its own
         witness = _principal_witness(A, accept, records, cfg, lam if eigen is None else None)
@@ -591,7 +591,7 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     return UNDETERMINED, None, records, None
 
 
-def _decide(A, det, zeros, verdicts, cfg, decomposition=None):
+def _decide(A, log_det, zeros, verdicts, cfg, decomposition=None):
     """The decision both questions share: the structural necessary
     conditions (``decomposition`` as in ``structure.necessary_conditions``),
     one eigendecomposition, then either the search of ``_search_windows``
@@ -612,11 +612,13 @@ def _decide(A, det, zeros, verdicts, cfg, decomposition=None):
     would have to take the logarithm of an eigenvalue within ``entry_tol``
     of zero ends Undetermined with an ``eigenvalue_near_zero`` record
     holding its modulus.  The determinant gates differ between the
-    questions and stay in the public entries, which call this after them;
-    ``zeros`` is A's ``_offdiag_zeros`` and ``verdicts`` the question's
-    (positive, negative) pair.  Returns (verdict, witness, examined,
-    records, bound), the field order of ``EmbeddabilityReport``, then the
-    witness's spectral form (eigen, selection) when it is eig's
+    questions and stay in the public entries, which call this after them
+    with ``log_det``, ``_log_det`` of the gated determinant, taken before
+    any other work so that a determinant that overflowed always raises
+    Overflow; ``zeros`` is A's ``_offdiag_zeros`` and ``verdicts`` the
+    question's (positive, negative) pair.  Returns (verdict, witness,
+    examined, records, bound), the field order of ``EmbeddabilityReport``,
+    then the witness's spectral form (eigen, selection) when it is eig's
     V Log(Lambda) V^-1 at that branch selection, None otherwise."""
     positive, negative = verdicts
     conditions = structure.necessary_conditions(A, cfg, decomposition=decomposition)
@@ -633,7 +635,7 @@ def _decide(A, det, zeros, verdicts, cfg, decomposition=None):
         verdict, witness, records, sel = _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg)
         examined, bound = 0, None
     else:
-        radius = _perron_radius(eigen, _log_det(det))
+        radius = _perron_radius(eigen, log_det)
         windows = _search_windows(eigen, radius)
         blocks = _real_blocks(eigen, windows)
         bound = _bound("perron_radius", -radius, radius, windows, blocks, math.log(abs(eigen.eigenvalues[0])))
@@ -688,15 +690,16 @@ def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityRepo
         raise NotStochastic("input is not row-stochastic within tolerance")
 
     with np.errstate(over="ignore"):
-        det = float(np.linalg.det(P))
+        det = float(numkit._lapack_det(P))
     if numkit._det_below_gate(abs(det), cfg):
         failed = [{"reason": "determinant_near_singular", "value": det}]
         return EmbeddabilityReport(verdict=UNDETERMINED, failed_conditions=failed)
     if det < 0:
         failed = [{"reason": "determinant_negative", "value": det}]
         return EmbeddabilityReport(verdict=NOT_EMBEDDABLE, failed_conditions=failed)
+    log_det = _log_det(det)
 
-    return EmbeddabilityReport(*_decide(P, det, _offdiag_zeros(P, cfg), (EMBEDDABLE, NOT_EMBEDDABLE), cfg)[:5])
+    return EmbeddabilityReport(*_decide(P, log_det, _offdiag_zeros(P, cfg), (EMBEDDABLE, NOT_EMBEDDABLE), cfg)[:5])
 
 
 def check_strong_inf_divisible(
@@ -748,15 +751,16 @@ def check_strong_inf_divisible(
         raise NotNonnegative("input has an entry below -entry_tol")
 
     with np.errstate(over="ignore"):
-        det = float(np.linalg.det(B))
+        det = float(numkit._lapack_det(B))
     if numkit._det_below_gate(det, cfg):
         failed = [{"reason": "determinant_not_positive", "value": det}]
         return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
+    log_det = _log_det(det)
 
     decomp = structure.frobenius_form(B, cfg)
     zeros = _offdiag_zeros(B, cfg)
     verdicts = (STRONGLY_INF_DIVISIBLE, NOT_STRONGLY_INF_DIVISIBLE)
-    verdict, witness, examined, records, bound, spectral = _decide(B, det, zeros, verdicts, cfg, decomp)
+    verdict, witness, examined, records, bound, spectral = _decide(B, log_det, zeros, verdicts, cfg, decomp)
     report = DivisibilityReport(verdict, branches_examined=examined, failed_conditions=records,
                                 bound_used=bound)
     if verdict != STRONGLY_INF_DIVISIBLE:
@@ -844,7 +848,7 @@ def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optio
     if not is_nonnegative(root, cfg):
         return None
     try:
-        W = np.linalg.inv(root)
+        W = numkit._lapack_inv(root)
     except np.linalg.LinAlgError:
         return None
     if not is_z_matrix(W, cfg):
@@ -863,7 +867,7 @@ def inverse_m_power_form(P, m: int, cfg: ToleranceConfig = DEFAULT_TOL) -> Optio
         return None
     epsilon = (s - 1.0) / s
     recon = (1.0 - epsilon) ** m * np.linalg.matrix_power(
-        np.linalg.inv(np.eye(n) - epsilon * H), m
+        numkit._lapack_inv(np.eye(n) - epsilon * H), m
     )
     if numkit._reconstruction_fails(numkit.relative_residual(recon, P), cfg):
         return None
@@ -902,7 +906,7 @@ def im_root_approx(
     order = int(n)
     while order <= n_max:
         W = numkit.expm(-G / order)
-        if is_z_matrix(W, cfg) and is_nonnegative(np.linalg.inv(W), cfg):
+        if is_z_matrix(W, cfg) and is_nonnegative(numkit._lapack_inv(W), cfg):
             return W
         order *= 2
     raise SearchExhausted(f"no M-matrix root of the inverse found up to order {n_max}")

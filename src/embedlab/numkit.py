@@ -9,7 +9,9 @@ logarithm is inverse scaling and squaring: Denman-Beavers square roots,
 then the Gauss-Legendre form of the [8/8] Pade approximant of log(I + Y)
 (Higham, Functions of Matrices, 2008, Secs. 6.3 and 11.5).  The tolerances
 live here too, with every comparison against them: one threshold helper per
-role, listed in ``_THRESHOLDS``.
+role, listed in ``_THRESHOLDS``.  So do the LAPACK kernels ``_lapack_*``,
+through which the library takes every eigendecomposition, spectrum,
+inverse, solve and determinant.
 """
 
 import functools
@@ -18,6 +20,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import (
     IllConditioned,
@@ -239,6 +242,58 @@ def relative_residual(approx, target) -> float:
     return resid / scale if scale > 0 else resid
 
 
+# The LAPACK kernels: numpy's linalg gufuncs called as np.linalg's wrappers
+# call them (numpy/linalg/_linalg.py), with the same signature and error
+# state, but without the wrappers' conversions and checks, which cost more
+# than LAPACK itself on a small matrix.  Every caller holds a finite float64
+# array that is 2-D, or stacked for _lapack_solve.  A LAPACK failure sets
+# the invalid flag, and the error state turns it into numpy's LinAlgError.
+def _raise_nonconvergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+_EIG_ERRSTATE = {"call": _raise_nonconvergence, "invalid": "call", "over": "ignore", "divide": "ignore",
+                 "under": "ignore"}
+_SOLVE_ERRSTATE = dict(_EIG_ERRSTATE, call=_raise_singular)
+
+
+def _lapack_eig(A):
+    """``np.linalg.eig(A)`` as complex128 eigenvalues and eigenvectors,
+    also when numpy would return an all-real spectrum as float64."""
+    with np.errstate(**_EIG_ERRSTATE):
+        return _umath_linalg.eig(A, signature="d->DD")
+
+
+def _lapack_eigvals(A):
+    """``np.linalg.eigvals(A)``: complex128, or the float64 real parts when
+    every imaginary part is zero."""
+    with np.errstate(**_EIG_ERRSTATE):
+        lam = _umath_linalg.eigvals(A, signature="d->D")
+    return lam if lam.imag.any() else lam.real
+
+
+def _lapack_inv(A):
+    """``np.linalg.inv(A)`` of a float64 or complex128 A."""
+    with np.errstate(**_SOLVE_ERRSTATE):
+        return _umath_linalg.inv(A, signature="D->D" if A.dtype.kind == "c" else "d->d")
+
+
+def _lapack_solve(A, B):
+    """``np.linalg.solve(A, B)`` for a matrix B, or a stack of them; one B
+    is broadcast against a stack of A as ``np.broadcast_to`` would."""
+    with np.errstate(**_SOLVE_ERRSTATE):
+        return _umath_linalg.solve(A, B, signature="dd->d")
+
+
+def _lapack_det(A):
+    """``np.linalg.det(A)``; an overflow warns unless the caller ignores it."""
+    return _umath_linalg.det(A, signature="d->d")
+
+
 @dataclass(frozen=True)
 class Eigendecomposition:
     """Eigenvalues and eigenvector basis of a real square matrix.
@@ -296,6 +351,13 @@ _MAX_CONDITION = 1e12  # eigenbasis condition number above which eig gives up
 # (Golub and Van Loan, Matrix Computations, Sec. 2.3); up to this bound eig
 # takes no SVD.  The 100x margin covers the O(cond u) rounding of both.
 _CONDITION_BOUND_GATE = 1e-2 * _MAX_CONDITION
+# A relative residual ||X - A||_F / ||A||_F is taken with no errstate while
+# ||A||_F and ||X||_F are at most about this scale: no partial sum of the
+# squares of A or of X - A then exceeds (2 sqrt(n) 1e150)^2, far below the
+# largest float for any n below 1e7.  eig bounds both by ||V||_F ||V^-1||_F
+# |lambda_0| >= ||V diag(lambda) V^-1||_2, up to the backward error of its
+# eigendecomposition; the acceptor in embed by ||A||_F itself.
+_RESIDUAL_SAFE_SCALE = 1e150
 
 
 def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
@@ -307,23 +369,30 @@ def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
     number is taken by an SVD only when the bound ||V||_F ||V^-1||_F on it
     exceeds 1e-2 ``_MAX_CONDITION``, so the gate decides as the condition
     number alone would; the error message gives the exact condition number.
-    Repeated but diagonalizable eigenvalues are not an error; callers
-    inspect ``min_pairwise_gap``.
+    Past ``_RESIDUAL_SAFE_SCALE`` the residual is taken of the input and its
+    reconstruction scaled down together, so no norm overflows.  Repeated but
+    diagonalizable eigenvalues are not an error; callers inspect
+    ``min_pairwise_gap``.
     """
     A = as_square_matrix(A)
-    lam, V = np.linalg.eig(A)
-    lam = lam.astype(complex, copy=False)
-    V = V.astype(complex, copy=False)
+    lam, V = _lapack_eig(A)
     order = _canonical_order(lam)
     lam = lam[order]
     V = V[:, order]
     try:
-        Vinv = np.linalg.inv(V)
-    except np.linalg.LinAlgError as exc:
+        Vinv = _lapack_inv(V)
+    except LinAlgError as exc:
         raise IllConditioned("eigenvector basis is singular (defective matrix)") from exc
-    recon = (V * lam) @ Vinv
-    resid = relative_residual(recon, A)
-    if _reconstruction_fails(resid, cfg) or not _frob(V) * _frob(Vinv) <= _CONDITION_BOUND_GATE:
+    cond_bound = _frob(V) * _frob(Vinv)
+    if cond_bound * float(abs(lam[0])) <= _RESIDUAL_SAFE_SCALE:  # Python floats: inf, no warning
+        resid = relative_residual((V * lam) @ Vinv, A)
+    else:
+        # A and its reconstruction scaled by the power of two that brings
+        # A's largest entry into [1/2, 1): exact, so the residual is the
+        # same, and neither the product nor the norms overflow
+        scale = math.ldexp(1.0, -math.frexp(np.abs(A).max())[1])
+        resid = relative_residual((V * (lam * scale)) @ Vinv, A * scale)
+    if _reconstruction_fails(resid, cfg) or not cond_bound <= _CONDITION_BOUND_GATE:
         cond = _condition(V)
         if _reconstruction_fails(resid, cfg) or cond > _MAX_CONDITION:
             raise IllConditioned(
@@ -442,7 +511,7 @@ def _pade_13(A):
     pair += parts[1]
     U = A @ pair[0]
     V = pair[1]
-    return np.linalg.solve(V - U, V + U)
+    return _lapack_solve(V - U, V + U)
 
 
 def _sinch(x):
@@ -568,10 +637,12 @@ def principal_log(A, cfg: ToleranceConfig = DEFAULT_TOL, *, eigenvalues=None) ->
     ||M - I||_1 <= sqrt(eps), since M_{j+1} - I = M_j^-1 (M_j - I)^2 / 4.
     Raises IllConditioned when the roots take more than ``_MAX_SQRT_STEPS``
     steps in all (an iterate gone NaN never converges); no unconverged
-    logarithm is returned.  Real arithmetic throughout, and no random
-    draws."""
+    logarithm is returned.  Raises SingularMatrix when an iterate is
+    singular to working precision: the zero-eigenvalue gate is absolute, so
+    a nearly singular matrix of large scale passes it.  Real arithmetic
+    throughout, and no random draws."""
     A = as_square_matrix(A)
-    lam = np.linalg.eigvals(A) if eigenvalues is None else eigenvalues
+    lam = _lapack_eigvals(A) if eigenvalues is None else eigenvalues
     _check_log_preconditions(lam, cfg)
     n = A.shape[0]
     I = np.eye(n)
@@ -584,13 +655,16 @@ def principal_log(A, cfg: ToleranceConfig = DEFAULT_TOL, *, eigenvalues=None) ->
             if steps == _MAX_SQRT_STEPS:
                 raise IllConditioned(f"principal logarithm: square roots did not converge in {steps} steps")
             steps += 1
-            M_inv = np.linalg.inv(M)
+            try:
+                M_inv = _lapack_inv(M)
+            except LinAlgError as exc:
+                raise SingularMatrix("principal logarithm: a square-root iterate is singular") from exc
             X = 0.5 * X @ (I + M_inv)
             converged = _norm1(M - I) <= _SQRT_EPS
             M = 0.5 * I + 0.25 * (M + M_inv)
         k += 1
     Y = X - I
-    terms = np.linalg.solve(I + _GL_NODES[:, None, None] * Y, np.broadcast_to(Y, (len(_GL_NODES), n, n)))
+    terms = _lapack_solve(I + _GL_NODES[:, None, None] * Y, Y)
     return 2.0**k * np.tensordot(_GL_WEIGHTS, terms, 1) + (e * math.log(2.0)) * I
 
 
@@ -610,7 +684,7 @@ def primary_root(A, n: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     A = as_square_matrix(A)
     _check_order(n, "root order n")
     if n == 1:
-        _check_log_preconditions(np.linalg.eigvals(A), cfg)
+        _check_log_preconditions(_lapack_eigvals(A), cfg)
         return A.copy()
     R = expm(principal_log(A, cfg) / n)
     return R

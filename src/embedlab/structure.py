@@ -13,6 +13,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import numkit
 from .classify import _offdiag_mask, strong_components
 from .errors import NotAValidPair, NotMonomial, OutOfRange
 from .numkit import DEFAULT_TOL, ToleranceConfig, as_square_matrix, expm, relative_residual, structural_pattern
@@ -207,7 +208,7 @@ def necessary_conditions(
 
     with np.errstate(over="ignore"):
         for t in range(1, decomp.n_blocks):
-            sub_det = float(np.linalg.det(trailing_submatrix(decomp, t)))
+            sub_det = float(numkit._lapack_det(trailing_submatrix(decomp, t)))
             if _det_below_gate(sub_det, cfg):
                 violations.append(("trailing_submatrices_recursive", (t, sub_det)))
 

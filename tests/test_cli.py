@@ -66,6 +66,15 @@ class TestExitCodes:
         assert report["result"]["error"] == "NegativeRealEigenvalue"
         assert report["result"]["verdict"] == "Undetermined"
 
+    def test_singular_square_root_iterate_is_two(self, tmp_path, capsys):
+        # past the zero-eigenvalue gate, the principal log's singular
+        # iterate is numerical trouble, not a negative verdict
+        path = write_json(tmp_path / "big.json", 1e300 * np.ones((2, 2)))
+        code, report = run(["root", path, "--n", "2"], capsys)
+        assert code == 2
+        assert report["result"]["error"] == "SingularMatrix"
+        assert report["result"]["verdict"] == "Undetermined"
+
     def test_eigenvalue_near_zero_is_a_report(self, tmp_path, capsys):
         # an eigenvalue within entry_tol of zero past the determinant gate
         # ends the decision Undetermined, with a report and no error payload

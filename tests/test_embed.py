@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -578,9 +579,11 @@ class TestCheckEmbeddable:
         # and one rank of a cluster; _primary_log_is_only_real_log reads eig's
         bad = TRANS_B @ TRANS_A
         blocked = np.block([[bad, np.zeros((3, 3))], [np.zeros((3, 3)), bad]])
-        counts = {name: count_calls(monkeypatch, np.linalg, name) for name in ("eig", "eigvals", "matrix_rank")}
+        counts = {name: count_calls(monkeypatch, numkit, name) for name in ("_lapack_eig", "_lapack_eigvals")}
+        counts["matrix_rank"] = count_calls(monkeypatch, np.linalg, "matrix_rank")
         embed.check_embeddable(blocked)
-        assert {name: len(calls) for name, calls in counts.items()} == {"eig": 1, "eigvals": 1, "matrix_rank": 1}
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "_lapack_eig": 1, "_lapack_eigvals": 1, "matrix_rank": 1}
 
     def test_two_state_grid_matches_determinant_criterion(self):
         for i in range(1, 20, 3):
@@ -647,6 +650,19 @@ class TestCheckStrongInfDivisible:
         assert embed.check_strong_inf_divisible(B).verdict == embed.STRONGLY_INF_DIVISIBLE
         with pytest.raises(Overflow):
             embed.check_strong_inf_divisible(1e5 * B)
+
+    @pytest.mark.parametrize("c", [1e160, 1e200, 1e300])
+    def test_overflowing_determinant_raises_before_the_spectrum(self, c, monkeypatch):
+        # a determinant that overflowed ends Overflow before eig runs, so
+        # also where eig's spectrum would take the repeated-spectrum path,
+        # which builds no branch window, and without a warning
+        P = numkit.expm(np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 1.0, -1.0]]))
+        eigs = count_calls(monkeypatch, numkit, "eig")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match="not a finite float"):
+                embed.check_strong_inf_divisible(c * P)
+        assert eigs == []
 
     @pytest.mark.parametrize(
         "c",
@@ -920,7 +936,7 @@ class TestCheckStrongInfDivisible:
         # three 1x1 blocks: the only determinants are the gate's and the
         # trailing conditions', and a block costs no expm
         B = np.triu(np.full((3, 3), 0.3)) + np.diag([0.4, 0.5, 0.6])
-        dets = count_calls(monkeypatch, np.linalg, "det")
+        dets = count_calls(monkeypatch, numkit, "_lapack_det")
         eigs = count_calls(monkeypatch, numkit, "eig")
         expms = count_calls(monkeypatch, numkit, "expm")
         roots = count_calls(monkeypatch, numkit, "branch_roots")
@@ -1266,19 +1282,20 @@ class TestRepeatedSpectrum:
         # the double negative eigenvalue of eig's spectrum already rules out a
         # real principal log, so no second spectrum and no principal_log follow
         P = numkit.expm(wrapped_circulant(np.random.default_rng(3), 3))
-        counts = {name: count_calls(monkeypatch, np.linalg, name) for name in ("eig", "eigvals")}
-        counts["principal_log"] = count_calls(monkeypatch, numkit, "principal_log")
+        names = ("_lapack_eig", "_lapack_eigvals", "principal_log")
+        counts = {name: count_calls(monkeypatch, numkit, name) for name in names}
         report = check(P)
         assert report.verdict == embed.UNDETERMINED
         assert [r["reason"] for r in report.failed_conditions] == ["principal_log_unavailable", "repeated_eigenvalues"]
-        assert {name: len(calls) for name, calls in counts.items()} == {"eig": 1, "eigvals": 0, "principal_log": 0}
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "_lapack_eig": 1, "_lapack_eigvals": 0, "principal_log": 0}
 
     @pytest.mark.parametrize("check", [embed.check_embeddable, embed.check_strong_inf_divisible])
     def test_defective_input_takes_its_spectrum_once(self, check, monkeypatch):
         # no eigenbasis: the principal log's precondition and the test that
         # this log is the only real candidate read one spectrum
         P = numkit.expm(np.array([[-1.0, 1.0 + 5e-8, -5e-8], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]))
-        eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
+        eigvals = count_calls(monkeypatch, numkit, "_lapack_eigvals")
         logs = count_calls(monkeypatch, numkit, "principal_log")
         report = check(P)
         reasons = [r["reason"] for r in report.failed_conditions]
@@ -1407,7 +1424,7 @@ class TestInverseMPowerForm:
 
     def test_root_is_taken_from_the_input_not_its_inverse(self, monkeypatch):
         P = TRANS_A @ TRANS_A
-        inverses = count_calls(monkeypatch, np.linalg, "inv")
+        inverses = count_calls(monkeypatch, numkit, "_lapack_inv")
         # indices into ``inverses`` of the inv calls made inside primary_root,
         # whose square-root iteration inverts its own iterate, P at first
         inside_root = []
@@ -1525,7 +1542,7 @@ class TestImRootApprox:
         R = random_intensity(np.random.default_rng(36), 6, lo=0.05, hi=1.5)
         P = numkit.expm(R)
         logs = count_calls(monkeypatch, numkit, "principal_log")
-        inverses = count_calls(monkeypatch, np.linalg, "inv")
+        inverses = count_calls(monkeypatch, numkit, "_lapack_inv")
         W = embed.im_root_approx(P, R, 1)
         assert np.array_equal(W, numkit.expm(-R / 16))
         with pytest.raises(SearchExhausted):

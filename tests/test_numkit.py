@@ -181,6 +181,39 @@ class TestEig:
         with pytest.raises(ValueError):
             numkit.eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("c", [1e160, 1e200, 1e300])
+    def test_large_scale_takes_no_warning(self, c):
+        # past _RESIDUAL_SAFE_SCALE the residual's squares would overflow,
+        # and for the Jordan block the reconstruction too
+        P = numkit.expm(np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 1.0, -1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = numkit.eig(c * P)
+            with pytest.raises(IllConditioned):
+                numkit.eig(c * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert np.allclose(E.eigenvalues / c, numkit.eig(P).eigenvalues, rtol=0.0, atol=1e-14)
+
+    def test_residual_past_the_safe_scale_is_the_same_residual(self, monkeypatch):
+        # a power-of-two scaling is exact: with the safe scale at 0 every
+        # residual is taken scaled, and each equals the unscaled one bit for bit
+        rng = np.random.default_rng(66)
+        inputs = [rng.normal(size=(n, n)) * 10.0 ** int(rng.integers(-5, 6)) for n in range(1, 9)]
+        inputs.append(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        residual = numkit.relative_residual
+        residuals = {}
+        for safe_scale in (numkit._RESIDUAL_SAFE_SCALE, 0.0):
+            monkeypatch.setattr(numkit, "_RESIDUAL_SAFE_SCALE", safe_scale)
+            calls = count_calls(monkeypatch, numkit, "relative_residual")
+            for A in inputs:
+                try:
+                    numkit.eig(A)
+                except IllConditioned:
+                    pass
+            residuals[safe_scale] = [residual(*args).hex() for args in calls]
+            monkeypatch.undo()
+        assert len(residuals[0.0]) == len(inputs)
+        assert residuals[0.0] == residuals[numkit._RESIDUAL_SAFE_SCALE]
+
 
 def tuple_key_order(lam):
     """The canonical order as a Python sort over tuple keys, the reference
@@ -265,6 +298,73 @@ class TestNumpyEquivalents:
         assert numkit.relative_residual(M, target).hex() == expected.hex()
         zero = 0 * target
         assert numkit.relative_residual(M, zero).hex() == float(np.linalg.norm(M - zero, "fro")).hex()
+
+    @staticmethod
+    def kernel_inputs():
+        """Seeded n = 1..8: a dense draw (conjugate pairs from n = 2 on),
+        symmetric and triangular ones (all-real spectra), a cyclic
+        permutation (the roots of unity) and, for even n, two copies of one
+        draw on the diagonal (every eigenvalue repeated)."""
+        rng = np.random.default_rng(64)
+        for n in range(1, 9):
+            D = rng.normal(size=(n, n))
+            yield from (D, D + D.T, np.triu(D), np.roll(np.eye(n), 1, axis=1))
+            if n % 2 == 0:
+                yield np.kron(np.eye(2), rng.normal(size=(n // 2, n // 2)))
+
+    @staticmethod
+    def same(got, expected):
+        return type(got) is type(expected) and got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_lapack_kernels_match_numpy(self):
+        # each kernel gives its np.linalg function's result bit for bit and
+        # dtype for dtype; eig's are complex128 also for an all-real
+        # spectrum, which numpy returns as float64
+        rng = np.random.default_rng(65)
+        kinds = set()
+        for A in self.kernel_inputs():
+            lam, V = np.linalg.eig(A)
+            kinds.add(lam.dtype.kind)
+            got_lam, got_V = numkit._lapack_eig(A)
+            assert self.same(got_lam, lam.astype(complex)) and self.same(got_V, V.astype(complex))
+            assert self.same(numkit._lapack_eigvals(A), np.linalg.eigvals(A))
+            assert self.same(numkit._lapack_det(A), np.linalg.det(A))
+            if abs(np.linalg.det(A)) > 1e-6:
+                assert self.same(numkit._lapack_inv(A), np.linalg.inv(A))
+            if abs(np.linalg.det(got_V)) > 1e-6:
+                assert self.same(numkit._lapack_inv(got_V), np.linalg.inv(got_V))
+            n = len(A)
+            B = rng.normal(size=(n, n))
+            stack = np.eye(n) + rng.uniform(0.0, 0.2, (8, 1, 1)) * B
+            assert self.same(numkit._lapack_solve(A + n * np.eye(n), B), np.linalg.solve(A + n * np.eye(n), B))
+            assert self.same(numkit._lapack_solve(stack, B), np.linalg.solve(stack, np.broadcast_to(B, (8, n, n))))
+        assert kinds == {"f", "c"}
+
+    @pytest.mark.parametrize("A", [np.zeros((3, 3)), np.ones((3, 3)), np.ones((2, 2), dtype=complex)])
+    def test_singular_inverse_and_solve_raise_without_a_warning(self, A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                numkit._lapack_inv(A)
+            if A.dtype.kind == "f":
+                with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                    numkit._lapack_solve(A, np.eye(len(A)))
+
+    def test_gufunc_signatures_are_pinned(self):
+        # a numpy that renames or reshapes a gufunc the kernels call, or
+        # drops the loop they select, fails here by name
+        gufuncs = numkit._umath_linalg
+        assert {name: getattr(gufuncs, name).signature for name in ("eig", "eigvals", "inv", "solve", "det")} == {
+            "eig": "(m,m)->(m),(m,m)",
+            "eigvals": "(m,m)->(m)",
+            "inv": "(m, m)->(m, m)",
+            "solve": "(m,m),(m,n)->(m,n)",
+            "det": "(m,m)->()",
+        }
+        loops = [("eig", "d->DD"), ("eigvals", "d->D"), ("inv", "d->d"), ("inv", "D->D"), ("solve", "dd->d"),
+                 ("det", "d->d")]
+        for name, loop in loops:
+            assert loop in getattr(gufuncs, name).types, (name, loop)
 
     def test_min_gap_is_the_masked_minimum(self):
         # the i < j pairs give the minimum over every ordered pair with the
@@ -545,11 +645,22 @@ class TestPrincipalLog:
         P = numkit.expm(GEN_A)
         lam = np.linalg.eigvals(P)
         expected = numkit.principal_log(P)
-        calls = count_calls(monkeypatch, np.linalg, "eigvals")
+        calls = count_calls(monkeypatch, numkit, "_lapack_eigvals")
         assert numkit.principal_log(P, eigenvalues=lam).tobytes() == expected.tobytes()
         assert calls == []
+        numkit.principal_log(P)
+        assert len(calls) == 1
         with pytest.raises(NegativeRealEigenvalue):
             numkit.principal_log(P, eigenvalues=np.array([1.0, -0.5, 0.2]))
+
+    def test_singular_iterate_raises_singular_matrix(self):
+        # eigenvalues 2e300 and about 2e284 pass the absolute zero-eigenvalue
+        # gate, but the first square-root iterate is singular
+        A = 1e300 * np.ones((2, 2))
+        with pytest.raises(SingularMatrix, match="square-root iterate is singular"):
+            numkit.principal_log(A)
+        with pytest.raises(SingularMatrix, match="square-root iterate is singular"):
+            numkit.primary_root(A, 2)
 
     @staticmethod
     def scipy_logm(A):

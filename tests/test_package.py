@@ -125,3 +125,33 @@ def test_readme_tabulates_every_threshold_helper():
     assert len(constants) == 13
     for module, name in constants:
         assert hasattr(getattr(embedlab, module), name), name
+
+
+def test_lapack_is_called_only_through_the_numkit_kernels():
+    # np.linalg's eig, eigvals, inv, solve and det cost more in their Python
+    # wrappers than in LAPACK on a small matrix, so the library calls their
+    # gufuncs through numkit's kernels, and only the kernels read them
+    wrapped = {"eig", "eigvals", "inv", "solve", "det"}
+    kernels = {"_lapack_eig", "_lapack_eigvals", "_lapack_inv", "_lapack_solve", "_lapack_det"}
+    wrapper_calls, gufunc_reads = [], []
+
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) and not scope else scope
+            value = getattr(child, "value", None)
+            if isinstance(child, ast.Attribute) and child.attr in wrapped and (
+                isinstance(value, ast.Name) and value.id == "linalg"
+                or isinstance(value, ast.Attribute) and value.attr == "linalg"
+            ):
+                wrapper_calls.append((module, child.lineno))
+            if isinstance(child, ast.ImportFrom) and child.module == "numpy.linalg":
+                wrapper_calls.extend((module, child.lineno) for alias in child.names if alias.name in wrapped)
+            if isinstance(child, ast.Name) and child.id == "_umath_linalg" and isinstance(child.ctx, ast.Load):
+                gufunc_reads.append((module, inner))
+            walk(child, module, inner)
+
+    for path in sorted((ROOT / "src" / "embedlab").glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, "")
+    assert wrapper_calls == []
+    assert {scope for module, scope in gufunc_reads if module == "numkit"} == kernels
+    assert {module for module, _ in gufunc_reads} == {"numkit"}
