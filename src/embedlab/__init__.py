@@ -34,7 +34,6 @@ from .embed import (
     branch_bound,
     check_embeddable,
     check_strong_inf_divisible,
-    enumerate_generators,
     im_root_approx,
     inverse_m_power_form,
 )
@@ -43,7 +42,6 @@ from .errors import (
     IllConditioned,
     NegativeRealEigenvalue,
     NotAValidPair,
-    NotMonomial,
     NotNonnegative,
     NotStochastic,
     NotZMatrix,
@@ -59,7 +57,6 @@ from .numkit import (
     DEFAULT_TOL,
     Eigendecomposition,
     ToleranceConfig,
-    as_real,
     as_square_matrix,
     eig,
     expm,
@@ -71,7 +68,6 @@ from .structure import (
     NecessaryConditionReport,
     StructureDecomposition,
     frobenius_form,
-    monomial_conjugate,
     necessary_conditions,
     trailing_submatrix,
     zero_pattern_invariance,

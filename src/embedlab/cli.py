@@ -154,8 +154,9 @@ def _tolerances(args) -> ToleranceConfig:
 def _json_default(obj):
     """What ``json`` cannot encode itself: real arrays, numpy scalars,
     dataclasses field by field, and the repr of anything else.  No payload
-    holds a complex array: ``logm`` prints ``numkit.as_real``'s float array
-    or an error, and every report array is real."""
+    holds a complex array: ``logm`` prints the real part of a selection that
+    Culver's criterion makes real, or an error, and every report array is
+    real."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
@@ -195,15 +196,19 @@ def _run_command(args, M, cfg):
         if len(offsets) != eigen.n:
             raise _UsageError(f"--branch needs {eigen.n} offsets")
         candidate = numkit.logm_branch(eigen, offsets, cfg)
-        real = numkit.as_real(candidate, cfg)
-        if real is None:
+        # Culver (1966): real exactly when each real eigenvalue is positive with
+        # offset 0 and each conjugate pair takes offsets (k, -k).  A repeated
+        # pair is not adjacent in the canonical order, so the pairs are matched
+        # by value, not position as in embed._real_blocks
+        selection = set(zip(eigen.eigenvalues.tolist(), offsets))
+        if not all(k == 0 < z.real if z.imag == 0 else (z.conjugate(), -k) in selection for z, k in selection):
             payload = {
                 "error": "ComplexCandidate",
-                "detail": "branch logarithm has a nonreal residue",
+                "detail": "the branch selection is not real by Culver's criterion",
                 "branch": offsets,
             }
             return payload, EXIT_NEGATIVE
-        return {"matrix": real, "branch": offsets}, EXIT_POSITIVE
+        return {"matrix": candidate.real, "branch": offsets}, EXIT_POSITIVE
 
     if args.command == "root":
         return {"matrix": numkit.primary_root(M, args.n, cfg)}, EXIT_POSITIVE

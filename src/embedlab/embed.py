@@ -30,13 +30,12 @@ The searched window gives each eigenvalue its branch offsets in one pass,
 the Perron radius and Runnenberg's cone together (``_search_windows``), and
 a decision builds it and its real selections once: the search walks them
 and ``bound_used`` counts them.  ``branch_bound`` states the uncut windows,
-for their tuple counts, and ``enumerate_generators`` lists the real
-logarithms of a window through the search's own enumerator.  Only real
-branch selections are built: with distinct eigenvalues a logarithm is
-real exactly when each real eigenvalue is positive and keeps offset 0 and
-each conjugate pair takes offsets (k, -k) (Culver 1966, On the existence
-and uniqueness of the real logarithm of a matrix), so the cost follows the
-number of real candidates rather than the raw product of the windows.
+for their tuple counts.  Only real branch selections are built
+(``_real_blocks``): with distinct eigenvalues a logarithm is real exactly
+when each real eigenvalue is positive and keeps offset 0 and each conjugate
+pair takes offsets (k, -k) (Culver 1966, On the existence and uniqueness of
+the real logarithm of a matrix), so the cost follows the number of real
+candidates rather than the raw product of the windows.
 Each candidate, and each sample root, is the real part of its computed
 value: the selection is real, so the imaginary part is rounding, and no
 imaginary-residue threshold enters a verdict; the acceptor alone judges it.
@@ -68,7 +67,6 @@ from .errors import (
     NotStochastic,
     OffDiagonalZeros,
     Overflow,
-    RepeatedEigenvalues,
     SearchExhausted,
     SingularDeterminant,
     SingularMatrix,
@@ -88,7 +86,6 @@ __all__ = [
     "DivisibilityReport",
     "InverseMRoot",
     "branch_bound",
-    "enumerate_generators",
     "check_embeddable",
     "check_strong_inf_divisible",
     "inverse_m_power_form",
@@ -360,30 +357,6 @@ def _candidate_stream(
         yield sel, numkit.logm_branch(E, sel, cfg).real.copy()
 
 
-def enumerate_generators(
-    E: Eigendecomposition, bound: BranchBound, cfg: ToleranceConfig = DEFAULT_TOL
-) -> Iterator[Tuple[BranchSelection, np.ndarray]]:
-    """Yield every branch selection within the bound's window whose
-    logarithm is real, with that logarithm, principal branch first: the
-    candidates a search of that window examines.
-
-    The window is [im_low, im_high] per eigenvalue, cut to Runnenberg's cone
-    when ``bound.cone_apex`` is set (a decision's ``bound_used``).  Only the
-    selections that Culver's (1966) criterion makes real are built: offset 0
-    on each positive real eigenvalue and (k, -k) on each conjugate pair; a
-    negative real eigenvalue leaves none.  That criterion needs distinct
-    nonzero eigenvalues: a zero one raises SingularMatrix and a repeated
-    spectrum RepeatedEigenvalues (decisions resolve those through the
-    principal logarithm, ``_repeated_spectrum_verdict``).
-    """
-    numkit._require_nonzero_eigenvalues(E.eigenvalues, cfg, "no generator exists")
-    if E.is_repeated(cfg):
-        raise RepeatedEigenvalues("branch enumeration needs distinct eigenvalues")
-    cut = bound.cone_apex is not None
-    windows = _search_windows(E, bound.im_high) if cut else _offset_windows(E, bound.im_low, bound.im_high)
-    yield from _candidate_stream(E, _real_blocks(E, windows), cfg)
-
-
 def _offdiag(M: np.ndarray) -> np.ndarray:
     return M[_offdiag_mask(M.shape[0])]
 
@@ -453,7 +426,7 @@ def _log_acceptor(target: np.ndarray, zeros: Optional[np.ndarray], cfg: Toleranc
     """
     n = target.shape[0]
     offdiag = _offdiag_mask(n)
-    scale = numkit._frob(target)
+    scale = numkit._scaled_frob(target)
     # past the scale bound every residual is taken under errstate
     safe_norm = _RESIDUAL_SAFE_NORM / math.sqrt(n) if scale <= numkit._RESIDUAL_SAFE_SCALE else -1.0
 
@@ -689,8 +662,7 @@ def check_embeddable(P, cfg: ToleranceConfig = DEFAULT_TOL) -> EmbeddabilityRepo
     if not is_stochastic(P, cfg):
         raise NotStochastic("input is not row-stochastic within tolerance")
 
-    with np.errstate(over="ignore"):
-        det = float(numkit._lapack_det(P))
+    det = float(numkit._lapack_det(P))
     if numkit._det_below_gate(abs(det), cfg):
         failed = [{"reason": "determinant_near_singular", "value": det}]
         return EmbeddabilityReport(verdict=UNDETERMINED, failed_conditions=failed)
@@ -750,8 +722,7 @@ def check_strong_inf_divisible(
     if not is_nonnegative(B, cfg):
         raise NotNonnegative("input has an entry below -entry_tol")
 
-    with np.errstate(over="ignore"):
-        det = float(numkit._lapack_det(B))
+    det = float(numkit._lapack_det(B))
     if numkit._det_below_gate(det, cfg):
         failed = [{"reason": "determinant_not_positive", "value": det}]
         return DivisibilityReport(verdict=NOT_STRONGLY_INF_DIVISIBLE, failed_conditions=failed)
@@ -804,7 +775,7 @@ def _root_check(B: np.ndarray, cfg: ToleranceConfig):
     nonnegative and its mth power reconstructs B within 10 recon_tol,
     otherwise False with the record of the first check it fails.  ||B||_F is
     taken once, here; B is not zero, as its determinant is positive."""
-    scale = numkit._frob(B)
+    scale = numkit._scaled_frob(B)
 
     def check(root: np.ndarray, order: int):
         low = float(root.min())

@@ -30,10 +30,6 @@ class NotZMatrix(EmbedlabError):
     """Input has an off-diagonal entry above the tolerance."""
 
 
-class NotMonomial(EmbedlabError):
-    """Input is not a strictly positive monomial matrix."""
-
-
 class NotAValidPair(EmbedlabError):
     """exp(-Q) does not reconstruct B within the reconstruction tolerance."""
 

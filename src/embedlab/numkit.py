@@ -42,8 +42,6 @@ __all__ = [
     "branch_roots",
     "principal_log",
     "primary_root",
-    "as_real",
-    "imag_truncation_threshold",
 ]
 
 
@@ -181,15 +179,6 @@ def _nonreal(lam, cfg: ToleranceConfig):
     return np.abs(lam.imag) > cfg.distinct_tol
 
 
-def imag_truncation_threshold(M, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Imaginary truncation: the threshold ``n * entry_tol * (1 + ||M||_F)``
-    below which ``as_real`` counts an imaginary residue as roundoff.
-    Relative to 1 + ||M||_F, times n; library default.  No decision uses
-    it: a decision builds only real selections and takes their real parts."""
-    M = np.asarray(M)
-    return M.shape[0] * cfg.entry_tol * (1.0 + _frob(M))
-
-
 _FLOAT64, _COMPLEX128 = np.dtype(np.float64), np.dtype(np.complex128)
 
 
@@ -230,6 +219,14 @@ def _frob(M) -> float:
             re, im = x.real, x.imag
             return math.sqrt(re.dot(re) + im.dot(im))
     return float(np.linalg.norm(M, "fro"))
+
+
+def _scaled_frob(M) -> float:
+    """``_frob(M)`` of a finite float64 M, finite also where the sum of the
+    squares overflows: taken of M scaled by the power of two that brings its
+    largest entry into [1/2, 1), then scaled back, both exactly."""
+    e = math.frexp(float(np.abs(M).max()))[1]
+    return math.ldexp(_frob(np.ldexp(M, -e)), e)
 
 
 def relative_residual(approx, target) -> float:
@@ -290,8 +287,11 @@ def _lapack_solve(A, B):
 
 
 def _lapack_det(A):
-    """``np.linalg.det(A)``; an overflow warns unless the caller ignores it."""
-    return _umath_linalg.det(A, signature="d->d")
+    """``np.linalg.det(A)``; past the float range it is +-inf, with no
+    overflow warning, which a caller that runs with warnings as errors would
+    get instead of a report.  Every caller gates on the value."""
+    with np.errstate(over="ignore"):
+        return _umath_linalg.det(A, signature="d->d")
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,7 @@ class Eigendecomposition:
 # Every comparison with a ToleranceConfig field, one helper per role
 _THRESHOLDS = (_nonnegative, _positive, structural_pattern, _row_sums_within, _det_below_gate, _singular,
                _require_nonzero_eigenvalues, _on_negative_axis, _candidate_sign_failure, _reconstruction_fails,
-               Eigendecomposition.is_repeated, _eigenvalue_clusters, _nonreal, imag_truncation_threshold)
+               Eigendecomposition.is_repeated, _eigenvalue_clusters, _nonreal)
 
 
 def _canonical_order(lam: np.ndarray) -> np.ndarray:
@@ -383,7 +383,8 @@ def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
         Vinv = _lapack_inv(V)
     except LinAlgError as exc:
         raise IllConditioned("eigenvector basis is singular (defective matrix)") from exc
-    cond_bound = _frob(V) * _frob(Vinv)
+    with np.errstate(over="ignore"):  # an overflowing bound is inf, and takes the SVD gate
+        cond_bound = _frob(V) * _frob(Vinv)
     if cond_bound * float(abs(lam[0])) <= _RESIDUAL_SAFE_SCALE:  # Python floats: inf, no warning
         resid = relative_residual((V * lam) @ Vinv, A)
     else:
@@ -547,10 +548,9 @@ def logm_branch(E: Eigendecomposition, selection, cfg: ToleranceConfig = DEFAULT
     RepeatedEigenvalues (constant offsets on a cluster stay basis
     independent and are allowed).  The result is complex.  When Culver's
     (1966) criterion makes the selection real (distinct eigenvalues, offset
-    0 on each positive real eigenvalue and (k, -k) on each conjugate pair),
-    its imaginary part is rounding and its real part is the logarithm; for
-    other offsets :func:`as_real` keeps a real part only when the imaginary
-    residue is below its threshold.
+    0 on each positive real eigenvalue and (k, -k) on each conjugate pair;
+    ``embed._real_blocks`` states it), its imaginary part is rounding and
+    its real part is the logarithm.
     """
     return (E.right_eigenvectors * _branch_logs(E, selection, cfg)) @ E.inverse_basis
 
@@ -688,17 +688,6 @@ def primary_root(A, n: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         return A.copy()
     R = expm(principal_log(A, cfg) / n)
     return R
-
-
-def as_real(M, cfg: ToleranceConfig = DEFAULT_TOL):
-    """Return the real part of ``M`` if its imaginary residue is below the
-    truncation threshold, else None."""
-    M = np.asarray(M)
-    if not np.iscomplexobj(M):
-        return np.array(M, dtype=float)
-    if np.abs(M.imag).max() <= imag_truncation_threshold(M, cfg):
-        return np.array(M.real, dtype=float)
-    return None
 
 
 def _condition(V) -> float:

@@ -2,10 +2,10 @@
 
 Frobenius block-upper-triangular form by strongly-connected-component
 condensation, trailing submatrices, zero-pattern invariance of candidate
-generators, positive-diagonal and transitivity checks, and monomial
-conjugation.  These serve as a cheap pre-filter for the decision core.  The
-components come from :func:`embedlab.classify.strong_components`, the dense
-reachability-closure routine every irreducibility test shares.
+generators, and positive-diagonal and transitivity checks.  These serve as
+a cheap pre-filter for the decision core.  The components come from
+:func:`embedlab.classify.strong_components`, the dense reachability-closure
+routine every irreducibility test shares.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numkit
 from .classify import _offdiag_mask, strong_components
-from .errors import NotAValidPair, NotMonomial, OutOfRange
+from .errors import NotAValidPair, OutOfRange
 from .numkit import DEFAULT_TOL, ToleranceConfig, as_square_matrix, expm, relative_residual, structural_pattern
 from .numkit import _det_below_gate, _positive, _reconstruction_fails
 
@@ -27,7 +27,6 @@ __all__ = [
     "trailing_submatrix",
     "zero_pattern_invariance",
     "necessary_conditions",
-    "monomial_conjugate",
 ]
 
 CONDITION_NAMES = (
@@ -57,12 +56,6 @@ class StructureDecomposition:
     @property
     def n_blocks(self) -> int:
         return len(self.block_sizes)
-
-    def permutation_matrix(self) -> np.ndarray:
-        n = len(self.permutation)
-        L = np.zeros((n, n))
-        L[self.permutation, np.arange(n)] = 1.0
-        return L
 
     def reconstruct(self) -> np.ndarray:
         inverse = np.empty_like(self.permutation)
@@ -206,11 +199,10 @@ def necessary_conditions(
                 last = block_of[i]
                 violations.append(("diagonal_blocks_positive", (last, i, j, float(decomp.U[i, j]))))
 
-    with np.errstate(over="ignore"):
-        for t in range(1, decomp.n_blocks):
-            sub_det = float(numkit._lapack_det(trailing_submatrix(decomp, t)))
-            if _det_below_gate(sub_det, cfg):
-                violations.append(("trailing_submatrices_recursive", (t, sub_det)))
+    for t in range(1, decomp.n_blocks):
+        sub_det = float(numkit._lapack_det(trailing_submatrix(decomp, t)))
+        if _det_below_gate(sub_det, cfg):
+            violations.append(("trailing_submatrices_recursive", (t, sub_det)))
 
     two_step = pattern @ pattern  # boolean: some k with pattern[i, k] and pattern[k, j]
     rows, cols = (two_step & ~pattern & _offdiag_mask(n)).nonzero()
@@ -218,24 +210,3 @@ def necessary_conditions(
         violations.append(("zero_pattern_transitive", (i, j)))
 
     return NecessaryConditionReport(passed=not violations, violations=violations)
-
-
-def monomial_conjugate(B, L, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """``L^-1 B L`` for a strictly positive monomial L, with the inverse
-    taken exactly from the monomial structure (transposed pattern,
-    reciprocal entries)."""
-    B = as_square_matrix(B)
-    L = as_square_matrix(L)
-    if B.shape != L.shape:
-        raise ValueError("B and L must have matching shapes")
-    n = L.shape[0]
-    pattern = structural_pattern(L, cfg)
-    if not (np.all(pattern.sum(axis=0) == 1) and np.all(pattern.sum(axis=1) == 1)):
-        raise NotMonomial("expected exactly one nonzero entry per row and column")
-    cols = np.argmax(pattern, axis=1)
-    values = L[np.arange(n), cols]
-    if not np.all(_positive(values, cfg)):
-        raise NotMonomial("monomial entries must be strictly positive")
-    Linv = np.zeros_like(L)
-    Linv[cols, np.arange(n)] = 1.0 / values
-    return Linv @ B @ L

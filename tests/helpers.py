@@ -128,10 +128,6 @@ def random_permutation_matrix(rng, n):
     return L
 
 
-def random_monomial(rng, n):
-    return random_permutation_matrix(rng, n) * rng.uniform(0.5, 2.0, (n, 1))
-
-
 def count_calls(monkeypatch, module, name):
     """Wrap ``module.name`` for the test; each call appends its positional
     arguments to the returned list."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
@@ -10,6 +11,7 @@ from helpers import (
     GEN_B,
     random_m_matrix,
     random_permutation_matrix,
+    random_shifted_z,
     random_stochastic,
     random_z_matrix,
 )
@@ -73,6 +75,12 @@ class TestClassifyMatrix:
             for name, value in report.flags.items():
                 if not value:
                     assert name in report.witnesses, name
+
+    def test_overflowing_determinant_is_inf_without_a_warning(self):
+        # warnings are errors here, so an overflow warning in det fails
+        report = classify.classify_matrix(1e200 * numkit.expm(GEN_A))
+        assert report.det == np.inf
+        assert report.flags["nonsingular"] and report.flags["inverse_m_matrix"]
 
     def test_one_by_one_irreducible(self):
         assert classify.classify_matrix(np.array([[2.0]])).flags["irreducible"]
@@ -191,6 +199,27 @@ class TestNonnegEigvecOfZ:
             assert np.min(v) >= -CFG.entry_tol
             assert np.sum(v) == pytest.approx(1.0)
             assert np.max(np.abs(Q @ v - lam * v)) <= 1e-8
+
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "a repeated Perron root stalls the power iteration, and the dense "
+        "eigenvector it falls back to is mixed-sign, so the iteration's best "
+        "vector, residual 2.4e-5, is returned"))
+    def test_repeated_perron_root_residual(self):
+        # Q = Pi^T blockdiag(Z, D^-1 Z D) Pi: both blocks have the Perron root
+        # lam, so its eigenvectors form a cone, and nonnegative ones have
+        # residual 0.  One draw of 82 of 2,000 at this seed above 1e-8
+        rng = np.random.default_rng(3)
+        k = int(rng.integers(2, 5))
+        Z = random_shifted_z(rng, k)
+        d = 10.0 ** rng.uniform(-1.0, 1.0, k)
+        order = rng.permutation(2 * k)
+        Q = scipy.linalg.block_diag(Z, Z * d[None, :] / d[:, None])[np.ix_(order, order)]
+        v, lam = classify.nonneg_eigvec_of_z(Q)
+        # criterion 7a reads only lam, which is right
+        assert lam == pytest.approx(np.linalg.eigvals(Z).real.min(), abs=1e-12)
+        assert np.min(v) >= -CFG.entry_tol
+        assert np.max(np.abs(Q @ v - lam * v)) <= 1e-8
 
 
 class TestPredicatesOnNonFiniteEntries:

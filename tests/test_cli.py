@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from embedlab import cli, numkit, structure
+from embedlab import cli, embed, numkit, structure
 from helpers import GEN_A, GEN_B, count_calls, scaled_dense_exp_z
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -213,6 +213,59 @@ class TestCommands:
         code, report = run(["logm", path, "--branch=0,-1,1"], capsys)
         assert code == 0
         assert report["result"]["branch"] == [0, -1, 1]
+
+    def test_logm_repeated_conjugate_pair_is_real(self, tmp_path, capsys):
+        # blockdiag(M, M) repeats a conjugate pair, which the canonical order
+        # does not keep adjacent: (a - bi, a - bi, a + bi, a + bi)
+        G = np.array([[-1.0, 0.8], [-0.8, -1.0]])
+        A = scipy.linalg.block_diag(numkit.expm(G), numkit.expm(G))
+        path = write_json(tmp_path / "pairs.json", A)
+        code, report = run(["logm", path], capsys)
+        assert code == 0
+        # G's eigenvalues -1 +- 0.8i lie in the principal strip
+        assert np.allclose(report["result"]["matrix"], scipy.linalg.block_diag(G, G), atol=1e-12)
+        code, report = run(["logm", path, "--branch=1,1,-1,-1"], capsys)
+        assert code == 0
+        assert np.allclose(numkit.expm(np.array(report["result"]["matrix"])), A, atol=1e-12)
+
+    def test_logm_negative_eigenvalue_is_complex(self, tmp_path, capsys):
+        # eigenvalues 1 and -0.6: no offset makes the logarithm real
+        path = write_json(tmp_path / "flip.json", np.array([[0.2, 0.8], [0.8, 0.2]]))
+        code, report = run(["logm", path], capsys)
+        assert code == 1
+        assert report["result"]["error"] == "ComplexCandidate"
+
+    def test_logm_pair_inside_one_cluster_is_real(self, tmp_path, capsys):
+        # the pair e^-1 (cos 1e-9 +- i sin 1e-9) is closer than distinct_tol,
+        # so it is one cluster with one offset; principal, it is real
+        G = np.array([[-1.0, 1e-9], [-1e-9, -1.0]])
+        code, report = run(["logm", write_json(tmp_path / "near.json", numkit.expm(G))], capsys)
+        assert code == 0
+        assert np.allclose(report["result"]["matrix"], G, atol=1e-12)
+
+    def test_logm_reality_is_culvers_criterion(self, tmp_path, capsys):
+        # logm prints a matrix exactly for the selections whose branch
+        # windows keep a real block in embed._real_blocks, the rule the
+        # decisions enumerate by
+        rng = np.random.default_rng(2026)
+        path = str(tmp_path / "a.json")
+        outcomes = set()
+        for n in [2, 3, 4, 5, 6] * 12:
+            A = rng.uniform(0.05, 1.0, (n, n))
+            A /= A.sum(axis=1, keepdims=True)
+            E = numkit.eig(A)
+            offsets = [int(k) for k in rng.integers(-1, 2, n)]
+            if rng.random() < 0.5:
+                # conjugate offsets on each pair, 0 on each real eigenvalue
+                offsets = [0] * n
+                for j in np.flatnonzero(E.eigenvalues.imag < 0).tolist():
+                    offsets[j], offsets[j + 1] = offsets[j] + 1, offsets[j + 1] - 1
+            culver = all(embed._real_blocks(E, [range(k, k + 1) for k in offsets]))
+            code = cli.run_cli(["logm", write_json(Path(path), A), "--branch=" + ",".join(map(str, offsets))])
+            capsys.readouterr()
+            assert code == (0 if culver else 1)
+            outcomes.add(code)
+        assert outcomes == {0, 1}
 
     def test_logm_branch_length_checked(self, tmp_path, capsys):
         path = write_json(tmp_path / "trans.json", TRANS_A)

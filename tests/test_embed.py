@@ -15,7 +15,6 @@ from embedlab.errors import (
     NotStochastic,
     OffDiagonalZeros,
     Overflow,
-    RepeatedEigenvalues,
     SearchExhausted,
     SingularDeterminant,
     SingularMatrix,
@@ -202,11 +201,18 @@ class TestBranchBound:
                     previous = count
 
 
-class TestEnumerateGenerators:
+def window_candidates(eigen, bound):
+    """The real branch selections of ``bound``'s window, not cut to the cone,
+    with their logarithms, through the search's own enumerator."""
+    windows = embed._offset_windows(eigen, bound.im_low, bound.im_high)
+    return embed._candidate_stream(eigen, embed._real_blocks(eigen, windows), CFG)
+
+
+class TestWindowCandidates:
     def test_principal_first_recovers_generator(self):
         eigen = numkit.eig(TRANS_A)
         bound = embed.branch_bound(eigen, float(np.linalg.det(TRANS_A)), "israel_two_sided")
-        sel, candidate = next(embed.enumerate_generators(eigen, bound))
+        sel, candidate = next(window_candidates(eigen, bound))
         assert sel.offsets == (0, 0, 0)
         assert np.allclose(candidate, GEN_A, atol=1e-8)
 
@@ -216,36 +222,9 @@ class TestEnumerateGenerators:
         assert det == pytest.approx(0.7)
         eigen = numkit.eig(P)
         bound = embed.branch_bound(eigen, det, "israel_two_sided")
-        candidates = list(embed.enumerate_generators(eigen, bound))
+        candidates = list(window_candidates(eigen, bound))
         assert len(candidates) == 1
         assert candidates[0][0].offsets == (0, 0)
-
-    def test_identity_is_a_repeated_spectrum(self):
-        # Culver's reality test needs distinct eigenvalues; decisions resolve
-        # a repeated spectrum through the principal logarithm instead
-        eigen = numkit.eig(np.eye(3))
-        bound = embed.BranchBound("israel_two_sided", -1.0, 1.0, [1, 1, 1], 1, 1)
-        with pytest.raises(RepeatedEigenvalues):
-            list(embed.enumerate_generators(eigen, bound))
-
-    def test_singular_spectrum_rejected(self):
-        eigen = numkit.eig(np.diag([1.0, 0.0]))
-        bound = embed.BranchBound("israel_two_sided", -1.0, 1.0, [1, 1], 1, 1)
-        with pytest.raises(SingularMatrix):
-            list(embed.enumerate_generators(eigen, bound))
-
-    @pytest.mark.xfail(strict=True, raises=SingularMatrix, reason=(
-        "ROADMAP item 1: the zero-eigenvalue gate |lam| <= entry_tol is absolute, so "
-        "eigenvalues 1e-10, 3.7e-11 and 1.4e-11 of a nonsingular input count as zero"))
-    def test_scaled_nonsingular_input_enumerates(self):
-        # log(c P) = log P + log(c) I on every branch, so the principal
-        # candidate of 1e-10 P is GEN_A shifted by log(1e-10)
-        P = 1e-10 * TRANS_A
-        eigen = numkit.eig(P)
-        bound = embed.branch_bound(eigen, float(np.linalg.det(P)), "israel_two_sided")
-        sel, candidate = next(embed.enumerate_generators(eigen, bound))
-        assert sel.offsets == (0, 0, 0)
-        assert np.allclose(candidate, GEN_A + math.log(1e-10) * np.eye(3), atol=1e-8)
 
     def test_yielded_selections_satisfy_reality_structure(self):
         rng = np.random.default_rng(31)
@@ -259,7 +238,7 @@ class TestEnumerateGenerators:
             checked += 1
             eigen = numkit.eig(P)
             bound = embed.branch_bound(eigen, float(np.linalg.det(P)), "israel_two_sided")
-            for sel, _ in embed.enumerate_generators(eigen, bound):
+            for sel, _ in window_candidates(eigen, bound):
                 assert sel.offsets[0] == 0
                 for i, li in enumerate(eigen.eigenvalues):
                     if abs(li.imag) > 1e-12:
@@ -272,12 +251,20 @@ def perron_apex(eigen):
     return float(np.log(np.abs(eigen.eigenvalues[0])))
 
 
+def imaginary_residue_bound(L):
+    """n entry_tol (1 + ||L||_F): the reference's bound on the imaginary
+    residue of a computed logarithm L that counts it as real, a test
+    independent of Culver's criterion."""
+    return L.shape[0] * CFG.entry_tol * (1.0 + np.linalg.norm(L))
+
+
 def brute_force_real_selections(eigen, bound, apex=None):
     """Reference enumeration: walk the full product of per-eigenvalue offset
     windows (spectral-radius position pinned at 0, each list sorted by
     |k| then k), drop the tuples outside the Runnenberg cone moved to
     ``apex`` unless it is None, and keep the tuples whose assembled
-    logarithm is real."""
+    logarithm has an imaginary residue within ``imaginary_residue_bound``,
+    with its real part."""
     lam = eigen.eigenvalues
     n = eigen.n
     lists = [[0]]
@@ -295,9 +282,9 @@ def brute_force_real_selections(eigen, bound, apex=None):
             inside = (np.abs(mu) <= 1e-9) | ((phi >= cone_lo - 1e-9) & (phi <= cone_hi + 1e-9))
             if not inside.all():
                 continue
-        real = numkit.as_real(numkit.logm_branch(eigen, combo, CFG), CFG)
-        if real is not None:
-            found.append((combo, real))
+        L = numkit.logm_branch(eigen, combo, CFG)
+        if np.abs(L.imag).max() <= imaginary_residue_bound(L):
+            found.append((combo, L.real))
     return found
 
 
@@ -345,7 +332,7 @@ class TestRealSelectionEnumeration:
                 bound = embed.branch_bound(eigen, det, mode)
                 reference = brute_force_real_selections(eigen, bound)
                 assert bound.candidate_count == len(reference)
-                listed = list(embed.enumerate_generators(eigen, bound))
+                listed = list(window_candidates(eigen, bound))
                 assert [s.offsets for s, _ in listed] == [c for c, _ in reference]
                 for (_, got), (_, want) in zip(listed, reference):
                     assert np.array_equal(got, want)
@@ -479,9 +466,10 @@ class TestReportedWindow:
             if report.failed_conditions and report.failed_conditions[-1]["reason"] == "all_branches_exhausted":
                 exhausted += 1
                 assert report.branches_examined == bound.candidate_count
-                # enumerate_generators walks the same window on this bound
+                # the search's own enumerator lists the same window
                 tried = [r["branch"] for r in report.failed_conditions if "branch" in r]
-                assert [s.offsets for s, _ in embed.enumerate_generators(eigen, bound)] == tried
+                stream = embed._candidate_stream(eigen, embed._real_blocks(eigen, windows), CFG)
+                assert [s.offsets for s, _ in stream] == tried
             else:
                 assert report.verdict in (embed.EMBEDDABLE, embed.STRONGLY_INF_DIVISIBLE)
                 hits += 1
@@ -873,7 +861,7 @@ class TestCheckStrongInfDivisible:
         projecting = embed._log_acceptor(B, np.zeros((4, 4), dtype=bool), CFG)
         witness = -embed.check_strong_inf_divisible(B).z_matrix
         E = numkit.eig(B)
-        far = numkit.as_real(numkit.logm_branch(E, [0, 0, 0, 0]) + 0.5 * np.ones((4, 4)))
+        far = numkit.logm_branch(E, [0, 0, 0, 0]).real + 0.5 * np.ones((4, 4))
         negative = witness.copy()
         negative[0, 1] = -1e-3
         candidates = [witness, witness - 1e-3 * np.eye(4), far, negative]
@@ -901,6 +889,15 @@ class TestCheckStrongInfDivisible:
         report = embed.check_strong_inf_divisible(B)
         assert report.failed_conditions[0] == {"reason": "reconstruction_failure", "value": math.inf,
                                                "branch": (0, 0, 0, 0)}
+
+    def test_overflowing_gate_norms_warn_not(self):
+        # det B = 2, but ||V^-1||_F of the eigenbasis and ||B||_F pass the
+        # square root of the largest float: the condition bound is inf and
+        # takes the SVD gate, and the acceptor's scale is exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = embed.check_strong_inf_divisible(np.array([[1.0, 1e200], [0.0, 2.0]]))
+        assert report.verdict == embed.UNDETERMINED
 
     def test_small_trailing_block_is_bounded_by_the_parent_norm(self):
         # the trailing block is about e^-7 of the leading one, so the bound a
@@ -1218,16 +1215,16 @@ class TestEmbeddabilityIsDivisibility:
     def test_imaginary_residue_of_a_real_selection_is_rounding(self, decide, matrix, verdict, monkeypatch):
         # a decision builds only selections whose logarithm is real (Culver
         # 1966), so the imaginary part of a computed candidate is rounding,
-        # even far above numkit.as_real's threshold: the candidate is its
-        # real part and only the acceptor judges it.  The report is the
-        # unpatched one bit for bit, roots and witness included
+        # even far above imaginary_residue_bound: the candidate is its real
+        # part and only the acceptor judges it.  The report is the unpatched
+        # one bit for bit, roots and witness included
         expected = decide(matrix)
         assert expected.verdict == verdict
         logm_branch = numkit.logm_branch
 
         def with_residue(E, selection, cfg=CFG):
             L = logm_branch(E, selection, cfg) + 1e-6j
-            assert numkit.as_real(L, cfg) is None
+            assert np.abs(L.imag).max() > imaginary_residue_bound(L)
             return L
 
         monkeypatch.setattr(numkit, "logm_branch", with_residue)

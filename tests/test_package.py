@@ -35,7 +35,6 @@ def test_public_names():
         "NecessaryConditionReport",
         "NegativeRealEigenvalue",
         "NotAValidPair",
-        "NotMonomial",
         "NotNonnegative",
         "NotStochastic",
         "NotZMatrix",
@@ -50,14 +49,12 @@ def test_public_names():
         "StructureDecomposition",
         "ToleranceConfig",
         "UNDETERMINED",
-        "as_real",
         "as_square_matrix",
         "branch_bound",
         "check_embeddable",
         "check_strong_inf_divisible",
         "classify_matrix",
         "eig",
-        "enumerate_generators",
         "expm",
         "frobenius_form",
         "im_root_approx",
@@ -68,7 +65,6 @@ def test_public_names():
         "is_stochastic",
         "is_z_matrix",
         "logm_branch",
-        "monomial_conjugate",
         "necessary_conditions",
         "nonneg_eigvec_of_z",
         "primary_root",

@@ -6,14 +6,13 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from embedlab import classify, embed, numkit, structure
-from embedlab.errors import NotAValidPair, NotMonomial, OutOfRange
+from embedlab.errors import NotAValidPair, OutOfRange
 from helpers import (
     DIVISIBLE_TRIANGLE,
     EXP_GEN_A,
     GEN_A,
     count_calls,
     random_intensity,
-    random_monomial,
     random_sparse_intensity,
 )
 
@@ -45,8 +44,6 @@ class TestFrobeniusForm:
             B = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5)
             d = structure.frobenius_form(B)
             assert np.array_equal(d.reconstruct(), B)
-            L = d.permutation_matrix()
-            assert np.array_equal(L @ d.U @ L.T, B)
             assert sum(d.block_sizes) == n
             # below the block diagonal everything is a structural zero
             offset = 0
@@ -344,51 +341,6 @@ class TestNecessaryConditions:
             assert np.min(B) > CFG.entry_tol
 
 
-class TestMonomialConjugate:
-    def test_identity(self):
-        B = numkit.expm(GEN_A)
-        assert np.allclose(structure.monomial_conjugate(B, np.eye(3)), B)
-
-    def test_swap_permutation(self):
-        B = numkit.expm(GEN_A)
-        L = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        got = structure.monomial_conjugate(B, L)
-        manual = B[np.ix_([1, 0, 2], [1, 0, 2])]
-        assert np.allclose(got, manual)
-
-    def test_diagonal_scaling(self):
-        B = numkit.expm(GEN_A)
-        L = np.diag([2.0, 1.0, 1.0])
-        got = structure.monomial_conjugate(B, L)
-        expected = np.linalg.inv(L) @ B @ L
-        assert np.allclose(got, expected, atol=1e-14)
-        assert np.allclose(got[0, 1:], B[0, 1:] / 2.0)
-        assert np.allclose(got[1:, 0], B[1:, 0] * 2.0)
-        assert np.allclose(got[1:, 1:], B[1:, 1:])
-
-    def test_rejects_non_monomial(self):
-        B = np.eye(2)
-        with pytest.raises(NotMonomial):
-            structure.monomial_conjugate(B, np.array([[1.0, 1.0], [0.0, 1.0]]))
-        with pytest.raises(NotMonomial):
-            structure.monomial_conjugate(B, np.array([[-1.0, 0.0], [0.0, 1.0]]))
-
-    def test_divisibility_transported_fuzzed(self):
-        rng = np.random.default_rng(25)
-        for _ in range(300):
-            n = int(rng.integers(2, 6))
-            Q = -random_intensity(rng, n) + rng.uniform(0.0, 0.5) * np.eye(n)
-            B = numkit.expm(-Q)
-            L = random_monomial(rng, n)
-            conjugated_Q = structure.monomial_conjugate(Q, L)
-            conjugated_B = structure.monomial_conjugate(B, L)
-            assert classify.is_z_matrix(conjugated_Q, CFG)
-            assert (
-                numkit.relative_residual(numkit.expm(-conjugated_Q), conjugated_B)
-                <= CFG.recon_tol
-            )
-
-
 class TestPermutationOrientation:
     def test_round_trip_convention(self):
         rng = np.random.default_rng(26)
@@ -396,7 +348,7 @@ class TestPermutationOrientation:
             n = int(rng.integers(2, 7))
             B = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4)
             d = structure.frobenius_form(B)
-            L = d.permutation_matrix()
-            assert np.array_equal(L.T @ B @ L, d.U)
-            assert np.array_equal(L @ d.U @ L.T, B)
-            assert np.allclose(L @ L.T, np.eye(n))
+            # permutation[a] is the original index at position a of U
+            assert sorted(d.permutation) == list(range(n))
+            assert np.array_equal(B[np.ix_(d.permutation, d.permutation)], d.U)
+            assert np.array_equal(d.reconstruct(), B)
