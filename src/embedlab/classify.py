@@ -243,20 +243,19 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
     return ClassReport(flags=flags, witnesses=wit, det=det, spectral_radius=rho)
 
 
-# nonneg_eigvec_of_z stops its power iteration at a residual of
-# _POWER_ITERATION_TOL (1 + rho), and takes the dense eigenvector instead
-# when the best residual stays above _EIGVEC_FALLBACK_TOL (1 + rho)
-_POWER_ITERATION_TOL = 1e-12
-_EIGVEC_FALLBACK_TOL = 1e-10
-
-
 def nonneg_eigvec_of_z(Q, cfg: ToleranceConfig = DEFAULT_TOL) -> Tuple[np.ndarray, float]:
     """Nonnegative eigenvector of a Z-matrix with its (real) eigenvalue.
 
-    Computed as the Perron pair of ``theta*I - Q`` for
-    ``theta = max(diag(Q)) + ||Q||_inf + 1`` and mapped back through
-    ``lam = theta - rho(theta*I - Q)``.  The vector is normalized to unit
-    1-norm with entries >= -entry_tol.
+    Built exactly from the Frobenius form of the nonnegative
+    ``M = theta*I - Q``, ``theta = max(diag(Q)) + ||Q||_inf + 1``: M is block
+    upper triangular over its strong components in topological order, and
+    its Perron root rho is the largest of theirs.  Block k is the first whose
+    Perron root r clusters with rho (``numkit._eigenvalue_clusters``), so
+    every earlier block's is below r.  The vector holds block k's Perron
+    vector, each earlier block p the back substitution (r I - M_pp)^-1 M_p. v,
+    which is nonnegative as r I - M_pp is a nonsingular M-matrix, and zeros
+    elsewhere; its eigenvalue is ``theta - r``.  The vector is normalized to
+    unit 1-norm with the rounding below zero clipped.
     """
     Q = as_square_matrix(Q)
     if not is_z_matrix(Q, cfg):
@@ -265,41 +264,18 @@ def nonneg_eigvec_of_z(Q, cfg: ToleranceConfig = DEFAULT_TOL) -> Tuple[np.ndarra
     theta = float(np.max(np.diag(Q))) + float(np.linalg.norm(Q, np.inf)) + 1.0
     M = theta * np.eye(n) - Q
     np.clip(M, 0.0, None, out=M)  # tolerance slack may leave tiny negatives
-    rho = float(np.max(np.abs(numkit._lapack_eigvals(M))))
-    lam = theta - rho
-
-    # power iteration on M + I stays inside the nonnegative cone and the
-    # shift breaks periodic patterns
-    v = np.full(n, 1.0 / n)
-    best_v, best_res = v, np.inf
-    shifted = M + np.eye(n)
-    target = _POWER_ITERATION_TOL * (1.0 + rho)
-    for _ in range(200 + 20 * n):
-        w = shifted @ v
-        s = w.sum()
-        if s <= 0:
-            break
-        v = w / s
-        res = float(np.max(np.abs(M @ v - rho * v)))
-        if res < best_res:
-            best_v, best_res = v, res
-        if res <= target:
-            break
-
-    # fall back to the dense eigenvector when iteration stalls
-    if best_res > _EIGVEC_FALLBACK_TOL * (1.0 + rho):
-        vals, vecs = numkit._lapack_eig(M)
-        j = int(np.argmin(np.abs(vals - rho)))
-        cand = vecs[:, j].real
-        if cand.sum() < 0:
-            cand = -cand
-        s = cand.sum()
-        if s > 0:
-            cand = cand / s
-            res = float(np.max(np.abs(M @ cand - rho * cand)))
-            if res < best_res and _nonnegative(np.min(cand), cfg):
-                best_v, best_res = cand, res
-
-    v = np.clip(best_v, 0.0, None)
-    v = v / v.sum()
-    return v, lam
+    labels, order = strong_components(M > 0)
+    blocks = [np.flatnonzero(labels == c) for c in order]
+    spectra = [numkit._lapack_eig(M[np.ix_(b, b)]) for b in blocks]
+    radii = [float(lam.real.max()) for lam, _ in spectra]
+    # the cluster of rho, which leads the list, holds block k first
+    k = numkit._eigenvalue_clusters([max(radii), *radii], cfg)[0][1] - 1
+    lam, vecs = spectra[k]
+    j = int(lam.real.argmax())
+    r = float(lam[j].real)
+    v = np.zeros(n)
+    v[blocks[k]] = vecs[:, j].real
+    for b in reversed(blocks[:k]):
+        v[b] = numkit._lapack_solve(r * np.eye(len(b)) - M[np.ix_(b, b)], (M[b] @ v)[:, None])[:, 0]
+    v = np.clip(v / v.sum(), 0.0, None)
+    return v / v.sum(), theta - r

@@ -393,17 +393,6 @@ def _on_pattern(zeros: Optional[np.ndarray], check):
     return projected
 
 
-# The acceptor takes the residual ||expm(L) - A||_F with no errstate when
-# sqrt(n) ||L||_F <= _RESIDUAL_SAFE_NORM and ||A||_F <=
-# numkit._RESIDUAL_SAFE_SCALE.  Then ||L||_1 <= 300, so ||expm(L)||_1 <=
-# e^300 < 2e130 (the argument of numkit._EXPM_SAFE_NORM) and ||expm(L)||_F <=
-# sqrt(n) 2e130: no partial sum of the squares of expm(L) - A exceeds
-# (sqrt(n) 2e130 + 1e150)^2, far below the largest float for any n below
-# 1e38.  Past either bound it is taken under errstate, where an overflow
-# reads as an infinite residual.
-_RESIDUAL_SAFE_NORM = 300.0
-
-
 def _log_acceptor(target: np.ndarray, zeros: Optional[np.ndarray], cfg: ToleranceConfig):
     """Acceptance test for a real candidate logarithm L of ``target``: L must
     have nonnegative off-diagonal entries and expm(L) must reconstruct the
@@ -422,13 +411,14 @@ def _log_acceptor(target: np.ndarray, zeros: Optional[np.ndarray], cfg: Toleranc
     checked as given.  An accepted L lies exactly on the target's pattern
     unless only L as given passed.  The target is not zero (both entries
     gate on its determinant), so its norm, taken once, divides every
-    residual.
+    residual; a norm past the float range raises Overflow, as a determinant
+    there does.
     """
     n = target.shape[0]
     offdiag = _offdiag_mask(n)
-    scale = numkit._scaled_frob(target)
-    # past the scale bound every residual is taken under errstate
-    safe_norm = _RESIDUAL_SAFE_NORM / math.sqrt(n) if scale <= numkit._RESIDUAL_SAFE_SCALE else -1.0
+    scale = numkit._frob(target)
+    if scale == math.inf:
+        raise Overflow("the Frobenius norm is not a finite float")
 
     def check(L: np.ndarray):
         off = L[offdiag]
@@ -436,13 +426,10 @@ def _log_acceptor(target: np.ndarray, zeros: Optional[np.ndarray], cfg: Toleranc
         borderline = numkit._candidate_sign_failure(min_off, cfg)
         if borderline is not None:
             return False, {"reason": "off_diagonal_negative", "value": min_off, "borderline": borderline}
-        X = numkit.expm(L)
-        if numkit._frob(L) <= safe_norm:
-            resid = numkit._frob(X - target)
-        else:
-            with np.errstate(over="ignore"):
-                resid = numkit._frob(X - target)
-        resid /= scale
+        # expm raises Overflow unless its result is finite, and L has passed
+        # the sign test, so that result and the target are nonnegative up to
+        # the slack: their difference cannot overflow
+        resid = numkit._frob(numkit.expm(L) - target) / scale
         if numkit._reconstruction_fails(resid, cfg):
             return False, {"reason": "reconstruction_failure", "value": resid}
         return True, None
@@ -775,7 +762,7 @@ def _root_check(B: np.ndarray, cfg: ToleranceConfig):
     nonnegative and its mth power reconstructs B within 10 recon_tol,
     otherwise False with the record of the first check it fails.  ||B||_F is
     taken once, here; B is not zero, as its determinant is positive."""
-    scale = numkit._scaled_frob(B)
+    scale = numkit._frob(B)
 
     def check(root: np.ndarray, order: int):
         low = float(root.min())

@@ -207,26 +207,33 @@ def as_square_matrix(A) -> np.ndarray:
 
 
 def _frob(M) -> float:
-    """``np.linalg.norm(M, "fro")`` bit for bit: for a 2-D float64 or
-    complex128 ndarray its own fast path, the square root of the dot products
-    of the raveled real and imaginary parts, without its Python layer."""
-    if type(M) is np.ndarray and M.ndim == 2:
-        if M.dtype is _FLOAT64:
-            x = M.ravel(order="K")
-            return math.sqrt(x.dot(x))
-        if M.dtype is _COMPLEX128:
-            x = M.ravel(order="K")
-            re, im = x.real, x.imag
-            return math.sqrt(re.dot(re) + im.dot(im))
-    return float(np.linalg.norm(M, "fro"))
+    """``np.linalg.norm(M, "fro")`` bit for bit wherever numpy's sum of the
+    squares is finite: for a 2-D float64 or complex128 ndarray its own fast
+    path, the square root of the dot products of the raveled real and
+    imaginary parts, without its Python layer.  ``np.vdot`` gives inf where
+    that sum overflows, with no warning; the norm is then retaken of M
+    scaled by the power of two that brings its largest entry into [1, 2),
+    and scaled back, both exactly (Higham, Functions of Matrices, 2008).  So
+    the norm is finite wherever it is within the float range, past it inf,
+    and NaN for a NaN entry."""
+    if type(M) is not np.ndarray or M.ndim != 2 or not (M.dtype is _FLOAT64 or M.dtype is _COMPLEX128):
+        return float(np.linalg.norm(M, "fro"))
+    sq = _sum_of_squares(M)
+    if sq == math.inf:
+        # frexp gives an inf entry the exponent 0: M stays as it is, and inf
+        s = math.ldexp(1.0, max(math.frexp(float(np.abs(M).max()))[1] - 1, 0))
+        return math.sqrt(_sum_of_squares(M / s)) * s  # Python floats: past the float range inf
+    return math.sqrt(sq)
 
 
-def _scaled_frob(M) -> float:
-    """``_frob(M)`` of a finite float64 M, finite also where the sum of the
-    squares overflows: taken of M scaled by the power of two that brings its
-    largest entry into [1/2, 1), then scaled back, both exactly."""
-    e = math.frexp(float(np.abs(M).max()))[1]
-    return math.ldexp(_frob(np.ldexp(M, -e)), e)
+def _sum_of_squares(M) -> float:
+    """The sum of the squares of the entries of a float64 or complex128 M,
+    in ``np.linalg.norm``'s order; inf where it overflows."""
+    x = M.ravel(order="K")
+    if M.dtype is _COMPLEX128:
+        re, im = x.real, x.imag
+        return float(np.vdot(re, re)) + float(np.vdot(im, im))
+    return float(np.vdot(x, x))
 
 
 def relative_residual(approx, target) -> float:
@@ -351,13 +358,6 @@ _MAX_CONDITION = 1e12  # eigenbasis condition number above which eig gives up
 # (Golub and Van Loan, Matrix Computations, Sec. 2.3); up to this bound eig
 # takes no SVD.  The 100x margin covers the O(cond u) rounding of both.
 _CONDITION_BOUND_GATE = 1e-2 * _MAX_CONDITION
-# A relative residual ||X - A||_F / ||A||_F is taken with no errstate while
-# ||A||_F and ||X||_F are at most about this scale: no partial sum of the
-# squares of A or of X - A then exceeds (2 sqrt(n) 1e150)^2, far below the
-# largest float for any n below 1e7.  eig bounds both by ||V||_F ||V^-1||_F
-# |lambda_0| >= ||V diag(lambda) V^-1||_2, up to the backward error of its
-# eigendecomposition; the acceptor in embed by ||A||_F itself.
-_RESIDUAL_SAFE_SCALE = 1e150
 
 
 def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
@@ -369,10 +369,11 @@ def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
     number is taken by an SVD only when the bound ||V||_F ||V^-1||_F on it
     exceeds 1e-2 ``_MAX_CONDITION``, so the gate decides as the condition
     number alone would; the error message gives the exact condition number.
-    Past ``_RESIDUAL_SAFE_SCALE`` the residual is taken of the input and its
-    reconstruction scaled down together, so no norm overflows.  Repeated but
-    diagonalizable eigenvalues are not an error; callers inspect
-    ``min_pairwise_gap``.
+    The residual is taken of the input and its reconstruction scaled
+    together by the power of two that brings the input's largest entry into
+    [1/2, 1): exactly, so it is the input's own residual, and the
+    reconstruction cannot overflow.  Repeated but diagonalizable eigenvalues
+    are not an error; callers inspect ``min_pairwise_gap``.
     """
     A = as_square_matrix(A)
     lam, V = _lapack_eig(A)
@@ -383,16 +384,9 @@ def eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> Eigendecomposition:
         Vinv = _lapack_inv(V)
     except LinAlgError as exc:
         raise IllConditioned("eigenvector basis is singular (defective matrix)") from exc
-    with np.errstate(over="ignore"):  # an overflowing bound is inf, and takes the SVD gate
-        cond_bound = _frob(V) * _frob(Vinv)
-    if cond_bound * float(abs(lam[0])) <= _RESIDUAL_SAFE_SCALE:  # Python floats: inf, no warning
-        resid = relative_residual((V * lam) @ Vinv, A)
-    else:
-        # A and its reconstruction scaled by the power of two that brings
-        # A's largest entry into [1/2, 1): exact, so the residual is the
-        # same, and neither the product nor the norms overflow
-        scale = math.ldexp(1.0, -math.frexp(np.abs(A).max())[1])
-        resid = relative_residual((V * (lam * scale)) @ Vinv, A * scale)
+    cond_bound = _frob(V) * _frob(Vinv)  # Python floats: past the float range inf, with no warning
+    scale = math.ldexp(1.0, -math.frexp(np.abs(A).max())[1])
+    resid = relative_residual((V * (lam * scale)) @ Vinv, A * scale)
     if _reconstruction_fails(resid, cfg) or not cond_bound <= _CONDITION_BOUND_GATE:
         cond = _condition(V)
         if _reconstruction_fails(resid, cfg) or cond > _MAX_CONDITION:

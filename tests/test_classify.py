@@ -201,14 +201,11 @@ class TestNonnegEigvecOfZ:
             assert np.max(np.abs(Q @ v - lam * v)) <= 1e-8
 
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "a repeated Perron root stalls the power iteration, and the dense "
-        "eigenvector it falls back to is mixed-sign, so the iteration's best "
-        "vector, residual 2.4e-5, is returned"))
     def test_repeated_perron_root_residual(self):
         # Q = Pi^T blockdiag(Z, D^-1 Z D) Pi: both blocks have the Perron root
         # lam, so its eigenvectors form a cone, and nonnegative ones have
-        # residual 0.  One draw of 82 of 2,000 at this seed above 1e-8
+        # residual 0.  A power iteration stalls on this draw at residual
+        # 2.4e-5, as on 82 of 2,000 at this seed
         rng = np.random.default_rng(3)
         k = int(rng.integers(2, 5))
         Z = random_shifted_z(rng, k)

@@ -872,14 +872,14 @@ class TestCheckStrongInfDivisible:
         for ours, theirs in results:
             assert report_bits(ours) == report_bits(theirs)
 
-    def test_overflowing_residual_is_an_infinite_reconstruction_failure(self):
+    def test_large_residual_is_a_finite_reconstruction_failure(self):
         # a diagonal similarity of a divisible input with entries up to 1.5e10
         # (item 11's probe, case 200 of infdiv-truth at seed 2026): the
-        # principal candidate's expm has entries past 1e171, so its residual
-        # overflows; that is a reconstruction failure of value inf, with no
-        # RuntimeWarning (warnings are errors here).  The verdict is a known
-        # wrong negative (ROADMAP items 9, 11 and 16), so only the record is
-        # pinned
+        # principal candidate's expm has entries past 1e171, so the sum of
+        # the squares of its residual overflows; the norm is retaken scaled,
+        # and the failure has its finite value, with no RuntimeWarning
+        # (warnings are errors here).  The verdict is a known wrong negative
+        # (ROADMAP items 9, 11 and 16), so only the record is pinned
         B = np.array([
             [0.09861034827133333, 1.5372524912754677e-11, 3.588247943204499e-13, 0.04565240161233268],
             [262232948.37224358, 0.09050358403014584, 0.001534425398255617, 153681067.39489305],
@@ -887,13 +887,29 @@ class TestCheckStrongInfDivisible:
             [0.1852145278536192, 3.6708989494416295e-11, 9.533599927559998e-13, 0.16525159443708576],
         ])
         report = embed.check_strong_inf_divisible(B)
-        assert report.failed_conditions[0] == {"reason": "reconstruction_failure", "value": math.inf,
-                                               "branch": (0, 0, 0, 0)}
+        assert report.failed_conditions[0] == {"reason": "reconstruction_failure",
+                                               "value": 1.4370200981359064e+161, "branch": (0, 0, 0, 0)}
+
+    @pytest.mark.parametrize("c", [1e200, 1e300])
+    def test_large_scalar_is_divisible_with_its_roots(self, c):
+        # c = exp(log c), and the residual of its exact logarithm is about
+        # 1e-16 c: its square passes the float range, but not its norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = embed.check_strong_inf_divisible(np.array([[c]]))
+        assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
+        assert [order for order, _ in report.roots_demonstrated] == [2, 3, 5]
+
+    def test_norm_past_the_float_range_raises_overflow(self):
+        # det B = 1.5e308 passes the determinant gate, but ||B||_F does not
+        # fit a float, so no residual relative to it can be checked
+        with pytest.raises(Overflow, match="Frobenius norm"):
+            embed.check_strong_inf_divisible(np.array([[1.5e308, 1.5e308], [0.0, 1.0]]))
 
     def test_overflowing_gate_norms_warn_not(self):
         # det B = 2, but ||V^-1||_F of the eigenbasis and ||B||_F pass the
-        # square root of the largest float: the condition bound is inf and
-        # takes the SVD gate, and the acceptor's scale is exact
+        # square root of the largest float: both norms are retaken scaled,
+        # and the condition bound, about 1e200, takes the SVD gate
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = embed.check_strong_inf_divisible(np.array([[1.0, 1e200], [0.0, 2.0]]))

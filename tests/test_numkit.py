@@ -184,8 +184,8 @@ class TestEig:
 
     @pytest.mark.parametrize("c", [1e160, 1e200, 1e300])
     def test_large_scale_takes_no_warning(self, c):
-        # past _RESIDUAL_SAFE_SCALE the residual's squares would overflow,
-        # and for the Jordan block the reconstruction too
+        # the squares of these inputs, and for the Jordan block its
+        # reconstruction, pass the float range unless eig scales them
         P = numkit.expm(np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 1.0, -1.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -195,25 +195,24 @@ class TestEig:
         assert np.allclose(E.eigenvalues / c, numkit.eig(P).eigenvalues, rtol=0.0, atol=1e-14)
 
     def test_residual_past_the_safe_scale_is_the_same_residual(self, monkeypatch):
-        # a power-of-two scaling is exact: with the safe scale at 0 every
-        # residual is taken scaled, and each equals the unscaled one bit for bit
+        # a power-of-two scaling is exact: every residual eig takes, of its
+        # input and reconstruction scaled, equals the unscaled one bit for bit
         rng = np.random.default_rng(66)
         inputs = [rng.normal(size=(n, n)) * 10.0 ** int(rng.integers(-5, 6)) for n in range(1, 9)]
         inputs.append(np.array([[1.0, 1.0], [0.0, 1.0]]))
         residual = numkit.relative_residual
-        residuals = {}
-        for safe_scale in (numkit._RESIDUAL_SAFE_SCALE, 0.0):
-            monkeypatch.setattr(numkit, "_RESIDUAL_SAFE_SCALE", safe_scale)
-            calls = count_calls(monkeypatch, numkit, "relative_residual")
-            for A in inputs:
-                try:
-                    numkit.eig(A)
-                except IllConditioned:
-                    pass
-            residuals[safe_scale] = [residual(*args).hex() for args in calls]
-            monkeypatch.undo()
-        assert len(residuals[0.0]) == len(inputs)
-        assert residuals[0.0] == residuals[numkit._RESIDUAL_SAFE_SCALE]
+        calls = count_calls(monkeypatch, numkit, "relative_residual")
+        expected = []
+        for A in inputs:
+            lam, V = numkit._lapack_eig(A)
+            order = numkit._canonical_order(lam)
+            lam, V = lam[order], V[:, order]
+            expected.append(residual((V * lam) @ np.linalg.inv(V), A).hex())
+            try:
+                numkit.eig(A)
+            except IllConditioned:
+                pass
+        assert [residual(*args).hex() for args in calls] == expected
 
 
 def tuple_key_order(lam):
@@ -278,8 +277,8 @@ class TestConditionGate:
 
 
     def test_overflowing_bound_takes_the_svd_gate_without_a_warning(self, monkeypatch):
-        # ||V^-1||_F of this basis is about 1e200, so the bound's sum of
-        # squares overflows: the bound is inf, and the SVD decides
+        # ||V^-1||_F of this basis is about 1e200, so the sum of its squares
+        # overflows: the norm is retaken scaled, and the SVD decides
         svds = count_calls(monkeypatch, numkit, "_condition")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -302,17 +301,14 @@ class TestNumpyEquivalents:
     def test_frobenius_norm(self, M):
         assert numkit._frob(M).hex() == float(np.linalg.norm(M, "fro")).hex()
 
-    @pytest.mark.parametrize("M", MATRICES[::2], ids=IDS[::2])
-    def test_scaled_frobenius_norm(self, M):
-        # scaling by a power of two and back is exact, so below overflow
-        # the scaled norm is the plain one bit for bit
-        assert numkit._scaled_frob(M).hex() == numkit._frob(M).hex()
-
-    def test_scaled_frobenius_norm_past_overflow(self):
-        M = np.array([[1e200, -1e200], [0.0, 3e199]])
+    @pytest.mark.parametrize("M", [np.array([[1e200, -1e200], [0.0, 3e199]]),
+                                   np.array([[1e200, -1e200j], [0.0, 3e199 + 4e199j]])], ids=["real", "complex"])
+    def test_frobenius_norm_past_overflow(self, M):
+        # the sum of the squares overflows; the norm itself does not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert numkit._scaled_frob(M) == pytest.approx(1e200 * np.linalg.norm(M / 1e200), rel=1e-15)
+            norm = numkit._frob(M)
+        assert norm == pytest.approx(1e200 * np.linalg.norm(M / 1e200), rel=1e-15)
 
     def test_determinant_overflow_is_signed_inf_without_a_warning(self):
         with warnings.catch_warnings():

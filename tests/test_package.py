@@ -118,7 +118,7 @@ def test_readme_tabulates_every_threshold_helper():
     assert len(helpers) == len(set(helpers)) == len(numkit._THRESHOLDS)
     assert set(helpers) == {fn.__qualname__ for fn in numkit._THRESHOLDS}
     constants = re.findall(r"^\| `(numkit|embed|classify)\.(_[A-Z0-9_]+)` \|", section, flags=re.M)
-    assert len(constants) == 13
+    assert len(constants) == 9
     for module, name in constants:
         assert hasattr(getattr(embedlab, module), name), name
 
@@ -151,3 +151,28 @@ def test_lapack_is_called_only_through_the_numkit_kernels():
     assert wrapper_calls == []
     assert {scope for module, scope in gufunc_reads if module == "numkit"} == kernels
     assert {module for module, _ in gufunc_reads} == {"numkit"}
+
+
+def test_overflow_policy_lives_in_numkit():
+    # numkit._frob is finite past an overflowing sum of squares, so no other
+    # code takes a Frobenius norm or silences an overflow: errstate is opened
+    # only where LAPACK, expm and the condition number need it
+    allowed = {"_lapack_eig", "_lapack_eigvals", "_lapack_inv", "_lapack_solve", "_lapack_det", "expm", "_condition"}
+    errstates, fro_norms = [], []
+
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) and not scope else scope
+            if isinstance(child, ast.Attribute) and child.attr == "errstate":
+                errstates.append((module, inner))
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "norm" and any(
+                isinstance(arg, ast.Constant) and arg.value == "fro"
+                for arg in [*child.args, *(keyword.value for keyword in child.keywords)]
+            ):
+                fro_norms.append(module)
+            walk(child, module, inner)
+
+    for path in sorted((ROOT / "src" / "embedlab").glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, "")
+    assert set(errstates) == {("numkit", name) for name in allowed}
+    assert set(fro_norms) == {"numkit"}
