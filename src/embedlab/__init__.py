@@ -27,7 +27,6 @@ from .embed import (
     STRONGLY_INF_DIVISIBLE,
     UNDETERMINED,
     BranchBound,
-    BranchSelection,
     DivisibilityReport,
     EmbeddabilityReport,
     InverseMRoot,

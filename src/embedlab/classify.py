@@ -51,33 +51,71 @@ def _offdiag_mask(n: int) -> np.ndarray:
     return mask
 
 
+def _entry(A: np.ndarray, k) -> Tuple[int, int, float]:
+    """The witness ``(i, j, A_ij)`` of the entry at flat index k of A."""
+    i, j = divmod(int(k), A.shape[1])
+    return (i, j, float(A[i, j]))
+
+
+def _negative_entry(A: np.ndarray, cfg: ToleranceConfig):
+    """The least entry of A when it is below -entry_tol, else None."""
+    return None if _nonnegative(A.min(), cfg) else _entry(A, A.argmin())
+
+
+def _row_sum_off(A: np.ndarray, target: float, cfg: ToleranceConfig):
+    """``("row_sum", i, s)`` for the row sum s of A farthest from target when
+    it is beyond n*entry_tol of it, else None."""
+    sums = A.sum(axis=1)
+    dev = np.abs(sums - target)
+    if _row_sums_within(dev.max(), A.shape[0], cfg):
+        return None
+    i = int(dev.argmax())
+    return ("row_sum", i, float(sums[i]))
+
+
+def _z_violation(A: np.ndarray, cfg: ToleranceConfig):
+    """The largest off-diagonal entry of A when it is above entry_tol, else
+    None."""
+    mask = _offdiag_mask(A.shape[0])
+    off = A[mask]
+    if off.size == 0 or _nonnegative(-off.max(), cfg):
+        return None
+    return _entry(A, np.flatnonzero(mask)[off.argmax()])
+
+
+def _intensity_violation(A: np.ndarray, cfg: ToleranceConfig):
+    """The least off-diagonal entry of A when it is below -entry_tol, else
+    the row sum farthest from 0 when it is beyond n*entry_tol, else None."""
+    mask = _offdiag_mask(A.shape[0])
+    off = A[mask]
+    if off.size and not _nonnegative(off.min(), cfg):
+        return _entry(A, np.flatnonzero(mask)[off.argmin()])
+    return _row_sum_off(A, 0.0, cfg)
+
+
+def _stochastic_violation(A: np.ndarray, cfg: ToleranceConfig):
+    """A negative entry of A (``_negative_entry``), else the row sum farthest
+    from 1 when it is beyond n*entry_tol, else None."""
+    return _negative_entry(A, cfg) or _row_sum_off(A, 1.0, cfg)
+
+
 def is_nonnegative(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return bool(_nonnegative(np.asanyarray(A).min(), cfg))
+    return _negative_entry(np.asanyarray(A), cfg) is None
 
 
 def is_z_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Off-diagonal entries at most ``entry_tol``."""
-    A = np.asarray(A)
-    off = A[_offdiag_mask(A.shape[0])]
-    return bool(off.size == 0 or _nonnegative(-np.max(off), cfg))
+    return _z_violation(np.asarray(A), cfg) is None
 
 
 def is_intensity_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Off-diagonal entries >= -entry_tol and row sums within n*entry_tol of 0."""
-    A = np.asarray(A)
-    n = A.shape[0]
-    off = A[_offdiag_mask(n)]
-    if off.size and not _nonnegative(np.min(off), cfg):
-        return False
-    return bool(_row_sums_within(np.max(np.abs(A.sum(axis=1))), n, cfg))
+    return _intensity_violation(np.asarray(A), cfg) is None
 
 
 def is_stochastic(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Nonnegative with row sums within n*entry_tol of 1."""
-    A = np.asarray(A)
-    if not is_nonnegative(A, cfg):
-        return False
-    return bool(_row_sums_within(np.max(np.abs(A.sum(axis=1) - 1.0)), A.shape[0], cfg))
+    return _stochastic_violation(np.asarray(A), cfg) is None
 
 
 def strong_components(pattern: np.ndarray) -> Tuple[np.ndarray, List[int]]:
@@ -110,11 +148,18 @@ def strong_components(pattern: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     return labels, order
 
 
+def _reducibility(A, cfg: ToleranceConfig):
+    """``("strongly_connected_components", ncomp, labels)`` for the strong
+    components of A's zero pattern (``strong_components``) when there is
+    more than one, else None."""
+    labels, order = strong_components(structural_pattern(A, cfg))
+    return None if len(order) == 1 else ("strongly_connected_components", len(order), labels.tolist())
+
+
 def is_irreducible(A, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Strong connectivity of the zero-pattern digraph (exact, no slack beyond
     the structural-zero threshold).  1x1 matrices are irreducible."""
-    _, order = strong_components(structural_pattern(A, cfg))
-    return len(order) == 1
+    return _reducibility(A, cfg) is None
 
 
 @dataclass
@@ -122,8 +167,10 @@ class ClassReport:
     """Outcome of :func:`classify_matrix`.
 
     ``flags`` maps each name in FLAG_NAMES to a boolean.  Every False flag
-    carries a witness describing the violation; the M and inverse-M flags
-    additionally carry the computed inverse as a certificate when True.
+    carries a witness describing the violation: an entry ``(i, j, A_ij)``,
+    a row sum ``("row_sum", i, s)``, or a tagged one (the README's table
+    lists them); the M and inverse-M flags additionally carry the computed
+    inverse as a certificate when True.
     """
 
     flags: Dict[str, bool]
@@ -132,12 +179,9 @@ class ClassReport:
     spectral_radius: float = 0.0
 
 
-def _first_violation(A, mask, predicate):
-    idx = np.argwhere(mask & ~predicate)
-    if idx.size == 0:
-        return None
-    i, j = idx[0]
-    return (int(i), int(j), float(A[i, j]))
+def _tagged(tag: str, violation):
+    """``(tag, violation)``, or None when there is no violation."""
+    return None if violation is None else (tag, violation)
 
 
 def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
@@ -151,96 +195,40 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
     deterministic.  A matrix is singular when sigma_min <= entry_tol *
     sigma_max; a singular one gets its inverse-dependent flags set False with
     witness ``"singular"`` and the ``nonsingular`` witness ``("det", det)``.
+    Each flag and its witness come from one search for the class's
+    violation, the one its predicate (``is_stochastic`` and so on) makes.
     """
     A = as_square_matrix(A)
-    n = A.shape[0]
-    off = _offdiag_mask(n)
-    flags: Dict[str, bool] = {}
-    wit: Dict[str, object] = {}
-
     det = float(numkit._lapack_det(A))
-    eigvals = numkit._lapack_eigvals(A)
-    rho = float(np.max(np.abs(eigvals)))
-
-    flags["nonnegative"] = is_nonnegative(A, cfg)
-    if not flags["nonnegative"]:
-        i, j = np.unravel_index(int(np.argmin(A)), A.shape)
-        wit["nonnegative"] = (int(i), int(j), float(A[i, j]))
-
-    flags["strictly_positive"] = bool(_positive(np.min(A), cfg))
-    if not flags["strictly_positive"]:
-        i, j = np.unravel_index(int(np.argmin(A)), A.shape)
-        wit["strictly_positive"] = (int(i), int(j), float(A[i, j]))
-
-    diag = np.diag(A)
-    flags["positive_diagonal"] = bool(_positive(np.min(diag), cfg))
-    if not flags["positive_diagonal"]:
-        i = int(np.argmin(diag))
-        wit["positive_diagonal"] = (i, i, float(diag[i]))
-
-    row_sums = A.sum(axis=1)
-    flags["stochastic"] = is_stochastic(A, cfg)
-    if not flags["stochastic"]:
-        i = int(np.argmax(np.abs(row_sums - 1.0)))
-        wit["stochastic"] = ("row_sum", i, float(row_sums[i]))
-
-    flags["z_matrix"] = is_z_matrix(A, cfg)
-    if not flags["z_matrix"]:
-        masked = np.where(off, A, -np.inf)
-        i, j = np.unravel_index(int(np.argmax(masked)), A.shape)
-        wit["z_matrix"] = (int(i), int(j), float(A[i, j]))
-
-    flags["intensity_matrix"] = is_intensity_matrix(A, cfg)
-    if not flags["intensity_matrix"]:
-        masked = np.where(off, A, np.inf)
-        i, j = np.unravel_index(int(np.argmin(masked)), A.shape)
-        if n > 1 and not _nonnegative(A[i, j], cfg):
-            wit["intensity_matrix"] = (int(i), int(j), float(A[i, j]))
-        else:
-            i = int(np.argmax(np.abs(row_sums)))
-            wit["intensity_matrix"] = ("row_sum", i, float(row_sums[i]))
-
+    rho = float(np.max(np.abs(numkit._lapack_eigvals(A))))
+    negative, z = _negative_entry(A, cfg), _z_violation(A, cfg)
+    least = negative or _entry(A, A.argmin())
+    least_diagonal = _entry(A, A.diagonal().argmin() * (A.shape[0] + 1))
     # singular relative to its scale, sigma_min <= entry_tol * sigma_max, so
     # the flags do not change when A is multiplied by a positive constant
-    singular = _singular(A, cfg)
-    Ainv = None if singular else numkit._lapack_inv(A)
-    flags["nonsingular"] = not singular
-    if singular:
-        wit["nonsingular"] = ("det", det)
-
-    if Ainv is None:
-        flags["m_matrix"] = False
-        flags["inverse_m_matrix"] = False
-        wit["m_matrix"] = "singular"
-        wit["inverse_m_matrix"] = "singular"
-    else:
-        flags["m_matrix"] = flags["z_matrix"] and is_nonnegative(Ainv, cfg)
-        if flags["m_matrix"]:
-            wit["m_matrix"] = Ainv
-        elif not flags["z_matrix"]:
-            wit["m_matrix"] = ("not_z_matrix", wit.get("z_matrix"))
-        else:
-            viol = _first_violation(Ainv, np.ones_like(Ainv, bool), _nonnegative(Ainv, cfg))
-            wit["m_matrix"] = ("inverse_entry_negative", viol)
-
+    Ainv = None if _singular(A, cfg) else numkit._lapack_inv(A)
+    m = inverse_m = "singular"
+    if Ainv is not None:
+        m = _tagged("not_z_matrix", z) or _tagged("inverse_entry_negative", _negative_entry(Ainv, cfg))
         # the inverse of A^-1 is A itself, so inverse-M needs only the
         # Z-pattern of A^-1 on top of nonnegativity of A
-        flags["inverse_m_matrix"] = flags["nonnegative"] and is_z_matrix(Ainv, cfg)
-        if flags["inverse_m_matrix"]:
-            wit["inverse_m_matrix"] = Ainv
-        elif not flags["nonnegative"]:
-            wit["inverse_m_matrix"] = ("not_nonnegative", wit.get("nonnegative"))
-        else:
-            masked = np.where(off, Ainv, -np.inf)
-            i, j = np.unravel_index(int(np.argmax(masked)), Ainv.shape)
-            wit["inverse_m_matrix"] = ("inverse_offdiag_positive", (int(i), int(j), float(Ainv[i, j])))
-
-    labels, order = strong_components(structural_pattern(A, cfg))
-    flags["irreducible"] = len(order) == 1
-    if not flags["irreducible"]:
-        wit["irreducible"] = ("strongly_connected_components", len(order), labels.tolist())
-
-    return ClassReport(flags=flags, witnesses=wit, det=det, spectral_radius=rho)
+        inverse_m = _tagged("not_nonnegative", negative) or _tagged("inverse_offdiag_positive", _z_violation(Ainv, cfg))
+    found = {
+        "nonnegative": negative,
+        "strictly_positive": None if _positive(least[2], cfg) else least,
+        "positive_diagonal": None if _positive(least_diagonal[2], cfg) else least_diagonal,
+        "stochastic": _stochastic_violation(A, cfg),
+        "z_matrix": z,
+        "intensity_matrix": _intensity_violation(A, cfg),
+        "nonsingular": ("det", det) if Ainv is None else None,
+        "m_matrix": m,
+        "inverse_m_matrix": inverse_m,
+        "irreducible": _reducibility(A, cfg),
+    }
+    flags = {name: v is None for name, v in found.items()}
+    # a True M or inverse-M flag carries the inverse as its certificate
+    found.update((name, Ainv) for name in ("m_matrix", "inverse_m_matrix") if flags[name])
+    return ClassReport(flags, {name: v for name, v in found.items() if v is not None}, det, rho)
 
 
 def nonneg_eigvec_of_z(Q, cfg: ToleranceConfig = DEFAULT_TOL) -> Tuple[np.ndarray, float]:
@@ -258,8 +246,9 @@ def nonneg_eigvec_of_z(Q, cfg: ToleranceConfig = DEFAULT_TOL) -> Tuple[np.ndarra
     unit 1-norm with the rounding below zero clipped.
     """
     Q = as_square_matrix(Q)
-    if not is_z_matrix(Q, cfg):
-        raise NotZMatrix("off-diagonal entry above entry_tol")
+    violation = _z_violation(Q, cfg)
+    if violation is not None:
+        raise NotZMatrix(f"off-diagonal entry (i, j, value) = {violation} above entry_tol")
     n = Q.shape[0]
     theta = float(np.max(np.diag(Q))) + float(np.linalg.norm(Q, np.inf)) + 1.0
     M = theta * np.eye(n) - Q

@@ -80,7 +80,6 @@ __all__ = [
     "STRONGLY_INF_DIVISIBLE",
     "NOT_STRONGLY_INF_DIVISIBLE",
     "UNDETERMINED",
-    "BranchSelection",
     "BranchBound",
     "EmbeddabilityReport",
     "DivisibilityReport",
@@ -106,21 +105,6 @@ _OFFSET_SLACK = 1e-12
 # slack of Runnenberg's cone: added to its angle, and the radius about its
 # apex it admits whatever the angle (_search_windows)
 _CONE_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class BranchSelection:
-    """One integer branch offset per eigenvalue in the canonical order.
-
-    Admissible real selections keep the spectral-radius position at offset 0
-    and carry negated offsets on conjugate-pair positions.
-    """
-
-    offsets: Tuple[int, ...]
-
-    @staticmethod
-    def principal(n: int) -> "BranchSelection":
-        return BranchSelection(offsets=(0,) * n)
 
 
 @dataclass
@@ -346,14 +330,14 @@ def _real_blocks(E: Eigendecomposition, windows: List[range]) -> List[List[Tuple
 
 def _candidate_stream(
     E: Eigendecomposition, blocks: List[List[Tuple[int, ...]]], cfg: ToleranceConfig
-) -> Iterator[Tuple[BranchSelection, np.ndarray]]:
-    """The real branch selections of ``blocks`` (``_real_blocks``) in
-    lexicographic order with their assembled logarithm.  Culver's criterion
-    makes each selection's logarithm real, so the imaginary part of the
-    computed one is rounding and its real part is the candidate; the
-    acceptor alone judges it."""
+) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
+    """The real branch selections of ``blocks`` (``_real_blocks``), each a
+    tuple of offsets, in lexicographic order with their assembled logarithm.
+    Culver's criterion makes each selection's logarithm real, so the
+    imaginary part of the computed one is rounding and its real part is the
+    candidate; the acceptor alone judges it."""
     for picks in itertools.product(*blocks):
-        sel = BranchSelection(offsets=tuple(itertools.chain.from_iterable(picks)))
+        sel = tuple(itertools.chain.from_iterable(picks))
         yield sel, numkit.logm_branch(E, sel, cfg).real.copy()
 
 
@@ -452,7 +436,7 @@ def _branch_search(E, blocks, accept, cfg):
         ok, failure = accept(real)
         if ok:
             return real, sel, examined, records
-        failure["branch"] = sel.offsets
+        failure["branch"] = sel
         records.append(failure)
     return None, None, examined, records
 
@@ -525,7 +509,7 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     try:
         if eigen is not None:
             numkit._check_log_preconditions(eigen.eigenvalues, cfg)
-            sel = BranchSelection.principal(eigen.n)
+            sel = (0,) * eigen.n
             # the principal selection of a spectrum off the closed negative
             # real axis is real, so its real part is the candidate
             witness = numkit.logm_branch(eigen, sel, cfg).real.copy()

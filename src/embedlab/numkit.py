@@ -533,10 +533,10 @@ def cluster_indices(values, tol: float):
 def logm_branch(E: Eigendecomposition, selection, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Branch-parameterized matrix logarithm V diag(Log lam_j + 2 pi i k_j) V^-1.
 
-    ``selection`` is a sequence of integer offsets (or an object exposing
-    ``offsets``), one per eigenvalue in the canonical order; an offset array
-    of any non-integer dtype (floats, booleans, strings) raises ValueError
-    rather than being rounded or parsed.  All-zero offsets give the
+    ``selection`` is a sequence of integer offsets, one per eigenvalue in
+    the canonical order; an offset array of any non-integer dtype (floats,
+    booleans, strings) raises ValueError rather than being rounded or
+    parsed.  All-zero offsets give the
     principal logarithm.  Offsets that differ inside a repeated
     eigenvalue cluster do not define a primary function and raise
     RepeatedEigenvalues (constant offsets on a cluster stay basis
@@ -552,7 +552,7 @@ def logm_branch(E: Eigendecomposition, selection, cfg: ToleranceConfig = DEFAULT
 def _branch_logs(E: Eigendecomposition, selection, cfg: ToleranceConfig) -> np.ndarray:
     """Log lam_j + 2 pi i k_j for the offsets of ``selection``, validated as
     :func:`logm_branch` describes."""
-    offsets = np.asarray(getattr(selection, "offsets", selection))
+    offsets = np.asarray(selection)
     if offsets.dtype.kind not in "iu":
         raise ValueError(f"branch offsets must be integers, got dtype {offsets.dtype}")
     if offsets.shape != (E.n,):

@@ -9,6 +9,8 @@ from embedlab.errors import NotZMatrix
 from helpers import (
     GEN_A,
     GEN_B,
+    random_intensity,
+    random_inverse_m,
     random_m_matrix,
     random_permutation_matrix,
     random_shifted_z,
@@ -66,15 +68,90 @@ class TestClassifyMatrix:
         assert not report.flags["nonsingular"]
         assert report.witnesses["nonsingular"] == ("det", report.det)
 
-    def test_every_false_flag_has_a_witness(self):
+    @staticmethod
+    def witness_family():
+        # every class, on both sides of its flag: dense and sparse normal
+        # draws, stochastic ones with and without rounding off their row
+        # sums, Z, M, inverse-M and (singular) intensity matrices
         rng = np.random.default_rng(10)
-        for _ in range(100):
-            n = int(rng.integers(1, 7))
-            A = rng.normal(size=(n, n))
+        draws = (
+            lambda n: rng.normal(size=(n, n)),
+            lambda n: rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4),
+            lambda n: random_stochastic(rng, n),
+            lambda n: random_stochastic(rng, n) * rng.choice([1.0 - 1e-6, 1.0 + 1e-6]),
+            lambda n: random_z_matrix(rng, n),
+            lambda n: random_m_matrix(rng, n)[0],
+            lambda n: random_inverse_m(rng, n),
+            lambda n: random_intensity(rng, n),
+        )
+        for k in range(800):
+            yield draws[k % len(draws)](int(rng.integers(1, 7)))
+
+    def test_every_false_flag_has_a_witness(self):
+        tol = CFG.entry_tol
+        # what an (i, j, v) witness fails: its own flag's comparison
+        fails = {
+            "nonnegative": lambda i, j, v: not v >= -tol,
+            "strictly_positive": lambda i, j, v: not v > tol,
+            "positive_diagonal": lambda i, j, v: i == j and not v > tol,
+            "stochastic": lambda i, j, v: not v >= -tol,
+            "z_matrix": lambda i, j, v: i != j and not v <= tol,
+            "intensity_matrix": lambda i, j, v: i != j and not v >= -tol,
+        }
+        targets = {"stochastic": 1.0, "intensity_matrix": 0.0}
+        # a tagged witness that names the failing flag carries its witness
+        tagged_flags = {"not_z_matrix": "z_matrix", "not_nonnegative": "nonnegative"}
+        inverse_fails = {
+            ("m_matrix", "inverse_entry_negative"): fails["nonnegative"],
+            ("inverse_m_matrix", "inverse_offdiag_positive"): fails["z_matrix"],
+        }
+        predicates = {
+            "nonnegative": classify.is_nonnegative,
+            "stochastic": classify.is_stochastic,
+            "z_matrix": classify.is_z_matrix,
+            "intensity_matrix": classify.is_intensity_matrix,
+            "irreducible": classify.is_irreducible,
+        }
+        seen = set()
+        for A in self.witness_family():
+            n = A.shape[0]
             report = classify.classify_matrix(A)
+            wit = report.witnesses
+            for name, predicate in predicates.items():
+                assert predicate(A, CFG) == report.flags[name], name
             for name, value in report.flags.items():
-                if not value:
-                    assert name in report.witnesses, name
+                if value:
+                    continue
+                assert name in wit, name
+                w = wit[name]
+                kind = w if isinstance(w, str) else w[0] if isinstance(w[0], str) else "entry"
+                seen.add((name, kind))
+                if name in fails and w[0] == "row_sum":
+                    _, i, s = w
+                    assert s == A[i].sum() and not abs(s - targets[name]) <= n * tol, (name, A)
+                elif name in fails:
+                    i, j, v = w
+                    assert v == A[i, j] and fails[name](i, j, v), (name, A)
+                elif name == "nonsingular":
+                    assert w == ("det", report.det)
+                elif name == "irreducible":
+                    assert w[0] == "strongly_connected_components" and w[1] > 1 and len(set(w[2])) == w[1]
+                elif w == "singular":
+                    assert not report.flags["nonsingular"]
+                elif w[0] in tagged_flags:
+                    assert w[1] == wit[tagged_flags[w[0]]]
+                else:
+                    i, j, v = w[1]
+                    assert v == numkit._lapack_inv(A)[i, j] and inverse_fails[name, w[0]](i, j, v), (name, A)
+        # the family reaches every kind of witness
+        assert {("stochastic", "row_sum"), ("stochastic", "entry"), ("intensity_matrix", "row_sum"),
+                ("m_matrix", "inverse_entry_negative"), ("inverse_m_matrix", "inverse_offdiag_positive"),
+                ("m_matrix", "singular"), ("irreducible", "strongly_connected_components")} <= seen, seen
+
+    def test_stochastic_witness_is_the_negative_entry(self):
+        # its row sums are 1, so a row sum witnesses nothing
+        report = classify.classify_matrix(np.array([[1.2, -0.2], [0.5, 0.5]]))
+        assert report.witnesses["stochastic"] == (0, 1, -0.2)
 
     def test_overflowing_determinant_is_inf_without_a_warning(self):
         # warnings are errors here, so an overflow warning in det fails
@@ -187,7 +264,7 @@ class TestNonnegEigvecOfZ:
         assert np.allclose(v, 0.5, atol=1e-9)
 
     def test_rejects_non_z(self):
-        with pytest.raises(NotZMatrix):
+        with pytest.raises(NotZMatrix, match=r"\(0, 1, 1\.0\)"):
             classify.nonneg_eigvec_of_z(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_residual_and_sign_fuzzed(self):

@@ -213,7 +213,7 @@ class TestWindowCandidates:
         eigen = numkit.eig(TRANS_A)
         bound = embed.branch_bound(eigen, float(np.linalg.det(TRANS_A)), "israel_two_sided")
         sel, candidate = next(window_candidates(eigen, bound))
-        assert sel.offsets == (0, 0, 0)
+        assert sel == (0, 0, 0)
         assert np.allclose(candidate, GEN_A, atol=1e-8)
 
     def test_two_state_single_real_candidate(self):
@@ -224,7 +224,7 @@ class TestWindowCandidates:
         bound = embed.branch_bound(eigen, det, "israel_two_sided")
         candidates = list(window_candidates(eigen, bound))
         assert len(candidates) == 1
-        assert candidates[0][0].offsets == (0, 0)
+        assert candidates[0][0] == (0, 0)
 
     def test_yielded_selections_satisfy_reality_structure(self):
         rng = np.random.default_rng(31)
@@ -239,11 +239,11 @@ class TestWindowCandidates:
             eigen = numkit.eig(P)
             bound = embed.branch_bound(eigen, float(np.linalg.det(P)), "israel_two_sided")
             for sel, _ in window_candidates(eigen, bound):
-                assert sel.offsets[0] == 0
+                assert sel[0] == 0
                 for i, li in enumerate(eigen.eigenvalues):
                     if abs(li.imag) > 1e-12:
                         j = int(np.argmin(np.abs(eigen.eigenvalues - np.conj(li))))
-                        assert sel.offsets[i] == -sel.offsets[j]
+                        assert sel[i] == -sel[j]
 
 
 def perron_apex(eigen):
@@ -333,16 +333,13 @@ class TestRealSelectionEnumeration:
                 reference = brute_force_real_selections(eigen, bound)
                 assert bound.candidate_count == len(reference)
                 listed = list(window_candidates(eigen, bound))
-                assert [s.offsets for s, _ in listed] == [c for c, _ in reference]
+                assert [s for s, _ in listed] == [c for c, _ in reference]
                 for (_, got), (_, want) in zip(listed, reference):
                     assert np.array_equal(got, want)
                 if mode == "paper_one_sided":
                     # no decision prunes the one-sided window
                     continue
-                pruned = [
-                    (s.offsets, real)
-                    for s, real in embed._candidate_stream(eigen, cone_blocks(eigen, bound), CFG)
-                ]
+                pruned = list(embed._candidate_stream(eigen, cone_blocks(eigen, bound), CFG))
                 reference = brute_force_real_selections(eigen, bound, perron_apex(eigen))
                 assert [c for c, _ in pruned] == [c for c, _ in reference]
                 for (_, got), (_, want) in zip(pruned, reference):
@@ -469,7 +466,7 @@ class TestReportedWindow:
                 # the search's own enumerator lists the same window
                 tried = [r["branch"] for r in report.failed_conditions if "branch" in r]
                 stream = embed._candidate_stream(eigen, embed._real_blocks(eigen, windows), CFG)
-                assert [s.offsets for s, _ in stream] == tried
+                assert [s for s, _ in stream] == tried
             else:
                 assert report.verdict in (embed.EMBEDDABLE, embed.STRONGLY_INF_DIVISIBLE)
                 hits += 1

@@ -19,7 +19,6 @@ def test_public_names():
     assert names == [
         "BOUND_MODES",
         "BranchBound",
-        "BranchSelection",
         "ClassReport",
         "DEFAULT_TOL",
         "DivisibilityReport",

@@ -14,12 +14,14 @@ contributes its exception type and message instead.
 Prints the number of reports, then ``sha256_eig``, the digest of
 ``numkit.eig`` on every input (its eigenvalues, eigenvectors, inverse basis,
 ``min_pairwise_gap`` and ``basis_condition``, or its exception), which shows
-bit identity of the eigendecomposition in parts no report holds.  Then the
-sha256 of all reports in order, and ``sha256_without_roots``, the same
-digest with every ``roots_demonstrated`` left out (trailing sub-reports
-included).  Each FIELD named after SRC_DIR
-is a report field to leave out of one more digest, printed last as
-``sha256_without FIELD ... <digest>``; for example
+bit identity of the eigendecomposition in parts no report holds, and
+``sha256_classify``, the digest of ``classify_matrix`` on every input (its
+flags, witnesses, determinant and spectral radius, or its exception), which
+does the same for the class flags and their witnesses.  Then the sha256 of
+all reports in order, and ``sha256_without_roots``, the same digest with
+every ``roots_demonstrated`` left out (trailing sub-reports included).
+Each FIELD named after SRC_DIR is a report field to leave out of one more
+digest, printed last as ``sha256_without FIELD ... <digest>``; for example
 
     python3 tools/report_digest.py src bound_used roots_demonstrated
 
@@ -59,14 +61,17 @@ def report_bits(x, skip=()):
     return x.hex() if isinstance(x, float) else x
 
 
-def eig_bits(eig, matrix, errors):
-    """``eig(matrix)`` as nested tuples, or its exception type and message."""
+EIG_FIELDS = ("eigenvalues", "right_eigenvectors", "inverse_basis", "min_pairwise_gap", "basis_condition")
+
+
+def call_bits(f, matrix, errors, fields=None):
+    """``f(matrix)`` as nested tuples, only its attributes named in
+    ``fields`` when given, or its exception type and message."""
     try:
-        E = eig(matrix)
+        result = f(matrix)
     except errors as exc:
         return (type(exc).__name__, str(exc))
-    fields = (E.eigenvalues, E.right_eigenvectors, E.inverse_basis, E.min_pairwise_gap, E.basis_condition)
-    return report_bits(fields)
+    return report_bits(result if fields is None else tuple(getattr(result, name) for name in fields))
 
 
 def main(argv):
@@ -88,11 +93,13 @@ def main(argv):
         skips["sha256_without " + " ".join(fields)] = fields
     digests = {name: hashlib.sha256() for name in skips}
     eig_digest = hashlib.sha256()
+    classify_digest = hashlib.sha256()
     count = 0
     for seed in SEEDS:
         cases = [case for workload in sorted(corpus.WORKLOADS) for case in corpus.build(workload, seed)]
         for case in cases + corpus.known_defect_cases(seed):
-            eig_digest.update(repr(eig_bits(embedlab.numkit.eig, case.matrix, EmbedlabError)).encode())
+            eig_digest.update(repr(call_bits(embedlab.numkit.eig, case.matrix, EmbedlabError, EIG_FIELDS)).encode())
+            classify_digest.update(repr(call_bits(embedlab.classify_matrix, case.matrix, EmbedlabError)).encode())
             for question in questions:
                 try:
                     report = question(case.matrix)
@@ -104,6 +111,7 @@ def main(argv):
                 count += 1
     print(f"reports {count}")
     print(f"sha256_eig {eig_digest.hexdigest()}")
+    print(f"sha256_classify {classify_digest.hexdigest()}")
     for name, digest in digests.items():
         print(f"{name} {digest.hexdigest()}")
 
