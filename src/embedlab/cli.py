@@ -152,18 +152,19 @@ def _tolerances(args) -> ToleranceConfig:
 
 
 def _json_default(obj):
-    """What ``json`` cannot encode itself: real arrays, numpy scalars,
-    dataclasses field by field, and the repr of anything else.  No payload
-    holds a complex array: ``logm`` prints the real part of a selection that
-    Culver's criterion makes real, or an error, and every report array is
-    real."""
+    """What ``json`` cannot encode itself: real arrays, numpy scalars and
+    dataclasses field by field.  Anything else raises TypeError, as
+    ``json``'s own default does, so no value enters a report as text.  No
+    payload holds a complex array: ``logm`` prints the real part of a
+    selection that Culver's criterion makes real, or an error, and every
+    report array is real."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    return repr(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 _VERDICT_EXIT_CODES = {
@@ -217,11 +218,9 @@ def _run_command(args, M, cfg):
         report = embed.check_embeddable(M, cfg)
         return {"embeddability": report}, _VERDICT_EXIT_CODES[report.verdict]
 
-    if args.command == "infdiv":
-        report = embed.check_strong_inf_divisible(M, cfg, root_orders=tuple(args.roots))
-        return {"divisibility": report}, _VERDICT_EXIT_CODES[report.verdict]
-
-    raise _UsageError(f"unknown command {args.command!r}")
+    # the subparsers are required, so the one command left is infdiv
+    report = embed.check_strong_inf_divisible(M, cfg, root_orders=tuple(args.roots))
+    return {"divisibility": report}, _VERDICT_EXIT_CODES[report.verdict]
 
 
 def _summary_line(payload, code):
@@ -242,26 +241,22 @@ def run_cli(argv) -> int:
         args = _build_parser().parse_args(argv)
         cfg = _tolerances(args)
         M = _load_matrix(args.file)
+        try:
+            payload, code = _run_command(args, M, cfg)
+        except EmbedlabError as exc:
+            # numerical trouble is reported, not raised: verdict Undetermined
+            payload = {
+                "verdict": embed.UNDETERMINED,
+                "error": type(exc).__name__,
+                "detail": str(exc),
+            }
+            code = EXIT_UNDETERMINED
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-
-    try:
-        payload, code = _run_command(args, M, cfg)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EmbedlabError as exc:
-        # numerical trouble is reported, not raised: verdict Undetermined
-        payload = {
-            "verdict": embed.UNDETERMINED,
-            "error": type(exc).__name__,
-            "detail": str(exc),
-        }
-        code = EXIT_UNDETERMINED
 
     report = {
         "command": list(argv),

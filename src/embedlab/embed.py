@@ -341,10 +341,6 @@ def _candidate_stream(
         yield sel, numkit.logm_branch(E, sel, cfg).real.copy()
 
 
-def _offdiag(M: np.ndarray) -> np.ndarray:
-    return M[_offdiag_mask(M.shape[0])]
-
-
 def _offdiag_zeros(A: np.ndarray, cfg: ToleranceConfig) -> Optional[np.ndarray]:
     """The off-diagonal structural zeros of A (``classify.structural_pattern``,
     the pattern of ``structure.frobenius_form``) as a boolean mask, None when
@@ -441,11 +437,14 @@ def _branch_search(E, blocks, accept, cfg):
     return None, None, examined, records
 
 
-def _primary_log_is_only_real_log(A: np.ndarray, lam: np.ndarray, cfg: ToleranceConfig) -> bool:
-    """True when every real logarithm of A, whose eigenvalues are ``lam``,
-    must be the principal primary one: all eigenvalues real positive and each
-    repeated eigenvalue confined to a single Jordan block (geometric
-    multiplicity one)."""
+def _primary_log_is_only_real_log(A: np.ndarray, eigen: Optional[Eigendecomposition], cfg: ToleranceConfig) -> bool:
+    """True when every real logarithm of A must be the principal primary
+    one: all eigenvalues real positive and each repeated eigenvalue confined
+    to a single Jordan block (geometric multiplicity one).  The eigenvalues
+    are those of ``eigen``, A's eigendecomposition, or with none (None)
+    ``numkit._lapack_eigvals(A)``, the spectrum ``numkit.principal_log``
+    read, bit for bit."""
+    lam = numkit._lapack_eigvals(A) if eigen is None else eigen.eigenvalues
     if np.any(numkit._nonreal(lam, cfg)) or not np.all(numkit._positive(lam.real, cfg)):
         return False
     n = A.shape[0]
@@ -458,15 +457,14 @@ def _primary_log_is_only_real_log(A: np.ndarray, lam: np.ndarray, cfg: Tolerance
     return True
 
 
-def _principal_witness(A, accept, records, cfg, eigenvalues=None):
+def _principal_witness(A, accept, records, cfg):
     """``numkit.principal_log`` of A when the acceptor ``accept`` takes it,
     else None with the reason appended to ``records``: a
     ``principal_log_unavailable`` record when A has no real principal
     logarithm or its square roots do not converge, otherwise the acceptor's
-    failure record with ``branch`` ``principal_primary``.  ``eigenvalues``
-    is passed on to ``numkit.principal_log``."""
+    failure record with ``branch`` ``principal_primary``."""
     try:
-        witness = numkit.principal_log(A, cfg, eigenvalues=eigenvalues)
+        witness = numkit.principal_log(A, cfg)
     except (SingularMatrix, NegativeRealEigenvalue, IllConditioned) as exc:
         records.append({"reason": "principal_log_unavailable", "detail": str(exc)})
         return None
@@ -500,9 +498,9 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     positive verdict outright; a failing one is conclusive only when it is
     the sole real-logarithm candidate and its failure is not a
     reconstruction failure, which is rounding (see ``_decide``).  Without an
-    eigenbasis the spectrum is taken once, for its precondition and that
-    last test.  The other real logarithms of a repeated spectrum are not
-    enumerated, so anything else is Undetermined.
+    eigenbasis that last test takes the spectrum again, only when it runs.
+    The other real logarithms of a repeated spectrum are not enumerated, so
+    anything else is Undetermined.
     """
     positive, negative = verdicts
     records: List[dict] = []
@@ -518,15 +516,12 @@ def _repeated_spectrum_verdict(A, eigen, accept, verdicts, cfg):
     except (SingularMatrix, NegativeRealEigenvalue) as exc:
         records.append({"reason": "principal_log_unavailable", "detail": str(exc)})
     else:
-        lam = numkit._lapack_eigvals(A) if eigen is None else eigen.eigenvalues
-        # principal_log reads only eigvals' own spectrum, which eig's need
-        # not match bit for bit, so with an eigenbasis it takes its own
-        witness = _principal_witness(A, accept, records, cfg, lam if eigen is None else None)
+        witness = _principal_witness(A, accept, records, cfg)
         if witness is not None:
             return positive, witness, records, None
         # a reconstruction failure is rounding, never evidence (_decide)
         conclusive = records[-1]["reason"] not in ("principal_log_unavailable", "reconstruction_failure")
-        if conclusive and _primary_log_is_only_real_log(A, lam, cfg):
+        if conclusive and _primary_log_is_only_real_log(A, eigen, cfg):
             records.append({"reason": "primary_log_is_only_candidate"})
             return negative, None, records, None
 
@@ -842,7 +837,7 @@ def im_root_approx(
     numkit._check_order(n, "starting order n")
     if numkit._reconstruction_fails(numkit.relative_residual(numkit.expm(G), P), cfg):
         raise ValueError("exp(generator) does not reconstruct the matrix")
-    off = _offdiag(G)
+    off = G[_offdiag_mask(len(G))]
     if off.size == 0 or not numkit._positive(np.min(off), cfg):
         raise OffDiagonalZeros("generator off-diagonal entries must be strictly positive")
     order = int(n)

@@ -35,7 +35,6 @@ __all__ = [
     "DEFAULT_TOL",
     "Eigendecomposition",
     "as_square_matrix",
-    "cluster_indices",
     "eig",
     "expm",
     "logm_branch",
@@ -165,11 +164,19 @@ def _reconstruction_fails(residual, cfg: ToleranceConfig, factor: int = 1):
 
 
 def _eigenvalue_clusters(lam, cfg: ToleranceConfig):
-    """Eigenvalue clusters: ``cluster_indices`` of ``lam`` at width
-    ``distinct_tol``, the gap of ``Eigendecomposition.is_repeated``.
-    Absolute; library default.  A certified negative rests on it through
-    ``primary_log_is_only_candidate``."""
-    return cluster_indices(lam, cfg.distinct_tol)
+    """Eigenvalue clusters: the indices of ``lam`` grouped, in order, with
+    the first value of a cluster closer than ``distinct_tol``, the gap of
+    ``Eigendecomposition.is_repeated``.  Absolute; library default.  A
+    certified negative rests on it through ``primary_log_is_only_candidate``."""
+    clusters = []
+    for j, value in enumerate(lam):
+        for cluster in clusters:
+            if abs(lam[cluster[0]] - value) < cfg.distinct_tol:
+                cluster.append(j)
+                break
+        else:
+            clusters.append([j])
+    return clusters
 
 
 def _nonreal(lam, cfg: ToleranceConfig):
@@ -273,11 +280,10 @@ def _lapack_eig(A):
 
 
 def _lapack_eigvals(A):
-    """``np.linalg.eigvals(A)``: complex128, or the float64 real parts when
-    every imaginary part is zero."""
+    """``np.linalg.eigvals(A)`` as complex128, also when numpy would return
+    an all-real spectrum as float64."""
     with np.errstate(**_EIG_ERRSTATE):
-        lam = _umath_linalg.eigvals(A, signature="d->D")
-    return lam if lam.imag.any() else lam.real
+        return _umath_linalg.eigvals(A, signature="d->D")
 
 
 def _lapack_inv(A):
@@ -332,10 +338,6 @@ class Eigendecomposition:
         library default.  A repeated spectrum takes the principal logarithm,
         where a certified negative rests on ``primary_log_is_only_candidate``."""
         return self.min_pairwise_gap < cfg.distinct_tol
-
-    def reconstruct(self) -> np.ndarray:
-        """V diag(lambda) V^-1 (complex)."""
-        return (self.right_eigenvectors * self.eigenvalues) @ self.inverse_basis
 
 
 # Every comparison with a ToleranceConfig field, one helper per role
@@ -516,20 +518,6 @@ def _sinch(x):
     return np.where(zero, 1.0, np.sinh(safe) / safe)
 
 
-def cluster_indices(values, tol: float):
-    """Group indices of ``values`` into clusters closer than ``tol`` to the
-    cluster representative."""
-    clusters = []
-    for j, value in enumerate(values):
-        for cluster in clusters:
-            if abs(values[cluster[0]] - value) < tol:
-                cluster.append(j)
-                break
-        else:
-            clusters.append([j])
-    return clusters
-
-
 def logm_branch(E: Eigendecomposition, selection, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Branch-parameterized matrix logarithm V diag(Log lam_j + 2 pi i k_j) V^-1.
 
@@ -610,12 +598,10 @@ def _norm1(M) -> float:
     return float(np.abs(M).sum(axis=0).max())
 
 
-def principal_log(A, cfg: ToleranceConfig = DEFAULT_TOL, *, eigenvalues=None) -> np.ndarray:
+def principal_log(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Primary principal logarithm of a real matrix with no eigenvalue on the
-    closed negative real axis.  Valid for repeated eigenvalues as well.
-    ``eigenvalues``, when given, must be ``np.linalg.eigvals(A)``; the
-    precondition and the scaling read it instead of taking the spectrum
-    again.
+    closed negative real axis.  Valid for repeated eigenvalues as well.  The
+    precondition and the scaling read the spectrum ``_lapack_eigvals(A)``.
 
     Inverse scaling and squaring.  First log A = e log(2) I + log(2^-e A),
     with 2^e the power of two nearest the geometric mean of |lambda|: the
@@ -636,7 +622,7 @@ def principal_log(A, cfg: ToleranceConfig = DEFAULT_TOL, *, eigenvalues=None) ->
     a nearly singular matrix of large scale passes it.  Real arithmetic
     throughout, and no random draws."""
     A = as_square_matrix(A)
-    lam = _lapack_eigvals(A) if eigenvalues is None else eigenvalues
+    lam = _lapack_eigvals(A)
     _check_log_preconditions(lam, cfg)
     n = A.shape[0]
     I = np.eye(n)

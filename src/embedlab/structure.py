@@ -43,9 +43,9 @@ class StructureDecomposition:
     """Permutation to block upper triangular form with irreducible blocks.
 
     ``permutation[a]`` is the original index placed at position ``a`` of
-    ``U``, so ``U = B[permutation][:, permutation]`` and, with L the 0/1
-    matrix ``L[i, a] = (permutation[a] == i)``, ``B = L U L^T``.
-    Reconstruction is a pure entry permutation, bit-identical to the input.
+    ``U``, so ``U = B[permutation][:, permutation]``, a pure entry
+    permutation of B, bit for bit, and, with L the 0/1 matrix
+    ``L[i, a] = (permutation[a] == i)``, ``B = L U L^T``.
     """
 
     permutation: np.ndarray
@@ -56,11 +56,6 @@ class StructureDecomposition:
     @property
     def n_blocks(self) -> int:
         return len(self.block_sizes)
-
-    def reconstruct(self) -> np.ndarray:
-        inverse = np.empty_like(self.permutation)
-        inverse[self.permutation] = np.arange(len(self.permutation))
-        return self.U[np.ix_(inverse, inverse)]
 
 
 def frobenius_form(B, cfg: ToleranceConfig = DEFAULT_TOL) -> StructureDecomposition:

@@ -1301,16 +1301,19 @@ class TestRepeatedSpectrum:
             "_lapack_eig": 1, "_lapack_eigvals": 0, "principal_log": 0}
 
     @pytest.mark.parametrize("check", [embed.check_embeddable, embed.check_strong_inf_divisible])
-    def test_defective_input_takes_its_spectrum_once(self, check, monkeypatch):
+    def test_defective_input_reads_one_spectrum(self, check, monkeypatch):
         # no eigenbasis: the principal log's precondition and the test that
-        # this log is the only real candidate read one spectrum
+        # this log is the only real candidate each take the spectrum, and
+        # both get the same bits
         P = numkit.expm(np.array([[-1.0, 1.0 + 5e-8, -5e-8], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]))
-        eigvals = count_calls(monkeypatch, numkit, "_lapack_eigvals")
+        eigvals, spectra = numkit._lapack_eigvals, []
+        monkeypatch.setattr(numkit, "_lapack_eigvals", lambda A: spectra.append(eigvals(A)) or spectra[-1])
         logs = count_calls(monkeypatch, numkit, "principal_log")
         report = check(P)
         reasons = [r["reason"] for r in report.failed_conditions]
         assert reasons == ["off_diagonal_negative", "primary_log_is_only_candidate"]
-        assert (len(eigvals), len(logs)) == (1, 1)
+        assert (len(spectra), len(logs)) == (2, 1)
+        assert spectra[0].tobytes() == spectra[1].tobytes()
 
     @pytest.mark.parametrize("check", [embed.check_embeddable, embed.check_strong_inf_divisible])
     def test_unconverged_principal_log_is_undetermined(self, check, monkeypatch):
