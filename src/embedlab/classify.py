@@ -194,7 +194,9 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
     numbers components by their smallest state, from 0, so it is
     deterministic.  A matrix is singular when sigma_min <= entry_tol *
     sigma_max; a singular one gets its inverse-dependent flags set False with
-    witness ``"singular"`` and the ``nonsingular`` witness ``("det", det)``.
+    witness ``"singular"`` and the ``nonsingular`` witness ``("sigma_ratio",
+    sigma_min / sigma_max)``, the ratio the decision read: finite, at most
+    entry_tol, and 0.0 when sigma_min is zero.
     Each flag and its witness come from one search for the class's
     violation, the one its predicate (``is_stochastic`` and so on) makes.
     """
@@ -220,7 +222,7 @@ def classify_matrix(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
         "stochastic": _stochastic_violation(A, cfg),
         "z_matrix": z,
         "intensity_matrix": _intensity_violation(A, cfg),
-        "nonsingular": ("det", det) if Ainv is None else None,
+        "nonsingular": ("sigma_ratio", 1.0 / numkit._condition(A)) if Ainv is None else None,
         "m_matrix": m,
         "inverse_m_matrix": inverse_m,
         "irreducible": _reducibility(A, cfg),

@@ -66,7 +66,17 @@ class TestClassifyMatrix:
         assert report.det == pytest.approx(1e-12)
         report = classify.classify_matrix(np.ones((2, 2)))
         assert not report.flags["nonsingular"]
-        assert report.witnesses["nonsingular"] == ("det", report.det)
+        s = np.linalg.svd(np.ones((2, 2)), compute_uv=False)
+        assert report.witnesses["nonsingular"] == ("sigma_ratio", pytest.approx(s[-1] / s[0], rel=1e-15))
+
+    def test_singular_witness_is_the_ratio_that_decided(self):
+        # det 1.0000229e8 is far from zero, but sigma_min / sigma_max is
+        # 2.5e-13: the witness gives the ratio the flag was decided on
+        A = 1e10 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+        report = classify.classify_matrix(A)
+        assert not report.flags["nonsingular"] and report.det > 1e8
+        assert report.witnesses["nonsingular"] == ("sigma_ratio", 2.500245067452982e-13)
+        assert classify.classify_matrix(np.zeros((3, 3))).witnesses["nonsingular"] == ("sigma_ratio", 0.0)
 
     @staticmethod
     def witness_family():
@@ -133,7 +143,9 @@ class TestClassifyMatrix:
                     i, j, v = w
                     assert v == A[i, j] and fails[name](i, j, v), (name, A)
                 elif name == "nonsingular":
-                    assert w == ("det", report.det)
+                    s = np.linalg.svd(A, compute_uv=False)
+                    assert w[0] == "sigma_ratio" and 0.0 <= w[1] <= tol
+                    assert np.isclose(w[1] * s[0], s[-1], rtol=1e-12, atol=1e-300), A
                 elif name == "irreducible":
                     assert w[0] == "strongly_connected_components" and w[1] > 1 and len(set(w[2])) == w[1]
                 elif w == "singular":

@@ -94,6 +94,9 @@ class TestExitCodes:
             ["infdiv", path, "--roots", "0"],
             ["infdiv", path, "--roots", "-2"],
             ["root", path, "--n", "0"],
+            ["root", path, "--n", "x"],
+            ["logm", path, "--branch", "1,x"],
+            ["embed", path, "--tol", "abc"],
             ["embed", path, "--tol", "0"],
             ["embed", path, "--tol", "-1"],
             ["embed", path, "--tol", "inf"],
@@ -411,6 +414,25 @@ class TestReportContract:
                     assert np.linalg.norm(np.array(root) - expected) <= 1e-12 * np.linalg.norm(expected)
                     seen += 1
         assert seen == 27
+
+    def test_json_default_encodes_numpy_and_refuses_the_rest(self):
+        for value, expected in ((np.float64(1.5), 1.5), (np.int64(3), 3), (np.bool_(True), True)):
+            got = cli._json_default(value)
+            assert got == expected and type(got) is type(expected)
+        # an unknown object fails, as json's own default does, and is never
+        # written as its repr: a complex entry would read "(1+2j)"
+        with pytest.raises(TypeError, match="complex"):
+            cli._json_default(1 + 2j)
+        with pytest.raises(TypeError):
+            json.dumps({"matrix": np.array([[1 + 2j]])}, default=cli._json_default)
+
+    def test_main_exits_with_the_code(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "m.json", TRANS_A)
+        monkeypatch.setattr(sys, "argv", ["embedlab", "embed", path])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["result"]["embeddability"]["verdict"] == "Embeddable"
 
     def test_tol_flag_echoed(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", np.eye(2))

@@ -154,6 +154,17 @@ class TestBranchBound:
         assert bound.im_low == -bound.im_high
         assert bound.im_high == pytest.approx(np.log(10.0))
 
+    def test_unpaired_conjugates_have_no_real_selection(self):
+        # blockdiag(C0, C0) repeats a conjugate pair; the canonical order puts
+        # both copies of one eigenvalue first, so no position has its
+        # conjugate next to it, and no offsets make the logarithm real
+        C0 = np.array([[0.1, 0.9, 0.0], [0.0, 0.1, 0.9], [0.9, 0.0, 0.1]])
+        B = scipy.linalg.block_diag(C0, C0)
+        eigen = numkit.eig(B)
+        assert eigen.eigenvalues[2] == eigen.eigenvalues[3] and eigen.eigenvalues[2].imag != 0
+        for mode in embed.BOUND_MODES:
+            assert embed.branch_bound(eigen, float(np.linalg.det(B)), mode).candidate_count == 0
+
     def test_perron_radius(self):
         # n*log rho - log det: Israel's |log det| when rho = 1, else n*log rho more
         bound = embed.branch_bound(numkit.eig(np.diag([1.0, 0.5])), 0.5, "perron_radius")
@@ -1301,6 +1312,18 @@ class TestRepeatedSpectrum:
             "_lapack_eig": 1, "_lapack_eigvals": 0, "principal_log": 0}
 
     @pytest.mark.parametrize("check", [embed.check_embeddable, embed.check_strong_inf_divisible])
+    def test_nonreal_repeated_spectrum_is_not_the_only_real_log(self, check):
+        # blockdiag(C, C), C = 0.1 J/3 + 0.9 (0.15 I + 0.85 Pi) with Pi the
+        # 3-cycle, repeats a conjugate pair: its principal log fails the sign
+        # test, but with a nonreal eigenvalue it need not be the only real
+        # logarithm, so that failure certifies nothing
+        C = 0.1 * np.ones((3, 3)) / 3 + 0.9 * (0.15 * np.eye(3) + 0.85 * np.roll(np.eye(3), 1, axis=1))
+        report = check(scipy.linalg.block_diag(C, C))
+        assert report.verdict == embed.UNDETERMINED
+        records = [(r["reason"], r.get("branch")) for r in report.failed_conditions]
+        assert records == [("off_diagonal_negative", "principal_primary"), ("repeated_eigenvalues", None)]
+
+    @pytest.mark.parametrize("check", [embed.check_embeddable, embed.check_strong_inf_divisible])
     def test_defective_input_reads_one_spectrum(self, check, monkeypatch):
         # no eigenbasis: the principal log's precondition and the test that
         # this log is the only real candidate each take the spectrum, and
@@ -1462,6 +1485,22 @@ class TestInverseMPowerForm:
         B = random_inverse_m(np.random.default_rng(62), 4)
         assert np.array_equal(embed.inverse_m_power_form(B, 1).root, B)
 
+    def test_primary_root_with_a_negative_entry_is_none(self):
+        # the principal square root of C0 has least entry -0.282
+        C0 = np.array([[0.1, 0.9, 0.0], [0.0, 0.1, 0.9], [0.9, 0.0, 0.1]])
+        assert numkit.primary_root(C0, 2).min() == pytest.approx(-0.282, abs=1e-3)
+        assert embed.inverse_m_power_form(C0, 2) is None
+
+    def test_resolvent_factor_that_is_not_stochastic_is_none(self):
+        # P = W^-1 for the row-sum-one W = [[1 + a, -a], [b, 1 - b]]: W's
+        # entry b = 5e-10 is a Z-matrix slack, and P's entry -b/det W a
+        # nonnegative one, but the factor h = (sI - W)/(s - 1), s = 1 + a,
+        # has the entry -b/a = -5e-4
+        a, b = 1e-6, 5e-10
+        P = np.linalg.inv(np.array([[1.0 + a, -a], [b, 1.0 - b]]))
+        assert classify.is_stochastic(P, CFG) and classify.is_z_matrix(np.linalg.inv(P), CFG)
+        assert embed.inverse_m_power_form(P, 1) is None
+
     def test_square_of_inverse_m(self):
         result = embed.inverse_m_power_form(TRANS_A @ TRANS_A, 2)
         assert result is not None
@@ -1542,6 +1581,14 @@ class TestImRootApprox:
         W = embed.im_root_approx(P, R, 1)
         flags = classify.classify_matrix(W).flags
         assert flags["m_matrix"]
+
+    def test_generator_must_match_and_reconstruct(self):
+        R = np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])
+        P = numkit.expm(R)
+        with pytest.raises(ValueError, match="matching shapes"):
+            embed.im_root_approx(P, R[:2, :2])
+        with pytest.raises(ValueError, match="does not reconstruct"):
+            embed.im_root_approx(P, 2.0 * R)
 
     def test_offdiagonal_zero_precondition(self):
         with pytest.raises(OffDiagonalZeros):

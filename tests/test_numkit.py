@@ -157,6 +157,9 @@ class TestEig:
     def test_defective_raises(self):
         with pytest.raises(IllConditioned):
             numkit.eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        # the 3x3 shift: LAPACK returns an exactly singular eigenvector basis
+        with pytest.raises(IllConditioned, match="eigenvector basis is singular"):
+            numkit.eig(np.eye(3, k=1))
 
     def test_basis_condition_is_numpys_condition_number(self):
         rng = np.random.default_rng(47)
@@ -367,6 +370,16 @@ class TestNumpyEquivalents:
             assert self.same(numkit._lapack_solve(A + n * np.eye(n), B), np.linalg.solve(A + n * np.eye(n), B))
             assert self.same(numkit._lapack_solve(stack, B), np.linalg.solve(stack, np.broadcast_to(B, (8, n, n))))
         assert kinds == {"f", "c"}
+
+    def test_lapack_failure_is_numpys_error(self):
+        # no finite input is known to stop LAPACK's QR iteration; a NaN one
+        # does, and the kernels raise numpy's error without a warning
+        A = np.full((2, 2), np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in (numkit._lapack_eig, numkit._lapack_eigvals):
+                with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+                    kernel(A)
 
     @pytest.mark.parametrize("A", [np.zeros((3, 3)), np.ones((3, 3)), np.ones((2, 2), dtype=complex)])
     def test_singular_inverse_and_solve_raise_without_a_warning(self, A):

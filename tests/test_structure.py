@@ -266,6 +266,10 @@ class TestZeroPatternInvariance:
         violations = structure.zero_pattern_invariance(np.eye(2), Q)
         assert (0, 1, 1) in violations and (1, 0, 1) in violations
 
+    def test_shapes_must_match(self):
+        with pytest.raises(ValueError, match="matching shapes"):
+            structure.zero_pattern_invariance(np.eye(2), np.zeros((3, 3)))
+
     def test_bad_pair_rejected(self):
         with pytest.raises(NotAValidPair):
             structure.zero_pattern_invariance(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
