@@ -164,10 +164,11 @@ def _reconstruction_fails(residual, cfg: ToleranceConfig, factor: int = 1):
 
 
 def _eigenvalue_clusters(lam, cfg: ToleranceConfig):
-    """Eigenvalue clusters: the indices of ``lam`` grouped, in order, with
-    the first value of a cluster closer than ``distinct_tol``, the gap of
-    ``Eigendecomposition.is_repeated``.  Absolute; library default.  A
-    certified negative rests on it through ``primary_log_is_only_candidate``."""
+    """Eigenvalue clusters: each index of ``lam`` in turn joins the first
+    cluster whose first value is closer than ``distinct_tol``, the gap of
+    ``Eigendecomposition.is_repeated``, or starts a new one.  Absolute;
+    library default.  A certified negative rests on it through
+    ``primary_log_is_only_candidate``."""
     clusters = []
     for j, value in enumerate(lam):
         for cluster in clusters:

@@ -1495,7 +1495,8 @@ class TestInverseMPowerForm:
         # P = W^-1 for the row-sum-one W = [[1 + a, -a], [b, 1 - b]]: W's
         # entry b = 5e-10 is a Z-matrix slack, and P's entry -b/det W a
         # nonnegative one, but the factor h = (sI - W)/(s - 1), s = 1 + a,
-        # has the entry -b/a = -5e-4
+        # has the entry -b/a = -5e-4.  So this None rests on an absolute
+        # slack that the division by s - 1 amplifies
         a, b = 1e-6, 5e-10
         P = np.linalg.inv(np.array([[1.0 + a, -a], [b, 1.0 - b]]))
         assert classify.is_stochastic(P, CFG) and classify.is_z_matrix(np.linalg.inv(P), CFG)

@@ -7,14 +7,15 @@ Runs pytest in-process in the current directory, with SRC_DIR first on
 ``threading.settrace``) that starts before the package is imported, so its
 module-level statements count too.  Only frames of files under SRC_DIR are
 traced.  A statement counts as executed when a line event falls on one of
-its own lines: every line of a simple statement, and the header of a
-compound one (its decorators and the lines before its body).  Docstrings
-are not statements.  Code that runs only in a child process is not seen.
+its lines, decorators included: a compound statement's body runs only after
+its header, so a line of its body counts for it too.  Docstrings are not
+statements.  Code that runs only in a child process is not seen.
 
 Prints each statement under SRC_DIR that no test executed, in file and line
 order, as ``<path relative to SRC_DIR>:<line> <source line>``, then
 ``<n> of <m> statements unexecuted``.  Exits with pytest's exit code.
-Standard library plus pytest.
+Standard library plus pytest, and ``docstring_lines`` from
+``code_lines.py`` beside it.
 """
 
 import ast
@@ -24,36 +25,18 @@ from pathlib import Path
 
 import pytest
 
-_COMPOUND = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.With, ast.AsyncWith, ast.Try, ast.FunctionDef,
-             ast.AsyncFunctionDef, ast.ClassDef, ast.Match)
-if sys.version_info >= (3, 11):
-    _COMPOUND += (ast.TryStar,)
-
-
-def _docstrings(tree: ast.Module) -> set:
-    """The docstring statements of ``tree``: the string literal that opens a
-    module, class or function body."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
-            first = node.body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
-                found.add(first)
-    return found
+from code_lines import docstring_lines
 
 
 def statements(tree: ast.Module) -> dict:
-    """``{first line: own lines}`` for each statement of ``tree`` but the
-    docstrings; a compound statement owns its decorators and the lines up to
-    its body."""
-    skip = _docstrings(tree)
+    """``{first line: its lines}`` for each statement of ``tree`` but the
+    docstrings (``code_lines.docstring_lines``), decorators included."""
+    skip = docstring_lines(tree)
     found = {}
     for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt) or node in skip:
-            continue
-        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
-        last = node.body[0].lineno - 1 if isinstance(node, _COMPOUND) else node.end_lineno
-        found[node.lineno] = set(range(first, max(last, node.lineno) + 1))
+        if isinstance(node, ast.stmt) and node.lineno not in skip:
+            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+            found[node.lineno] = set(range(first, node.end_lineno + 1))
     return found
 
 
