@@ -45,7 +45,6 @@ from .errors import (
     NotStochastic,
     NotZMatrix,
     OffDiagonalZeros,
-    OutOfRange,
     Overflow,
     RepeatedEigenvalues,
     SearchExhausted,
@@ -68,7 +67,6 @@ from .structure import (
     StructureDecomposition,
     frobenius_form,
     necessary_conditions,
-    trailing_submatrix,
     zero_pattern_invariance,
 )
 

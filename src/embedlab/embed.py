@@ -355,9 +355,11 @@ def _offdiag_zeros(A: np.ndarray, cfg: ToleranceConfig) -> Optional[np.ndarray]:
 def _on_pattern(zeros: Optional[np.ndarray], check):
     """``check`` (which returns (ok, record)) of a matrix M set to 0.0, in
     place, at ``zeros``; when that fails and the projection removed
-    anything, M is restored and checked as given, and that check's result
-    and record stand, so the projection never rejects an M that ``check``
-    accepts as given.  With no zeros (None) it is ``check`` itself."""
+    anything, M is restored and checked as given.  M as given is accepted
+    when that re-check passes, so the projection never rejects an M that
+    ``check`` accepts as given; when it fails too, the projected check's
+    record stands, as M as given can fail at a structural zero, where the
+    projection reads 0.  With no zeros (None) it is ``check`` itself."""
     if zeros is None:
         return check
 
@@ -368,7 +370,7 @@ def _on_pattern(zeros: Optional[np.ndarray], check):
         if ok or not dropped.any():
             return ok, record
         M[zeros] = dropped
-        return check(M, *args)
+        return (True, None) if check(M, *args)[0] else (False, record)
 
     return projected
 
@@ -388,11 +390,13 @@ def _log_acceptor(target: np.ndarray, zeros: Optional[np.ndarray], cfg: Toleranc
     e^-s (I + L + sI) entrywise, so L_ij <= e^s expm(L)_ij.  A target entry
     that is below ``entry_tol`` but not zero allows L_ij up to e^s
     entry_tol, and removing that can cost the reconstruction; L is then
-    checked as given.  An accepted L lies exactly on the target's pattern
-    unless only L as given passed.  The target is not zero (both entries
-    gate on its determinant), so its norm, taken once, divides every
-    residual; a norm past the float range raises Overflow, as a determinant
-    there does.
+    checked as given, and accepted if that passes.  If it fails too, the
+    record is the projected L's, whose entries at the zeros are the 0.0
+    the acceptor reads there.  An accepted L lies exactly on the target's
+    pattern unless only L as given passed.  The target is not zero (both
+    entries gate on its determinant), so its norm, taken once, divides
+    every residual; a norm past the float range raises Overflow, as a
+    determinant there does.
     """
     n = target.shape[0]
     offdiag = _offdiag_mask(n)
@@ -655,12 +659,13 @@ def check_strong_inf_divisible(
     power must reconstruct the input, and a failing root makes the verdict
     Undetermined.  Each root is set to zero at the input's off-diagonal
     structural zeros before its checks and, when that fails, checked as
-    computed (``_on_pattern``, as for the witness).  When the witness is
-    -Q = V diag(mu) V^-1 from the decision's eigenbasis (a search hit, or
-    the principal logarithm of a repeated diagonalizable spectrum), the
-    roots are V diag(exp(mu/m)) V^-1, all orders in one product
-    (``numkit.branch_roots``), whose real parts are the roots, as the
-    witness's selection is real.  A root that fails a check is recomputed as
+    computed, which accepts it if that passes and otherwise keeps the
+    projected root's record (``_on_pattern``, as for the witness).  When
+    the witness is -Q = V diag(mu) V^-1 from the decision's eigenbasis (a
+    search hit, or the principal logarithm of a repeated diagonalizable
+    spectrum), the roots are V diag(exp(mu/m)) V^-1, all orders in one
+    product (``numkit.branch_roots``), whose real parts are the roots, as
+    the witness's selection is real.  A root that fails a check is recomputed as
     expm(-Q/m) and checked again, so the report then rests on the expm root.
     A witness from ``numkit.principal_log`` has no eigenbasis, and its roots
     are expm's.  A repeated spectrum is resolved through the principal

@@ -34,10 +34,6 @@ class NotAValidPair(EmbedlabError):
     """exp(-Q) does not reconstruct B within the reconstruction tolerance."""
 
 
-class OutOfRange(EmbedlabError):
-    """Index argument outside its admissible range."""
-
-
 class NotStochastic(EmbedlabError):
     """Input is not row-stochastic within tolerance."""
 

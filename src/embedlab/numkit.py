@@ -303,7 +303,9 @@ def _lapack_solve(A, B):
 def _lapack_det(A):
     """``np.linalg.det(A)``; past the float range it is +-inf, with no
     overflow warning, which a caller that runs with warnings as errors would
-    get instead of a report.  Every caller gates on the value."""
+    get instead of a report.  Every caller gates on the value.  A strided
+    2-D view is fine: the gufunc copies A into LAPACK's buffer either way,
+    so a view and its copy give the same bits."""
     with np.errstate(over="ignore"):
         return _umath_linalg.det(A, signature="d->d")
 

@@ -8,6 +8,7 @@ a cheap pre-filter for the decision core.  The components come from
 routine every irreducibility test shares.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import numkit
 from .classify import _offdiag_mask, strong_components
-from .errors import NotAValidPair, OutOfRange
+from .errors import NotAValidPair
 from .numkit import DEFAULT_TOL, ToleranceConfig, as_square_matrix, expm, relative_residual, structural_pattern
 from .numkit import _det_below_gate, _positive, _reconstruction_fails
 
@@ -24,7 +25,6 @@ __all__ = [
     "NecessaryConditionReport",
     "CONDITION_NAMES",
     "frobenius_form",
-    "trailing_submatrix",
     "zero_pattern_invariance",
     "necessary_conditions",
 ]
@@ -93,17 +93,6 @@ def frobenius_form(B, cfg: ToleranceConfig = DEFAULT_TOL) -> StructureDecomposit
     )
 
 
-def trailing_submatrix(D: StructureDecomposition, n: int) -> np.ndarray:
-    """Copy of the square submatrix of U after deleting the first ``n``
-    diagonal blocks from the top rows and left columns; ``n = 0`` gives all
-    of U.  Later blocks never reach earlier ones, so its Frobenius form keeps
-    blocks n, n+1, ... in place."""
-    if not 0 <= n <= D.n_blocks:
-        raise OutOfRange(f"block index {n} outside [0, {D.n_blocks}]")
-    offset = int(sum(D.block_sizes[:n]))
-    return D.U[offset:, offset:].copy()
-
-
 def zero_pattern_invariance(
     B, Q, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> List[Tuple[int, int, int]]:
@@ -158,7 +147,11 @@ def necessary_conditions(
     form; trailing submatrices with positive determinant; and zero-pattern
     transitivity (a length-2 path into an off-diagonal structural zero).  A
     trailing submatrix needs no other check: its diagonal and its diagonal
-    blocks are those of B, already checked.
+    blocks are those of B, already checked.  The form is walked once: one
+    scan of U's entries at most ``entry_tol`` finds the first in each
+    diagonal block (a single block of n > 1 states is B in its own order,
+    and gives the irreducible-implies-positive record), and trailing
+    submatrix t is the slice of U from the offset of block t.
     ``decomposition``, when given, must be ``frobenius_form(B, cfg)``; the
     form is computed here otherwise.  A strictly positive B (every entry
     above ``entry_tol``) passes at once: none of the five can fire on it.
@@ -177,25 +170,23 @@ def necessary_conditions(
 
     pattern = structural_pattern(B, cfg)
     decomp = frobenius_form(B, cfg) if decomposition is None else decomposition
-    if decomp.n_blocks == 1 and n > 1:
-        rows, cols = (~_positive(B, cfg)).nonzero()
-        if rows.size:
-            i, j = int(rows[0]), int(cols[0])
-            violations.append(("irreducible_implies_positive", (i, j, float(B[i, j]))))
-    else:
-        # the first entry at most entry_tol of each diagonal block, in
-        # row-major order, from one mask over the blocks of U
-        block_of = [b for b, size in enumerate(decomp.block_sizes) for _ in range(size)]
-        labels = np.array(block_of)
-        rows, cols = ((labels[:, None] == labels) & ~_positive(decomp.U, cfg)).nonzero()
-        last = -1
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            if block_of[i] != last:
-                last = block_of[i]
-                violations.append(("diagonal_blocks_positive", (last, i, j, float(decomp.U[i, j]))))
+    # the first entry at most entry_tol of each diagonal block, in row-major
+    # order, from one scan of U's entries at most entry_tol; a single block
+    # of n > 1 states is B in its own order (the identity permutation)
+    irreducible = decomp.n_blocks == 1 and n > 1
+    block_of = [b for b, size in enumerate(decomp.block_sizes) for _ in range(size)]
+    rows, cols = (~_positive(decomp.U, cfg)).nonzero()
+    last = -1
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if block_of[i] == block_of[j] != last:
+            last, value = block_of[i], float(decomp.U[i, j])
+            violations.append(("irreducible_implies_positive", (i, j, value)) if irreducible
+                              else ("diagonal_blocks_positive", (last, i, j, value)))
 
-    for t in range(1, decomp.n_blocks):
-        sub_det = float(numkit._lapack_det(trailing_submatrix(decomp, t)))
+    # trailing submatrix t starts at the offset of block t; _lapack_det
+    # copies the slice into LAPACK's buffer, as it would a copy
+    for t, offset in enumerate(itertools.accumulate(decomp.block_sizes[:-1]), start=1):
+        sub_det = float(numkit._lapack_det(decomp.U[offset:, offset:]))
         if _det_below_gate(sub_det, cfg):
             violations.append(("trailing_submatrices_recursive", (t, sub_det)))
 

@@ -38,7 +38,6 @@ def test_public_names():
         "NotStochastic",
         "NotZMatrix",
         "OffDiagonalZeros",
-        "OutOfRange",
         "Overflow",
         "RepeatedEigenvalues",
         "STRONGLY_INF_DIVISIBLE",
@@ -68,7 +67,6 @@ def test_public_names():
         "nonneg_eigvec_of_z",
         "primary_root",
         "principal_log",
-        "trailing_submatrix",
         "zero_pattern_invariance",
     ]
 

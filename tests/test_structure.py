@@ -1,4 +1,5 @@
 import heapq
+import itertools
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from embedlab import classify, embed, numkit, structure
-from embedlab.errors import NotAValidPair, OutOfRange
+from embedlab.errors import NotAValidPair
 from helpers import (
     DIVISIBLE_TRIANGLE,
     EXP_GEN_A,
@@ -86,20 +87,36 @@ def reference_frobenius(B):
     return order, [len(members[c]) for c in comp_order]
 
 
+def trailing_offsets(d):
+    """Where trailing submatrix t, ``d.U[offset:, offset:]`` after deleting
+    the first t diagonal blocks, starts, for t = 0, 1, ..., in order."""
+    return [0, *itertools.accumulate(d.block_sizes[:-1])]
+
+
 def assert_trailing_forms_are_fresh_forms(d):
     """The form computed from scratch on each trailing submatrix keeps the
     remaining blocks of ``d`` in place, bit for bit: identity permutation,
     ``d``'s block sizes from t on, U equal to the submatrix and ``d``'s
     diagonal blocks from t on.  Slicing the trailing blocks of a divisible
     input in the parent's form relies on this."""
-    for t in range(d.n_blocks):
-        sub = structure.trailing_submatrix(d, t)
+    for t, offset in enumerate(trailing_offsets(d)):
+        sub = d.U[offset:, offset:]
         fresh = structure.frobenius_form(sub)
         assert np.array_equal(fresh.permutation, np.arange(len(sub)))
         assert fresh.block_sizes == d.block_sizes[t:]
         pairs = [(fresh.U, sub)] + list(zip(fresh.diagonal_blocks, d.diagonal_blocks[t:], strict=True))
         for a, b in pairs:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def forty_states_twenty_components():
+    """Twenty positive 2x2 blocks on the diagonal, randomly permuted."""
+    rng = np.random.default_rng(28)
+    B = np.zeros((40, 40))
+    for b in range(20):
+        B[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = rng.uniform(0.1, 1.0, (2, 2))
+    perm = rng.permutation(40)
+    return B[np.ix_(perm, perm)]
 
 
 class TestFrobeniusFormOracle:
@@ -121,12 +138,7 @@ class TestFrobeniusFormOracle:
             self.check(B)
 
     def test_forty_states_twenty_components(self):
-        rng = np.random.default_rng(28)
-        B = np.zeros((40, 40))
-        for b in range(20):
-            B[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = rng.uniform(0.1, 1.0, (2, 2))
-        perm = rng.permutation(40)
-        B = B[np.ix_(perm, perm)]
+        B = forty_states_twenty_components()
         self.check(B)
         assert structure.frobenius_form(B).block_sizes == [2] * 20
 
@@ -223,33 +235,32 @@ class TestFrobeniusFormCalls:
 
 
 class TestTrailingSubmatrix:
+    """Trailing submatrices are slices of the form's U at the block offsets."""
+
     def test_zero_returns_whole(self):
         d = structure.frobenius_form(EXP_GEN_A)
-        assert np.array_equal(structure.trailing_submatrix(d, 0), d.U)
+        assert trailing_offsets(d)[0] == 0
+        assert np.array_equal(d.U[0:, 0:], d.U)
 
     def test_last_block(self):
         d = structure.frobenius_form(EXP_GEN_A)
-        last = structure.trailing_submatrix(d, d.n_blocks - 1)
-        assert np.array_equal(last, d.diagonal_blocks[-1])
+        offset = trailing_offsets(d)[-1]
+        assert offset == len(d.U) - d.block_sizes[-1]
+        assert np.array_equal(d.U[offset:, offset:], d.diagonal_blocks[-1])
 
     def test_fixture_values(self):
         d = structure.frobenius_form(EXP_GEN_A)
-        sub = structure.trailing_submatrix(d, 1)
+        offset = trailing_offsets(d)[1]
+        sub = d.U[offset:, offset:]
         e1 = np.exp(-1.0)
         assert np.allclose(sub, [[e1, 1 - e1], [0.0, 1.0]], atol=1e-12)
         assert np.allclose(sub, [[0.368, 0.632], [0.0, 1.0]], atol=5e-4)
 
     def test_trailing_form_of_fixture(self):
         d = structure.frobenius_form(EXP_GEN_A)
-        assert structure.frobenius_form(structure.trailing_submatrix(d, 1)).block_sizes == [1, 1]
+        offset = trailing_offsets(d)[1]
+        assert structure.frobenius_form(d.U[offset:, offset:]).block_sizes == [1, 1]
         assert_trailing_forms_are_fresh_forms(d)
-
-    def test_out_of_range(self):
-        d = structure.frobenius_form(EXP_GEN_A)
-        with pytest.raises(OutOfRange):
-            structure.trailing_submatrix(d, 4)
-        with pytest.raises(OutOfRange):
-            structure.trailing_submatrix(d, -1)
 
 
 class TestZeroPatternInvariance:
@@ -345,6 +356,114 @@ class TestNecessaryConditions:
             B = numkit.expm(random_intensity(rng, n))
             assert classify.is_irreducible(B, CFG)
             assert np.min(B) > CFG.entry_tol
+
+
+def reference_necessary_conditions(B, d):
+    """The prefilter's records as two walks over the form ``d`` of B: a
+    single block of n > 1 states scanned as B, any other form scanned block
+    by block, and each trailing determinant taken of a copied trailing
+    submatrix.  Returns the records and the trailing determinants."""
+    n, tol = len(B), CFG.entry_tol
+    if (B > tol).all():
+        return [], []
+    records = [("positive_diagonal", (i, float(B[i, i]))) for i in range(n) if not B[i, i] > tol]
+    if d.n_blocks == 1 and n > 1:
+        rows, cols = (B <= tol).nonzero()
+        if rows.size:
+            i, j = int(rows[0]), int(cols[0])
+            records.append(("irreducible_implies_positive", (i, j, float(B[i, j]))))
+    else:
+        for b, (offset, size) in enumerate(zip(trailing_offsets(d), d.block_sizes)):
+            block = d.U[offset : offset + size, offset : offset + size]
+            rows, cols = (block <= tol).nonzero()
+            if rows.size:
+                i, j = offset + int(rows[0]), offset + int(cols[0])
+                records.append(("diagonal_blocks_positive", (b, i, j, float(d.U[i, j]))))
+    dets = []
+    for t, offset in enumerate(trailing_offsets(d)[1:], start=1):
+        dets.append(float(numkit._lapack_det(d.U[offset:, offset:].copy())))
+        if dets[-1] <= tol:
+            records.append(("trailing_submatrices_recursive", (t, dets[-1])))
+    pattern = (np.abs(B) > tol).astype(int)
+    reach = (pattern @ pattern > 0) & (pattern == 0) & ~np.eye(n, dtype=bool)
+    records += [("zero_pattern_transitive", (int(i), int(j))) for i, j in np.argwhere(reach)]
+    return records, dets
+
+
+def random_block_form(rng, n, sizes):
+    """A nonnegative n x n matrix, block upper triangular with irreducible
+    diagonal blocks of ``sizes`` (each a cycle plus random entries), under a
+    random permutation; some diagonal entries are zero and some entries sit
+    exactly at ``entry_tol``."""
+    B = np.zeros((n, n))
+    offsets = [0, *itertools.accumulate(sizes)]
+    for a, b in zip(offsets, offsets[1:]):
+        size = b - a
+        block = rng.uniform(0.1, 1.0, (size, size)) * (rng.random((size, size)) < 0.5)
+        block[np.arange(size), np.roll(np.arange(size), -1)] = rng.uniform(0.1, 1.0, size)
+        B[a:b, a:b] = block
+        B[a:b, b:] = rng.uniform(0.1, 1.0, (size, n - b)) * (rng.random((size, n - b)) < 0.6)
+    if rng.random() < 0.5:
+        np.fill_diagonal(B, np.where(rng.random(n) < 0.8, rng.uniform(0.1, 1.0, n), B.diagonal()))
+    if rng.random() < 0.2:
+        rows, cols = B.nonzero()
+        k = int(rng.integers(rows.size))
+        B[rows[k], cols[k]] = CFG.entry_tol
+    perm = rng.permutation(n)
+    return B[np.ix_(perm, perm)]
+
+
+def record_bits(records):
+    """Records with every float in hex, so equal results compare bit for bit."""
+    return [(name, tuple(x.hex() if isinstance(x, float) else x for x in where)) for name, where in records]
+
+
+class TestNecessaryConditionsReference:
+    """The prefilter's records and every trailing determinant, bit for bit,
+    against the reference's two walks over the form."""
+
+    def check(self, B, monkeypatch):
+        d = structure.frobenius_form(B)
+        dets = []
+        original = numkit._lapack_det
+
+        def recording(A):
+            dets.append(original(A))
+            return dets[-1]
+
+        monkeypatch.setattr(numkit, "_lapack_det", recording)
+        report = structure.necessary_conditions(B, decomposition=d)
+        monkeypatch.setattr(numkit, "_lapack_det", original)
+        records, expected = reference_necessary_conditions(B, d)
+        assert [float(x).hex() for x in dets] == [x.hex() for x in expected]
+        assert record_bits(report.violations) == record_bits(records)
+        assert report.passed == (records == [])
+        return d, records
+
+    def test_random_forms(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        seen, dets = set(), 0
+        for k in range(1500):
+            n = int(rng.integers(1, 12))
+            blocks = [1, n, 2, 3][k % 4] if n > 3 else int(rng.integers(1, n + 1))
+            cuts = sorted(rng.choice(np.arange(1, n), blocks - 1, replace=False).tolist()) if blocks > 1 else []
+            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+            d, records = self.check(random_block_form(rng, n, sizes), monkeypatch)
+            assert d.n_blocks >= len(sizes)
+            seen.update(name for name, _ in records)
+            dets += d.n_blocks - 1
+        assert seen == set(structure.CONDITION_NAMES)
+        assert dets > 2500
+
+    def test_one_by_one_and_forty_states(self, monkeypatch):
+        for x in [0.5, 1e-9, 0.0]:
+            self.check(np.array([[x]]), monkeypatch)
+        B = forty_states_twenty_components()
+        B[0, 0] = 0.0
+        d, records = self.check(B, monkeypatch)
+        assert d.n_blocks == 20
+        at = int(np.flatnonzero(d.permutation == 0)[0])
+        assert records[:2] == [("positive_diagonal", (0, 0.0)), ("diagonal_blocks_positive", (at // 2, at, at, 0.0))]
 
 
 class TestPermutationOrientation:

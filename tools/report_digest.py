@@ -17,7 +17,11 @@ Prints the number of reports, then ``sha256_eig``, the digest of
 bit identity of the eigendecomposition in parts no report holds, and
 ``sha256_classify``, the digest of ``classify_matrix`` on every input (its
 flags, witnesses, determinant and spectral radius, or its exception), which
-does the same for the class flags and their witnesses.  Then the sha256 of
+does the same for the class flags and their witnesses, and
+``sha256_structure``, the digest of ``structure.frobenius_form`` (all its
+fields) and of ``structure.necessary_conditions`` given that form, or the
+exception, on every input: the prefilter runs there even on the inputs
+whose decisions stop at the determinant gate.  Then the sha256 of
 all reports in order, and ``sha256_without_roots``, the same digest with
 every ``roots_demonstrated`` left out (trailing sub-reports included).
 Each FIELD named after SRC_DIR is a report field to leave out of one more
@@ -94,12 +98,20 @@ def main(argv):
     digests = {name: hashlib.sha256() for name in skips}
     eig_digest = hashlib.sha256()
     classify_digest = hashlib.sha256()
+    structure_digest = hashlib.sha256()
+    structure = embedlab.structure
+
+    def prefilter(matrix):
+        form = structure.frobenius_form(matrix)
+        return form, structure.necessary_conditions(matrix, decomposition=form)
+
     count = 0
     for seed in SEEDS:
         cases = [case for workload in sorted(corpus.WORKLOADS) for case in corpus.build(workload, seed)]
         for case in cases + corpus.known_defect_cases(seed):
             eig_digest.update(repr(call_bits(embedlab.numkit.eig, case.matrix, EmbedlabError, EIG_FIELDS)).encode())
             classify_digest.update(repr(call_bits(embedlab.classify_matrix, case.matrix, EmbedlabError)).encode())
+            structure_digest.update(repr(call_bits(prefilter, case.matrix, EmbedlabError)).encode())
             for question in questions:
                 try:
                     report = question(case.matrix)
@@ -112,6 +124,7 @@ def main(argv):
     print(f"reports {count}")
     print(f"sha256_eig {eig_digest.hexdigest()}")
     print(f"sha256_classify {classify_digest.hexdigest()}")
+    print(f"sha256_structure {structure_digest.hexdigest()}")
     for name, digest in digests.items():
         print(f"{name} {digest.hexdigest()}")
 
