@@ -18,13 +18,15 @@ that path rest on ``numkit.principal_log``, and what it leaves open is
 Undetermined.  A negative that rests on a failure within the acceptor's
 borderline band is Undetermined too, and a reconstruction failure is never
 evidence: a search that holds one tries ``numkit.principal_log`` through the
-acceptor, and is Undetermined when that fails too.  The acceptor tests each candidate
-set to zero at the input's off-diagonal structural zeros (``_log_acceptor``),
-so a witness lies on the input's zero pattern unless only the candidate as
-computed passed.  Trailing blocks of a divisible reducible input are not
-decided or checked again: their sub-reports are slices of the parent's
-witness and roots, with ``bound_used`` None and ``branches_examined`` 0,
-and a block the witness does not leave block triangular is Undetermined.
+acceptor, and is Undetermined when that fails too.  The acceptor tests each
+candidate, and each sample root, set to zero at the input's off-diagonal
+structural zeros (``_on_pattern``), the one zero pattern of the decision,
+so every witness lies on it.  The projection writes 0.0 only at zeros, so
+what it makes fail is a reconstruction, never evidence: such a failure
+ends Undetermined, never negative.  Trailing blocks of a divisible
+reducible input are not decided or checked again: their sub-reports are
+slices of the parent's witness and roots, with ``bound_used`` None and
+``branches_examined`` 0, and each inherits the parent's certificate.
 
 The searched window gives each eigenvalue its branch offsets in one pass,
 the Perron radius and Runnenberg's cone together (``_search_windows``), and
@@ -354,23 +356,19 @@ def _offdiag_zeros(A: np.ndarray, cfg: ToleranceConfig) -> Optional[np.ndarray]:
 
 def _on_pattern(zeros: Optional[np.ndarray], check):
     """``check`` (which returns (ok, record)) of a matrix M set to 0.0, in
-    place, at ``zeros``; when that fails and the projection removed
-    anything, M is restored and checked as given.  M as given is accepted
-    when that re-check passes, so the projection never rejects an M that
-    ``check`` accepts as given; when it fails too, the projected check's
-    record stands, as M as given can fail at a structural zero, where the
-    projection reads 0.  With no zeros (None) it is ``check`` itself."""
+    place, at ``zeros``, the input's off-diagonal structural zeros: the one
+    zero pattern a decision reads, as the prefilter and the Frobenius form
+    read it.  The projection is the only check; M is not checked as given.
+    It writes 0.0 only where the input is zero, so it cannot make a sign
+    test fail, only a reconstruction, which ``_decide`` never takes as
+    evidence.
+    With no zeros (None) it is ``check`` itself."""
     if zeros is None:
         return check
 
     def projected(M: np.ndarray, *args):
-        dropped = M[zeros]
         M[zeros] = 0.0
-        ok, record = check(M, *args)
-        if ok or not dropped.any():
-            return ok, record
-        M[zeros] = dropped
-        return (True, None) if check(M, *args)[0] else (False, record)
+        return check(M, *args)
 
     return projected
 
@@ -385,15 +383,14 @@ def _log_acceptor(target: np.ndarray, zeros: Optional[np.ndarray], cfg: Toleranc
 
     Before both checks L is set to 0.0, in place, at ``zeros``, the target's
     off-diagonal structural zeros (``_offdiag_zeros``), through
-    ``_on_pattern``.  A logarithm with nonnegative off-diagonal entries is
-    zero at an exact zero of the target: with s = max(-L_jj), expm(L) >=
-    e^-s (I + L + sI) entrywise, so L_ij <= e^s expm(L)_ij.  A target entry
-    that is below ``entry_tol`` but not zero allows L_ij up to e^s
-    entry_tol, and removing that can cost the reconstruction; L is then
-    checked as given, and accepted if that passes.  If it fails too, the
-    record is the projected L's, whose entries at the zeros are the 0.0
-    the acceptor reads there.  An accepted L lies exactly on the target's
-    pattern unless only L as given passed.  The target is not zero (both
+    ``_on_pattern``, so an accepted L lies exactly on the target's pattern.
+    A logarithm with nonnegative off-diagonal entries is zero at an exact
+    zero of the target: with s = max(-L_jj), expm(L) >= e^-s (I + L + sI)
+    entrywise, so L_ij <= e^s expm(L)_ij.  A target entry that is at most
+    ``entry_tol`` but not zero allows L_ij up to e^s entry_tol, and
+    removing that can cost the reconstruction; that failure is a
+    ``reconstruction_failure``, which ``_decide`` never takes as evidence,
+    so the decision ends Undetermined, not negative.  The target is not zero (both
     entries gate on its determinant), so its norm, taken once, divides
     every residual; a norm past the float range raises Overflow, as a
     determinant there does.
@@ -658,9 +655,8 @@ def check_strong_inf_divisible(
     once; booleans are not orders): each must be nonnegative and its mth
     power must reconstruct the input, and a failing root makes the verdict
     Undetermined.  Each root is set to zero at the input's off-diagonal
-    structural zeros before its checks and, when that fails, checked as
-    computed, which accepts it if that passes and otherwise keeps the
-    projected root's record (``_on_pattern``, as for the witness).  When
+    structural zeros before its checks (``_on_pattern``, as for the
+    witness), and a root the projection makes fail is Undetermined too.  When
     the witness is -Q = V diag(mu) V^-1 from the decision's eigenbasis (a
     search hit, or the principal logarithm of a repeated diagonalizable
     spectrum), the roots are V diag(exp(mu/m)) V^-1, all orders in one
@@ -672,19 +668,17 @@ def check_strong_inf_divisible(
     logarithm alone, and a negative that rests on a borderline failure or a
     reconstruction failure is Undetermined, as in ``check_embeddable``.  The
     acceptor sets each candidate to zero at the input's off-diagonal
-    structural zeros, so a witness it accepts that way is block upper
-    triangular in the input's Frobenius form, its roots are so up to
-    rounding, and each trailing block B_t is exp(-Q_t) of its slice.
+    structural zeros, so every witness it accepts, and every root, is zero
+    below the diagonal blocks of the input's Frobenius form, where every
+    entry of the input is such a zero: Q is block upper triangular in that
+    form, and each trailing block B_t is exp(-Q_t) of its slice.
     Exactly, exp(-Q_t) - B_t is a diagonal block of exp(-Q) - B, so the
     slice inherits the parent's reconstruction bound with no check of its own:
     ||exp(-Q_t) - B_t||_F <= ||exp(-Q) - B||_F <= recon_tol ||B||_F, a
     tolerance relative to the parent's norm, not to B_t's.  Its sub-report
     holds Q_t and the sliced roots; no search runs for it, so
     ``bound_used`` is None and ``branches_examined`` 0, and it carries no
-    recursion.  A witness the acceptor took without the projection can be
-    nonzero below a block (Q[tail, head]); that block's sub-report is then
-    Undetermined with a ``witness_not_block_triangular`` record holding the
-    largest such |Q| entry, since its slice inherits nothing.
+    recursion.
     """
     root_orders = tuple(root_orders)
     for m in root_orders:
@@ -731,11 +725,6 @@ def check_strong_inf_divisible(
     rows, cols = decomp.permutation[:, None], decomp.permutation
     Q, roots = Q[rows, cols], [(order, root[rows, cols]) for order, root in roots]
     for offset in itertools.accumulate(decomp.block_sizes[:-1]):
-        leak = float(np.abs(Q[offset:, :offset]).max())
-        if leak:
-            failed = [{"reason": "witness_not_block_triangular", "value": leak}]
-            report.recursion.append(DivisibilityReport(UNDETERMINED, failed_conditions=failed))
-            continue
         sliced = [(order, root[offset:, offset:].copy()) for order, root in roots]
         report.recursion.append(DivisibilityReport(STRONGLY_INF_DIVISIBLE, Q[offset:, offset:].copy(), sliced))
     return report

@@ -49,7 +49,8 @@ class ToleranceConfig:
     """Numerical slacks used by every verdict in the library.  Each field is
     compared only inside the threshold helpers listed in ``_THRESHOLDS``, one
     per role; the README's threshold table has one row per helper.
-    ``entry_tol`` is the one setting; the other two are fixed.
+    ``entry_tol`` is the one setting, a finite float above 0 as the CLI's
+    ``--tol`` takes it; the other two are fixed.
 
     entry_tol      the entry, sign, determinant and eigenvalue slack
     recon_tol      relative reconstruction tolerance
@@ -63,8 +64,9 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("entry_tol", "recon_tol", "distinct_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite float above 0, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()

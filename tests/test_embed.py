@@ -113,6 +113,33 @@ def block_triangular_z(rng, sizes):
     return L @ Q @ L.T
 
 
+def near_threshold_chains(rng, count):
+    """exp(R) for sparse intensity matrices R of 2 to 5 states whose rates
+    are each, with probability one half, scaled to 1e-10 to 1e-7, so that
+    the chain has entries on both sides of entry_tol."""
+    chains = []
+    for _ in range(count):
+        R = random_sparse_intensity(rng, int(rng.integers(2, 6)))
+        np.fill_diagonal(R, 0.0)
+        R *= np.where(rng.random(R.shape) < 0.5, 10.0 ** rng.uniform(-10.0, -7.0, R.shape), 1.0)
+        np.fill_diagonal(R, -R.sum(axis=1))
+        chains.append(numkit.expm(R))
+    return chains
+
+
+def assert_zero_below_the_form_blocks(B, report):
+    """In the order of B's Frobenius form, the witness of the positive
+    divisibility ``report`` and each of its roots are 0.0 below every
+    diagonal block, and every trailing sub-report is positive."""
+    decomp = structure.frobenius_form(B)
+    rows, cols = decomp.permutation[:, None], decomp.permutation
+    for M in [report.z_matrix] + [root for _, root in report.roots_demonstrated]:
+        for offset in itertools.accumulate(decomp.block_sizes[:-1]):
+            assert np.all(M[rows, cols][offset:, :offset] == 0.0)
+    assert len(report.recursion) == decomp.n_blocks - 1
+    assert all(sub.verdict == embed.STRONGLY_INF_DIVISIBLE for sub in report.recursion)
+
+
 def make_symmetric_stochastic_with_det(rng, n, det):
     """Symmetric generator scaled so the exponential has the requested
     determinant; eigenvalues come out real, positive and distinct."""
@@ -744,13 +771,21 @@ class TestCheckStrongInfDivisible:
     def test_witnesses_lie_on_the_input_zero_pattern(self):
         # the witnesses of these inputs are exactly zero at the input's
         # off-diagonal structural zeros, for both questions, so each
-        # trailing slice inherits the parent's reconstruction bound
+        # trailing slice inherits the parent's reconstruction bound; the
+        # chains add positives with entries on both sides of entry_tol
         rng = np.random.default_rng(39)
         draws = [numkit.expm(-block_triangular_z(rng, sizes)) for sizes in ((1, 3), (2, 2, 1), (3, 1, 2))]
+        fixed = [TRANS_A, DIVISIBLE_TRIANGLE, EXP_GEN_A] + draws
+        chains = near_threshold_chains(np.random.default_rng(7), 60)
         off_zeros = lambda M: ~classify.structural_pattern(M, CFG) & ~np.eye(len(M), dtype=bool)
-        for B in [TRANS_A, DIVISIBLE_TRIANGLE, EXP_GEN_A] + draws:
+        reducible = 0
+        for k, B in enumerate(fixed + chains):
             report = embed.check_strong_inf_divisible(B)
+            if k >= len(fixed) and report.verdict != embed.STRONGLY_INF_DIVISIBLE:
+                continue
             assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
+            assert_zero_below_the_form_blocks(B, report)
+            reducible += k >= len(fixed) and bool(report.recursion)
             witnesses = [report.z_matrix]
             if classify.is_stochastic(B, CFG):
                 generated = embed.check_embeddable(B)
@@ -765,6 +800,7 @@ class TestCheckStrongInfDivisible:
                 block = decomp.U[offset:, offset:]
                 assert np.all(sub.z_matrix[off_zeros(block)] == 0.0)
                 assert np.linalg.norm(numkit.expm(-sub.z_matrix) - block) <= bound
+        assert reducible >= 30
 
     @pytest.mark.parametrize(
         "check, positive",
@@ -775,27 +811,28 @@ class TestCheckStrongInfDivisible:
     def test_zero_pattern_projection_certifies_no_negative(self, check, positive):
         # P's (0, 1) entry, about 9.5e-10, counts as a structural zero, but
         # the generator's rate there is 1.9e-8 (L_ij <= e^s P_ij with s = 20):
-        # the candidate set to zero there misses P by 1.8e-8 relative, so it
-        # is checked again as given, and that check certifies it
+        # the candidate set to zero there misses P by 1.8e-8 relative.  That
+        # is a reconstruction failure, never evidence, so the principal
+        # logarithm is tried through the same acceptor and the verdict is
+        # Undetermined, not negative
         a = 1.9e-8
         G = np.array([[-a, a], [20.0 - a, a - 20.0]])
         P = numkit.expm(G)
         assert not classify.structural_pattern(P, CFG)[0, 1]
         assert np.linalg.det(P) > CFG.entry_tol
         report = check(P)
-        assert report.verdict == positive
-        assert report.failed_conditions == []
-        L = report.generator if positive == embed.EMBEDDABLE else -report.z_matrix
-        assert np.max(np.abs(L - G)) <= 1e-12
-        assert numkit.relative_residual(numkit.expm(L), P) <= CFG.recon_tol
+        assert report.verdict == embed.UNDETERMINED
+        records = report.failed_conditions
+        assert [r["reason"] for r in records] == [
+            "reconstruction_failure", "all_branches_exhausted",
+            "reconstruction_failure", "reconstruction_failure_not_evidence"]
+        assert [r.get("branch") for r in records] == [(0, 0), None, "principal_primary", None]
+        assert records[0]["value"] == pytest.approx(1.76e-8, rel=1e-2)
         if positive == embed.STRONGLY_INF_DIVISIBLE:
-            # the witness is not block triangular in P's Frobenius form, so
-            # the trailing slice inherits no bound and is not certified
-            (sub,) = report.recursion
-            assert sub.verdict == embed.UNDETERMINED
-            assert sub.z_matrix is None and sub.roots_demonstrated == []
-            assert [r["reason"] for r in sub.failed_conditions] == ["witness_not_block_triangular"]
-            assert sub.failed_conditions[0]["value"] == pytest.approx(a)
+            assert report.z_matrix is None
+            assert report.recursion == []
+        else:
+            assert report.generator is None
 
     def test_trailing_sub_reports_are_owned_slices_of_the_parent(self):
         # three blocks under a random permutation: each sub-report's witness
@@ -824,40 +861,42 @@ class TestCheckStrongInfDivisible:
 
     def test_roots_lie_on_the_input_zero_pattern(self):
         # each sample root is set to zero at the input's off-diagonal
-        # structural zeros before its checks, as the witness is
+        # structural zeros before its checks, as the witness is; the chains
+        # add positives with entries on both sides of entry_tol
         rng = np.random.default_rng(39)
         draws = [numkit.expm(-block_triangular_z(rng, sizes)) for sizes in ((1, 3), (2, 2, 1), (3, 1, 2))]
-        for B in [DIVISIBLE_TRIANGLE, TRANS_A] + draws:
+        fixed = [DIVISIBLE_TRIANGLE, TRANS_A] + draws
+        chains = near_threshold_chains(np.random.default_rng(8), 60)
+        checked = 0
+        for k, B in enumerate(fixed + chains):
             report = embed.check_strong_inf_divisible(B)
-            assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
             zeros = embed._offdiag_zeros(B, CFG)
+            if k >= len(fixed) and (report.verdict != embed.STRONGLY_INF_DIVISIBLE or zeros is None):
+                continue
+            assert report.verdict == embed.STRONGLY_INF_DIVISIBLE
             assert zeros is not None
             for order, root in report.roots_demonstrated:
                 assert np.all(root[zeros] == 0.0)
                 assert np.linalg.norm(np.linalg.matrix_power(root, order) - B) <= 10 * CFG.recon_tol * np.linalg.norm(B)
+            assert_zero_below_the_form_blocks(B, report)
+            checked += k >= len(fixed)
+        assert checked >= 30
 
-    def test_projection_restores_a_matrix_it_would_reject(self):
-        # the one project -> check -> restore-and-recheck helper of witnesses
-        # and roots: a check that needs the dropped entry passes on the
-        # matrix as given, which is left as given
+    def test_projection_is_the_only_check(self):
+        # the one project -> check helper of witnesses and roots: the check
+        # runs once, on M set to 0.0 at the zeros, and M stays projected even
+        # when a check that needs the dropped entry fails there
         zeros = np.array([[False, True], [False, False]])
         seen = []
 
         def check(M, tag):
-            seen.append(M[0, 1])
-            return (True, None) if M[0, 1] else (False, {"reason": tag})
+            seen.append(float(M[0, 1]))
+            return (True, None) if M[0, 1] else (False, {"reason": tag, "value": float(M[0, 1])})
 
         M = np.array([[1.0, 3e-10], [0.5, 1.0]])
-        assert embed._on_pattern(zeros, check)(M, "needs_the_entry") == (True, None)
-        assert seen == [0.0, 3e-10] and M[0, 1] == 3e-10
-        # when M as given fails too, the projected check's record stands: it
-        # reads the dropped entry as the 0.0 the projection puts there
-        fails = lambda M, tag: (False, {"reason": tag, "value": float(M[0, 1])})
-        assert embed._on_pattern(zeros, fails)(M, "other") == (False, {"reason": "other", "value": 0.0})
-        assert M[0, 1] == 3e-10
-        # nothing dropped: the projected check stands and M stays projected
-        M[0, 1] = 0.0
-        assert embed._on_pattern(zeros, fails)(M, "other") == (False, {"reason": "other", "value": 0.0})
+        assert embed._on_pattern(zeros, check)(M, "needs_the_entry") == (False, {"reason": "needs_the_entry", "value": 0.0})
+        assert seen == [0.0]
+        assert M.tolist() == [[1.0, 0.0], [0.5, 1.0]]
         assert embed._on_pattern(None, check) is check
 
     def test_plain_acceptor_matches_the_projecting_one_on_a_positive_input(self):

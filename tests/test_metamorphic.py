@@ -133,19 +133,34 @@ def test_no_divisible_draw_is_certified_negative():
     assert negatives == []
 
 
-def test_exponential_of_a_scaled_generator_is_never_certified_negative():
+@pytest.mark.parametrize(
+    "t",
+    [
+        pytest.param(
+            0.01,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1 step 1b: the prefilter's absolute zero test certifies 8 sparse draws "
+                "negative through irreducible_implies_positive, at entries from 5.5e-12 to 7.9e-10",
+            ),
+        ),
+        0.1,
+        1.0,
+        4.0,
+    ],
+)
+def test_exponential_of_a_scaled_generator_is_never_certified_negative(t):
     rng = np.random.default_rng(43)
     generators = [
         (random_intensity if k % 2 == 0 else random_sparse_intensity)(rng, int(rng.integers(2, 7)))
         for k in range(DRAWS)
     ]
-    for t in (0.1, 1.0, 4.0):
-        reports = [embed.check_embeddable(numkit.expm(t * R)) for R in generators]
-        verdicts = [r.verdict for r in reports]
-        assert embed.NOT_EMBEDDABLE not in verdicts, t
-        # exp(4R) of a fast chain has a tiny determinant, which the absolute
-        # gate of ROADMAP item 1 leaves Undetermined (135 of 300 at t = 4)
-        for r in reports:
-            if r.verdict == embed.UNDETERMINED:
-                assert [c["reason"] for c in r.failed_conditions] == ["determinant_near_singular"], t
-        assert verdicts.count(embed.EMBEDDABLE) >= 150, t
+    reports = [embed.check_embeddable(numkit.expm(t * R)) for R in generators]
+    verdicts = [r.verdict for r in reports]
+    assert embed.NOT_EMBEDDABLE not in verdicts
+    # exp(4R) of a fast chain has a tiny determinant, which the absolute
+    # gate of ROADMAP item 1 leaves Undetermined (135 of 300 at t = 4)
+    for r in reports:
+        if r.verdict == embed.UNDETERMINED:
+            assert [c["reason"] for c in r.failed_conditions] == ["determinant_near_singular"]
+    assert verdicts.count(embed.EMBEDDABLE) >= 150

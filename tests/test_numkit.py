@@ -98,10 +98,12 @@ class TestToleranceConfig:
         assert CFG.recon_tol == 1e-8
         assert CFG.distinct_tol == 1e-7
 
+    @pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
     @pytest.mark.parametrize("name", ["entry_tol"])
-    def test_positivity_enforced(self, name):
+    def test_positivity_enforced(self, name, value):
+        # the CLI's --tol rejects the same values
         with pytest.raises(ValueError):
-            numkit.ToleranceConfig(**{name: 0.0})
+            numkit.ToleranceConfig(**{name: value})
 
     def test_entry_tol_is_the_only_setting(self):
         # recon_tol and distinct_tol are fixed: neither is a keyword

@@ -79,7 +79,7 @@ def test_readme_lists_every_failure_reason():
     listed = re.findall(r"^\| `([a-z_]+)` \|", section, flags=re.M)
     source = "".join(path.read_text() for path in sorted((ROOT / "src" / "embedlab").glob("*.py")))
     emitted = set(re.findall(r'"reason": "([a-z_]+)"', source))
-    assert len(listed) == len(set(listed)) == 17
+    assert len(listed) == len(set(listed)) == 16
     assert set(listed) == emitted
 
 

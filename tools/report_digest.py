@@ -24,8 +24,14 @@ exception, on every input: the prefilter runs there even on the inputs
 whose decisions stop at the determinant gate.  Then the sha256 of
 all reports in order, and ``sha256_without_roots``, the same digest with
 every ``roots_demonstrated`` left out (trailing sub-reports included).
-Each FIELD named after SRC_DIR is a report field to leave out of one more
-digest, printed last as ``sha256_without FIELD ... <digest>``; for example
+Then ``sha256_cli``, the digest of the command line: each of its seven
+commands (``root`` with ``--n 2``) runs in process through
+``embedlab.cli.run_cli`` on every ``cli-report`` input at every seed, each
+input written as a JSON file into a temporary working directory and named
+by its relative path, so that the report's ``command`` is the same on
+every run; each run contributes its exit code and its JSON report without
+``duration_s``.  Each FIELD named after SRC_DIR is a report field to leave
+out of one more digest, printed last as ``sha256_without FIELD ... <digest>``; for example
 
     python3 tools/report_digest.py src bound_used roots_demonstrated
 
@@ -38,9 +44,13 @@ witness bits, leave out both witness fields, the embeddability
     python3 tools/report_digest.py src generator z_matrix
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +75,28 @@ def report_bits(x, skip=()):
     return x.hex() if isinstance(x, float) else x
 
 
+CLI_COMMANDS = (["classify"], ["structure"], ["expm"], ["logm"], ["root", "--n", "2"], ["embed"], ["infdiv"])
+
+
+def cli_digest(cli, corpus):
+    """sha256 of every CLI command's exit code and report, without
+    ``duration_s``, on the ``cli-report`` inputs of every seed."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir, contextlib.chdir(workdir):
+        for seed in SEEDS:
+            for i, case in enumerate(corpus.build("cli-report", seed)):
+                name = f"input_{i}.json"
+                Path(name).write_text(json.dumps({"n": case.n, "rows": case.matrix.tolist()}))
+                for command in CLI_COMMANDS:
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        code = cli.run_cli([command[0], name, *command[1:]])
+                    report = json.loads(out.getvalue())
+                    del report["duration_s"]
+                    digest.update(repr((code, report)).encode())
+    return digest.hexdigest()
+
+
 EIG_FIELDS = ("eigenvalues", "right_eigenvectors", "inverse_basis", "min_pairwise_gap", "basis_condition")
 
 
@@ -86,6 +118,7 @@ def main(argv):
     sys.path.insert(0, str(ROOT / "perfbench"))
     import corpus
     import embedlab
+    import embedlab.cli
     from embedlab.errors import EmbedlabError
 
     if not Path(embedlab.__file__).resolve().is_relative_to(src):
@@ -125,8 +158,10 @@ def main(argv):
     print(f"sha256_eig {eig_digest.hexdigest()}")
     print(f"sha256_classify {classify_digest.hexdigest()}")
     print(f"sha256_structure {structure_digest.hexdigest()}")
-    for name, digest in digests.items():
-        print(f"{name} {digest.hexdigest()}")
+    lines = [f"{name} {digest.hexdigest()}" for name, digest in digests.items()]
+    # after sha256 and sha256_without_roots; a FIELD digest prints last
+    lines.insert(2, f"sha256_cli {cli_digest(embedlab.cli, corpus)}")
+    print("\n".join(lines))
 
 
 if __name__ == "__main__":
